@@ -165,7 +165,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None,
                         help="override every seed in the config")
     parser.add_argument("--workers", type=int, default=None,
-                        help="override the worker count")
+                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="stage", required=True)
     for name, help_text in [
         ("ingest", "parse, binarize, and filter the raw interaction source"),

@@ -76,16 +76,19 @@ def init_factors(n_users, n_items, cfg: AlsConfig) -> FactorModel:
     return FactorModel(x, y)
 
 
-def _half_sweep(mat: sp.csr_matrix, other: np.ndarray, lam: float) -> np.ndarray:
+def _half_sweep(mat: sp.csr_matrix, other: np.ndarray, lam: float,
+                b: np.ndarray | None = None) -> np.ndarray:
     """Solve (other' other + lam I) z_r = other' mat[r] for every row r.
 
     One Cholesky factorization serves all rows; a single refinement step
-    keeps the per-row normal-equation residual at solver precision.
+    keeps the per-row normal-equation residual at solver precision.  b is
+    mat @ other when the caller has already computed it.
     """
     k = other.shape[1]
     gram = other.T @ other
     a = gram + lam * np.eye(k)
-    b = mat @ other
+    if b is None:
+        b = mat @ other
     factor = cho_factor(a, lower=True, check_finite=False)
     z = cho_solve(factor, b.T, check_finite=False).T
     resid = b - z @ a
@@ -93,13 +96,16 @@ def _half_sweep(mat: sp.csr_matrix, other: np.ndarray, lam: float) -> np.ndarray
     return z
 
 
-def _objective(s_csr: sp.csr_matrix, x: np.ndarray, y: np.ndarray, lam: float) -> float:
-    "Full-matrix squared error plus ridge penalty, without materializing M x N."
+def _objective(s_csr: sp.csr_matrix, x: np.ndarray, y: np.ndarray, lam: float,
+               stx: np.ndarray) -> float:
+    """Full-matrix squared error plus ridge penalty, without materializing M x N.
+
+    The data term sum over stored (u, i) of s_ui * x_u . y_i equals
+    sum(Y * (S' X)); stx is that S' X.
+    """
     gx = x.T @ x
     gy = y.T @ y
-    coo = s_csr.tocoo()
-    pred_nnz = np.einsum("ij,ij->i", x[coo.row], y[coo.col])
-    sq = float(coo.data @ coo.data) - 2.0 * float(coo.data @ pred_nnz)
+    sq = float(s_csr.data @ s_csr.data) - 2.0 * float(np.vdot(y, stx))
     sq += float(np.sum(gx * gy))
     return sq + lam * (float(np.sum(x * x)) + float(np.sum(y * y)))
 
@@ -127,10 +133,11 @@ def als_fit(s, cfg: AlsConfig = AlsConfig()) -> FactorModel:
         x = _half_sweep(s_csr, y, cfg.lam)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite user factors at sweep {sweep}")
-        y = _half_sweep(s_csc_t, x, cfg.lam)
+        stx = s_csc_t @ x
+        y = _half_sweep(s_csc_t, x, cfg.lam, stx)
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"non-finite item factors at sweep {sweep}")
-        model.loss_trace.append(_objective(s_csr, x, y, cfg.lam))
+        model.loss_trace.append(_objective(s_csr, x, y, cfg.lam, stx))
 
     model.X, model.Y = x, y
     return model
@@ -138,7 +145,8 @@ def als_fit(s, cfg: AlsConfig = AlsConfig()) -> FactorModel:
 
 def loss(s, model: FactorModel, lam: float) -> float:
     """Objective value of the model on confidence matrix s."""
-    return _objective(_as_csr(s), model.X, model.Y, lam)
+    s_csr = _as_csr(s)
+    return _objective(s_csr, model.X, model.Y, lam, s_csr.T @ model.X)
 
 
 def predict(model: FactorModel, u: int, i: int) -> float:

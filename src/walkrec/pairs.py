@@ -6,7 +6,6 @@ an odd window the stride-2 offsets land exactly on item positions (kinds
 alternate), so each sampled pair is user-item by construction.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,49 +64,19 @@ class PairCorpusStats:
             raise ValueError("negative pair count")
 
 
-def _sample_chunk(walks, m, n, sigma):
-    "Stats for a subset of walks; counts centers and partners independently."
-    us, its = [], []
-    deltas = range(-sigma, sigma + 1, 2)
-    for w in walks:
-        kinds = w < m
-        if not np.all(kinds[1:] != kinds[:-1]):
-            raise ValueError("corpus violates user/item alternation")
-        pos = np.flatnonzero(kinds)
-        length = len(w)
-        for delta in deltas:
-            j = pos[(pos + delta >= 0) & (pos + delta < length)]
-            if len(j):
-                us.append(w[j])
-                its.append(w[j + delta] - m)
-    if us:
-        u = np.concatenate(us)
-        i = np.concatenate(its)
-    else:
-        u = np.empty(0, dtype=np.int64)
-        i = np.empty(0, dtype=np.int64)
-    pair = sp.coo_matrix(
-        (np.ones(len(u), dtype=np.int64), (u, i)), shape=(m, n)
-    ).tocsr()
-    pair.sum_duplicates()
-    return PairCorpusStats(
-        pair_count=pair,
-        user_count=np.bincount(u, minlength=m),
-        item_count=np.bincount(i, minlength=n),
-        total=len(u),
-    )
-
-
 def sample_pairs(corpus: WalkCorpus, sigma: int, workers: int = 1) -> PairCorpusStats:
     """Extract the windowed (u, i) pair multiset and aggregate its counts.
+
+    For each offset delta the user centres are one strided slice of the
+    (walks, positions) array and their partners the same slice shifted by
+    delta; each offset adds one sparse count matrix, so the pairs of all
+    offsets are never held at once.
 
     Args:
         corpus: alternating walk corpus.
         sigma: window size; must be an odd integer >= 1 (even offsets would
             pair users with users).
-        workers: walks are partitioned across workers and the partial
-            stats merged in canonical order; the result is independent of
-            the worker count.
+        workers: accepted for compatibility; has no effect.
     """
     sigma = int(sigma)
     if sigma < 1:
@@ -116,17 +85,28 @@ def sample_pairs(corpus: WalkCorpus, sigma: int, workers: int = 1) -> PairCorpus
         raise ValueError("sigma must be odd: even offsets land on same-kind vertices")
 
     m, n = corpus.n_users, corpus.n_items
-    if workers <= 1 or len(corpus.walks) < 2 * workers:
-        return _sample_chunk(corpus.walks, m, n, sigma)
-    chunks = [list(c) for c in np.array_split(np.arange(len(corpus.walks)), workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(lambda c: _sample_chunk([corpus.walks[j] for j in c], m, n, sigma), chunks)
-        )
-    out = parts[0]
-    for part in parts[1:]:
-        out = merge(out, part)
-    return out
+    pair = sp.csr_matrix((m, n), dtype=np.int64)
+    for walks in corpus.blocks():
+        is_user = walks < m
+        if not np.all(is_user[:, 1:] != is_user[:, :-1]):
+            raise ValueError("corpus violates user/item alternation")
+        length = walks.shape[1]
+        for delta in range(-sigma, sigma + 1, 2):
+            lo, hi = max(0, -delta), length - max(0, delta)
+            if lo >= hi:
+                continue
+            centre = is_user[:, lo:hi]
+            u = walks[:, lo:hi][centre]
+            i = walks[:, lo + delta:hi + delta][centre] - m
+            pair += sp.csr_matrix((np.ones(len(u), dtype=np.int64), (u, i)), shape=(m, n))
+    pair.sum_duplicates()
+    user_count = np.asarray(pair.sum(axis=1)).ravel()
+    return PairCorpusStats(
+        pair_count=pair,
+        user_count=user_count,
+        item_count=np.asarray(pair.sum(axis=0)).ravel(),
+        total=int(user_count.sum()),
+    )
 
 
 def merge(a: PairCorpusStats, b: PairCorpusStats) -> PairCorpusStats:

@@ -44,9 +44,15 @@ def top_k(user, scores, k_items, mask=frozenset()) -> RankedList:
         valid = np.flatnonzero(keep)
     else:
         valid = np.arange(len(scores))
-    # stable sort on negated scores: ties stay in ascending item order
-    order = np.argsort(-scores[valid], kind="stable")
-    chosen = valid[order[: int(k_items)]]
+    neg = -scores[valid]
+    k = min(int(k_items), len(neg))
+    if k == 0:
+        return RankedList(user, [])
+    # candidates: every item not below the k-th best score (NaNs too, which
+    # the sort puts last); the stable sort keeps ties in ascending item order
+    kth = np.partition(neg, k - 1)[k - 1]
+    cand = np.flatnonzero(~(neg > kth))
+    chosen = valid[cand[np.argsort(neg[cand], kind="stable")[:k]]]
     return RankedList(user, [(int(i), float(scores[i])) for i in chosen])
 
 

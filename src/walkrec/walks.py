@@ -1,7 +1,7 @@
 """Truncated uniform random walks over the bipartite graph."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +9,8 @@ import numpy as np
 from .graph import BipartiteGraph
 
 __all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
+
+_SAVE_ROWS = 8192  # walks rendered per write, bounding the token buffer
 
 
 @dataclass(frozen=True)
@@ -28,44 +30,53 @@ class WalkConfig:
 
 @dataclass
 class WalkCorpus:
-    """Vertex sequences encoded globally: code < n_users is a user, else an item."""
+    """Vertex sequences encoded globally: code < n_users is a user, else an item.
 
-    walks: list  # list of np.ndarray[int64], each of length gamma
+    ``walks`` is a (W, gamma) int64 array, one walk per row, as made by
+    generate_walks and load_walks.  A hand-built corpus may instead pass a
+    list of 1-D int64 arrays of mixed lengths; ``blocks`` groups those by
+    length so array code sees only rectangular blocks.
+    """
+
+    walks: np.ndarray
     n_users: int
     n_items: int
+
+    def blocks(self):
+        """The walks as 2-D arrays, one per distinct walk length."""
+        if isinstance(self.walks, np.ndarray) and self.walks.ndim == 2:
+            return [self.walks]
+        lengths = sorted({len(w) for w in self.walks})
+        return [np.stack([w for w in self.walks if len(w) == k]) for k in lengths]
 
     def validate(self, g: BipartiteGraph | None = None):
         """Check kind alternation along every walk, and edges when g is given."""
         m = self.n_users
-        for w in self.walks:
-            kinds = w < m
-            if not np.all(kinds[1:] != kinds[:-1]):
+        if g is not None:
+            indptr, indices = _adjacency(g)
+            v = len(indptr) - 1
+            edges = np.repeat(np.arange(v), np.diff(indptr)) * v + indices
+        for block in self.blocks():
+            is_user = block < m
+            if not np.all(is_user[:, 1:] != is_user[:, :-1]):
                 raise ValueError("walk does not alternate user/item vertices")
             if g is not None:
-                for a, b in zip(w[:-1], w[1:]):
-                    u, i = (int(a), int(b) - m) if a < m else (int(b), int(a) - m)
-                    row = g.user_adj[u]
-                    pos = np.searchsorted(row, i)
-                    if pos >= len(row) or row[pos] != i:
-                        raise ValueError(f"walk step ({a}, {b}) is not an edge")
+                a, b = block[:, :-1].ravel(), block[:, 1:].ravel()
+                bad = np.flatnonzero(~np.isin(a * v + b, edges))
+                if bad.size:
+                    raise ValueError(f"walk step ({a[bad[0]]}, {b[bad[0]]}) is not an edge")
 
 
-def _walk_batch(codes, nbrs, beta, gamma, seed):
-    "Generate the beta walks for each start code, in (code, walk index) order."
-    out = []
-    steps = gamma - 1
-    for code in codes:
-        for b in range(beta):
-            rng = np.random.default_rng((seed, code, b))
-            r = rng.random(steps)
-            walk = np.empty(gamma, dtype=np.int64)
-            walk[0] = cur = code
-            for t in range(steps):
-                row = nbrs[cur]
-                cur = row[int(r[t] * len(row))]
-                walk[t + 1] = cur
-            out.append(walk)
-    return out
+def _adjacency(g: BipartiteGraph):
+    "Global-code CSR adjacency: users 0..m-1, then items m..m+n-1; rows sorted."
+    m = g.n_users
+    deg = np.fromiter(map(len, chain(g.user_adj, g.item_adj)), dtype=np.int64,
+                      count=m + g.n_items)
+    indptr = np.zeros(len(deg) + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.concatenate([np.empty(0, dtype=np.int64),
+                              *(row + m for row in g.user_adj), *g.item_adj])
+    return indptr, indices
 
 
 def generate_walks(g: BipartiteGraph, cfg: WalkConfig, workers: int = 1) -> WalkCorpus:
@@ -73,49 +84,70 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig, workers: int = 1) -> Walk
 
     Each successor is drawn uniformly from the current vertex's neighbors.
     Every walk consumes its own random stream keyed by
-    (seed, start vertex, walk index), so the corpus is identical for any
-    worker count or scheduling.
-    """
-    m = g.n_users
-    # global-coded neighbor lists; plain python lists for fast scalar stepping
-    nbrs = [None] * (m + g.n_items)
-    starts = []
-    for u in range(m):
-        row = g.user_adj[u]
-        if len(row):
-            nbrs[u] = (row + m).tolist()
-            starts.append(u)
-    for i in range(g.n_items):
-        row = g.item_adj[i]
-        if len(row):
-            nbrs[m + i] = row.tolist()
-            starts.append(m + i)
+    (seed, start vertex, walk index), so its vertices do not depend on the
+    other walks; all walks then advance together, one array step per
+    position.  Rows are in (start code, walk index) order.
 
-    if workers <= 1 or len(starts) < 2:
-        walks = _walk_batch(starts, nbrs, cfg.beta, cfg.gamma, cfg.seed)
-    else:
-        chunks = np.array_split(np.asarray(starts), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda c: _walk_batch(c.tolist(), nbrs, cfg.beta, cfg.gamma, cfg.seed),
-                chunks,
-            )
-            walks = [w for part in parts for w in part]
+    ``workers`` is accepted for compatibility and has no effect.
+    """
+    indptr, indices = _adjacency(g)
+    deg = np.diff(indptr)
+    starts = np.flatnonzero(deg)
+    steps = cfg.gamma - 1
+    r = np.empty((len(starts) * cfg.beta, steps))
+    for w, (code, b) in enumerate(product(starts.tolist(), range(cfg.beta))):
+        np.random.default_rng((cfg.seed, code, b)).random(out=r[w])
+
+    walks = np.empty((len(r), cfg.gamma), dtype=np.int64)
+    walks[:, 0] = cur = np.repeat(starts, cfg.beta)
+    for t in range(steps):
+        # float product then truncation, exactly as int(r * len(row)) per walk
+        cur = indices[indptr[cur] + (r[:, t] * deg[cur]).astype(np.int64)]
+        walks[:, t + 1] = cur
     return WalkCorpus(walks, g.n_users, g.n_items)
+
+
+def _token_names(m, n):
+    "Token of every global code: 'u<idx>' for users, then 'i<idx>' for items."
+    return np.array([f"u{v}" for v in range(m)] + [f"i{j}" for j in range(n)], dtype=object)
 
 
 def save_walks(corpus: WalkCorpus, path):
     """One walk per line, space-separated 'u<idx>' / 'i<idx>' tokens."""
-    m = corpus.n_users
+    names = _token_names(corpus.n_users, corpus.n_items)
+    spaced, ended = names + " ", names + "\n"
     with Path(path).open("w", encoding="utf-8", newline="\n") as f:
         f.write(f"# users={corpus.n_users} items={corpus.n_items}\n")
-        for w in corpus.walks:
-            toks = [f"u{v}" if v < m else f"i{v - m}" for v in w]
-            f.write(" ".join(toks) + "\n")
+        for lo in range(0, len(corpus.walks), _SAVE_ROWS):
+            part = corpus.walks[lo:lo + _SAVE_ROWS]
+            flat = np.concatenate(part)
+            ends = np.cumsum(np.fromiter(map(len, part), dtype=np.int64, count=len(part))) - 1
+            out = spaced[flat]
+            out[ends] = ended[flat[ends]]
+            f.write("".join(out.tolist()))
+
+
+def _parse_token(tok, m, n, path, lineno):
+    "Code of a token that is not in canonical form, or the error it deserves."
+    idx = int(tok[1:])
+    if tok[0] == "u":
+        if not 0 <= idx < m:
+            raise ValueError(f"{path}: line {lineno}: user {idx} out of range")
+        return idx
+    if tok[0] == "i":
+        if not 0 <= idx < n:
+            raise ValueError(f"{path}: line {lineno}: item {idx} out of range")
+        return m + idx
+    raise ValueError(f"{path}: line {lineno}: bad token {tok!r}")
 
 
 def load_walks(path) -> WalkCorpus:
-    """Read a corpus written by save_walks."""
+    """Read a corpus written by save_walks.
+
+    Blank lines are skipped.  Raises ValueError naming the file and line
+    for an out-of-range or malformed token, and for a walk whose length
+    differs from the first walk's, as a truncated file leaves it.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as f:
         header = f.readline().strip()
@@ -123,23 +155,20 @@ def load_walks(path) -> WalkCorpus:
             raise ValueError(f"{path}: missing corpus header")
         fields = dict(part.split("=") for part in header[2:].split())
         m, n = int(fields["users"]), int(fields["items"])
-        walks = []
-        for lineno, line in enumerate(f, start=2):
-            toks = line.split()
-            if not toks:
-                continue
-            walk = np.empty(len(toks), dtype=np.int64)
-            for j, tok in enumerate(toks):
-                idx = int(tok[1:])
-                if tok[0] == "u":
-                    if idx >= m:
-                        raise ValueError(f"{path}: line {lineno}: user {idx} out of range")
-                    walk[j] = idx
-                elif tok[0] == "i":
-                    if idx >= n:
-                        raise ValueError(f"{path}: line {lineno}: item {idx} out of range")
-                    walk[j] = m + idx
-                else:
-                    raise ValueError(f"{path}: line {lineno}: bad token {tok!r}")
-            walks.append(walk)
-    return WalkCorpus(walks, m, n)
+        lines = list(map(str.split, f.read().split("\n")))
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    toks = list(chain.from_iterable(lines))
+    lookup = {name: code for code, name in enumerate(_token_names(m, n).tolist())}
+    codes = np.fromiter(map(lookup.get, toks, repeat(-1)), dtype=np.int64, count=len(toks))
+    line_of = np.repeat(np.arange(len(lines)) + 2, lengths)
+    for j in np.flatnonzero(codes < 0).tolist():
+        codes[j] = _parse_token(toks[j], m, n, path, int(line_of[j]))
+
+    filled = np.flatnonzero(lengths)
+    gamma = int(lengths[filled[0]]) if filled.size else 0
+    short = filled[lengths[filled] != gamma]
+    if short.size:
+        j = int(short[0])
+        raise ValueError(f"{path}: line {j + 2}: walk has {lengths[j]} vertices, "
+                         f"expected {gamma} as on line {filled[0] + 2}")
+    return WalkCorpus(codes.reshape(len(filled), gamma), m, n)

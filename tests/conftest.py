@@ -27,6 +27,21 @@ def corpus_from_tokens(token_lines, n_users, n_items):
     return WalkCorpus(walks, n_users, n_items)
 
 
+def oracle_walk(g, seed, code, b, gamma):
+    """Walk b from global code `code` by the scalar loop: one stream keyed by
+    (seed, code, b), successor row[int(r[t] * len(row))] at every step."""
+    m = g.n_users
+    nbrs = [row + m for row in g.user_adj] + list(g.item_adj)
+    r = np.random.default_rng((seed, code, b)).random(gamma - 1)
+    walk = [code]
+    cur = code
+    for t in range(gamma - 1):
+        row = nbrs[cur]
+        cur = int(row[int(r[t] * len(row))])
+        walk.append(cur)
+    return walk
+
+
 def oracle_pair_multiset(corpus, sigma):
     """Brute-force pair enumeration: loop every walk, every user position,
     every stride-2 offset in [j - sigma, j + sigma] except j itself."""

@@ -216,3 +216,13 @@ class TestPersistence:
         assert np.array_equal(back.Y, model.Y)
         assert back.loss_trace == model.loss_trace
         assert back_cfg == cfg
+
+
+class TestLossTrace:
+    def test_trace_equals_loss_of_each_sweep(self):
+        rng = np.random.default_rng(41)
+        s = random_sparse(rng, 12, 9, 40)
+        for sweeps in (1, 3):
+            cfg = AlsConfig(factors=4, lam=0.3, sweeps=sweeps, seed=2)
+            model = als_fit(s, cfg)
+            assert model.loss_trace[-1] == pytest.approx(loss(s, model, cfg.lam), rel=1e-12)

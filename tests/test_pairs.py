@@ -166,3 +166,20 @@ class TestPersistence:
         p.write_text("# users=2 items=2 total=5\n0\t0\t1\n")
         with pytest.raises(ValueError, match="header total"):
             load_stats(p)
+
+
+class TestMixedLengths:
+    def test_list_corpus_matches_per_length_arrays(self):
+        g = build_graph({(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)}, 3, 3)
+        short = generate_walks(g, WalkConfig(beta=3, gamma=6, seed=1))
+        long = generate_walks(g, WalkConfig(beta=2, gamma=9, seed=2))
+        mixed = [w for pair in zip(short.walks, long.walks) for w in pair]
+        mixed += list(short.walks[len(long.walks):])
+        listed = sample_pairs(WalkCorpus(mixed, 3, 3), 3)
+        split = merge(sample_pairs(short, 3), sample_pairs(long, 3))
+        listed.validate()
+        assert counts_dict(listed) == counts_dict(split)
+        assert listed.total == split.total
+        assert np.array_equal(listed.user_count, split.user_count)
+        assert np.array_equal(listed.item_count, split.item_count)
+        assert counts_dict(listed) == dict(oracle_pair_multiset(WalkCorpus(mixed, 3, 3), 3))

@@ -114,3 +114,16 @@ class TestPersistence:
         p.write_text("0\t2\t1\t0.5\n")
         with pytest.raises(ValueError, match="ranks"):
             load_recommendations(p, 1)
+
+
+class TestTopKReference:
+    def test_matches_full_stable_sort_with_ties_and_masks(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            scores = rng.integers(0, 4, size=n).astype(np.float64)  # many ties
+            mask = {int(i) for i in rng.choice(n, size=int(rng.integers(0, n)), replace=False)}
+            k = int(rng.integers(1, n + 3))
+            valid = [i for i in range(n) if i not in mask]
+            want = sorted(valid, key=lambda i: -scores[i])[:k]  # sorted() is stable
+            assert top_k(0, scores, k, frozenset(mask)).item_indices() == want

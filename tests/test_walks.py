@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from walkrec.graph import build_graph
+from walkrec.pairs import sample_pairs
 from walkrec.walks import WalkConfig, generate_walks, load_walks, save_walks
 
-from conftest import corpus_from_tokens
+from conftest import corpus_from_tokens, oracle_walk
 
 TOY_EDGES = {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)}
 
@@ -113,3 +114,69 @@ class TestPersistence:
         save_walks(corpus, p)
         lines = p.read_text().splitlines()
         assert lines[1] == "u0 i1 u2 i1"
+
+
+class TestArrayCorpus:
+    def test_rows_match_scalar_oracle(self):
+        rng = np.random.default_rng(21)
+        m, n = 9, 7
+        edges = {(int(rng.integers(m)), int(rng.integers(n))) for _ in range(25)}
+        g = build_graph(edges, m, n)
+        cfg = WalkConfig(beta=3, gamma=15, seed=11)
+        corpus = generate_walks(g, cfg)
+        starts = [u for u in range(m) if len(g.user_adj[u])]
+        starts += [m + i for i in range(n) if len(g.item_adj[i])]
+        assert corpus.walks.shape == (cfg.beta * len(starts), cfg.gamma)
+        for row in rng.choice(len(corpus.walks), size=12, replace=False):
+            code, b = starts[row // cfg.beta], int(row % cfg.beta)
+            assert corpus.walks[row].tolist() == oracle_walk(g, cfg.seed, code, b, cfg.gamma)
+
+    def test_edgeless_graph_gives_empty_corpus(self):
+        g = build_graph(set(), 3, 4)
+        corpus = generate_walks(g, WalkConfig(beta=2, gamma=6, seed=0))
+        assert corpus.walks.shape == (0, 6)
+        corpus.validate(g)
+        stats = sample_pairs(corpus, 3)
+        stats.validate()
+        assert stats.total == 0 and stats.pair_count.nnz == 0
+
+    def test_gamma_one_corpus_has_no_pairs(self):
+        g = build_graph(TOY_EDGES, 3, 4)
+        corpus = generate_walks(g, WalkConfig(beta=2, gamma=1, seed=0))
+        assert corpus.walks.shape == (2 * 7, 1)
+        corpus.validate(g)
+        assert sample_pairs(corpus, 1).total == 0
+
+    def test_validate_rejects_non_edge_step(self):
+        g = build_graph({(0, 0), (1, 1)}, 2, 2)
+        corpus = corpus_from_tokens(["u0 i0 u0", "u1 i1 u0 i0"], 2, 2)
+        with pytest.raises(ValueError, match=r"walk step \(3, 0\) is not an edge"):
+            corpus.validate(g)
+
+
+class TestTruncatedCorpus:
+    def test_truncated_file_names_the_line(self, tmp_path):
+        g = build_graph(TOY_EDGES, 3, 4)
+        corpus = generate_walks(g, WalkConfig(beta=2, gamma=30, seed=8))
+        p = tmp_path / "walks.txt"
+        save_walks(corpus, p)
+        data = p.read_bytes()
+        p.write_bytes(data[:-40])  # cuts into the last walk, whose line is > 40 bytes
+        last_line = len(corpus.walks) + 1
+        with pytest.raises(ValueError, match=rf"walks\.txt: line {last_line}: walk has"):
+            load_walks(p)
+
+    def test_short_line_in_the_middle(self, tmp_path):
+        p = tmp_path / "walks.txt"
+        p.write_text("# users=2 items=2\nu0 i0 u1\ni0 u0\nu1 i1 u1\n")
+        with pytest.raises(ValueError, match="line 3: walk has 2 vertices, expected 3"):
+            load_walks(p)
+
+    def test_token_errors_keep_their_messages(self, tmp_path):
+        p = tmp_path / "walks.txt"
+        p.write_text("# users=2 items=2\nu0 i0\nu1 i2\n")
+        with pytest.raises(ValueError, match="line 3: item 2 out of range"):
+            load_walks(p)
+        p.write_text("# users=2 items=2\nu0 x0\n")
+        with pytest.raises(ValueError, match="line 2: bad token 'x0'"):
+            load_walks(p)
