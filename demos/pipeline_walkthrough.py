@@ -8,7 +8,8 @@ import numpy as np
 
 from walkrec import (AlsConfig, WalkConfig, als_fit, build_graph, evaluate,
                      generate_synthetic, generate_walks, item_pop_scores,
-                     recommend_topk, sample_pairs, split, sppmi_matrix, top_k)
+                     recommend_topk, sample_pairs, split, sppmi_matrix, top_k,
+                     train_masks)
 
 # ------------------------------------------------------------------
 # 1. Data: a clustered sparse purchase log, indexed and split 80/10/10
@@ -66,9 +67,7 @@ print(f"als: objective {trace[0]:.1f} -> {trace[-1]:.1f} over {len(trace)} sweep
 # ------------------------------------------------------------------
 # 7. Top-10 recommendations with training items masked
 # ------------------------------------------------------------------
-masks = {}
-for u, i in ds.train:
-    masks.setdefault(u, set()).add(i)
+masks = train_masks(ds.train)
 recs = recommend_topk(model, k_items=10, masks=masks)
 u0 = next(u for u in range(ds.n_users) if len(masks.get(u, ())) >= 3)
 print(f"recommendations for user {u0} (owns {sorted(masks[u0])}):")

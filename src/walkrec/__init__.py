@@ -17,7 +17,7 @@ from .factorization import (AlsConfig, FactorModel, als_fit, init_factors,
                             loss, predict)
 from .graph import BipartiteGraph, Vertex, build_graph, neighbors
 from .pairs import PairCorpusStats, merge, sample_pairs
-from .recommend import RankedList, item_pop_scores, recommend_topk, top_k
+from .recommend import RankedList, item_pop_scores, recommend_topk, top_k, train_masks
 from .synthetic import generate_synthetic
 from .walks import WalkConfig, WalkCorpus, generate_walks
 

@@ -8,22 +8,21 @@ the seeds it carries determine every output byte.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import (ConfigError, base_settings, config_dict, experiment_grid,
-                     load_config, override_seed)
+from .config import ConfigError, base_settings, config_dict, load_config, override_seed
 from .confidence import co_matrix, load_confidence, save_confidence, sppmi_matrix
 from .datasets import (IngestFormat, binarize, filter_min_interactions, ingest,
                        load_dataset, load_interactions, save_dataset,
                        save_interactions, sparsify, split)
 from .evaluation import evaluate, run_experiment, write_report_json, write_report_tsv
-from .factorization import AlsConfig, als_fit, load_model, save_model
+from .factorization import als_fit, load_model, save_model
 from .graph import build_graph
 from .pairs import load_stats, sample_pairs, save_stats
-from .recommend import load_recommendations, recommend_topk, save_recommendations
+from .recommend import (load_recommendations, recommend_topk, save_recommendations,
+                        train_masks)
 from .synthetic import generate_synthetic
-from .walks import WalkConfig, generate_walks, load_walks, save_walks
+from .walks import generate_walks, load_walks, save_walks
 
 
 def _work(cfg):
@@ -78,20 +77,18 @@ def cmd_split(cfg):
           f"train/valid/test over {ds.n_users} users x {ds.n_items} items -> {out}")
 
 
-def cmd_walk(cfg, workers):
+def cmd_walk(cfg):
     ds = load_dataset(_work(cfg) / "dataset")
     g = build_graph(ds.train, ds.n_users, ds.n_items)
-    corpus = generate_walks(
-        g, WalkConfig(cfg.walk.beta, cfg.walk.gamma, cfg.walk.seed), workers
-    )
+    corpus = generate_walks(g, cfg.walk)
     out = _work(cfg) / "walks.txt"
     save_walks(corpus, out)
     print(f"walk: {len(corpus.walks)} walks of {cfg.walk.gamma} vertices -> {out}")
 
 
-def cmd_pairs(cfg, workers):
+def cmd_pairs(cfg):
     corpus = load_walks(_work(cfg) / "walks.txt")
-    stats = sample_pairs(corpus, cfg.pairs.sigma, workers)
+    stats = sample_pairs(corpus, cfg.pairs.sigma)
     out = _work(cfg) / "pair_stats.tsv"
     save_stats(stats, out)
     print(f"pairs: {stats.total} pair occurrences, "
@@ -111,11 +108,9 @@ def cmd_confidence(cfg):
 
 def cmd_train(cfg):
     conf = load_confidence(_work(cfg) / "confidence.tsv")
-    als_cfg = AlsConfig(cfg.als.factors, cfg.als.lam, cfg.als.sweeps,
-                        cfg.als.seed, cfg.als.init_scale)
-    model = als_fit(conf, als_cfg)
+    model = als_fit(conf, cfg.als)
     out = _work(cfg) / "model.npz"
-    save_model(model, als_cfg, out)
+    save_model(model, cfg.als, out)
     print(f"train: {cfg.als.sweeps} sweeps, "
           f"final objective {model.loss_trace[-1]:.6g} -> {out}")
 
@@ -123,11 +118,7 @@ def cmd_train(cfg):
 def cmd_recommend(cfg):
     model, _ = load_model(_work(cfg) / "model.npz")
     ds = load_dataset(_work(cfg) / "dataset")
-    masks = None
-    if cfg.recommend.mask_train:
-        masks = {}
-        for u, i in ds.train:
-            masks.setdefault(u, set()).add(i)
+    masks = train_masks(ds.train) if cfg.recommend.mask_train else None
     recs = recommend_topk(model, cfg.recommend.k_items, masks)
     out = _work(cfg) / "recommendations.tsv"
     save_recommendations(recs, out)
@@ -147,9 +138,9 @@ def cmd_evaluate(cfg):
     print("evaluate: " + "  ".join(parts))
 
 
-def cmd_experiment(cfg, workers):
+def cmd_experiment(cfg):
     ds = _dataset_from_config(cfg)
-    rows = run_experiment(ds, base_settings(cfg), experiment_grid(cfg), workers)
+    rows = run_experiment(ds, base_settings(cfg), cfg.experiment)
     work = _work(cfg)
     write_report_tsv(rows, work / "report.tsv")
     write_report_json(rows, work / "report.json", resolved_config=config_dict(cfg))
@@ -188,19 +179,16 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = override_seed(cfg, args.seed)
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("--workers: must be >= 1")
-            cfg = replace(cfg, workers=args.workers)
-        workers = cfg.workers
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError("--workers: must be >= 1")
         if args.stage == "ingest":
             cmd_ingest(cfg)
         elif args.stage == "split":
             cmd_split(cfg)
         elif args.stage == "walk":
-            cmd_walk(cfg, workers)
+            cmd_walk(cfg)
         elif args.stage == "pairs":
-            cmd_pairs(cfg, workers)
+            cmd_pairs(cfg)
         elif args.stage == "confidence":
             cmd_confidence(cfg)
         elif args.stage == "train":
@@ -210,7 +198,7 @@ def main(argv=None):
         elif args.stage == "evaluate":
             cmd_evaluate(cfg)
         elif args.stage == "experiment":
-            cmd_experiment(cfg, workers)
+            cmd_experiment(cfg)
         return 0
     except ConfigError as exc:
         print(f"walkrec {args.stage}: config error: {exc}", file=sys.stderr)

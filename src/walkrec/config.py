@@ -2,148 +2,124 @@
 
 Defaults follow the standard operating point of the method: 10 walks of
 80 vertices per vertex, window 3, 100 factors, ridge 0.25, top-10 lists.
-Validation errors always name the offending dotted key.
+Each knob's default, YAML key and bounds are declared once, with ``knob``
+on the dataclass that uses it; the stage classes WalkConfig, AlsConfig and
+ExperimentGrid are sections themselves.  One walker parses every section
+from those declarations, and every error names the offending dotted key.
 """
 
-from dataclasses import asdict, dataclass, field, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import yaml
 
 from .evaluation import ExperimentGrid, PipelineSettings
+from .factorization import AlsConfig
+from .knobs import KnobError, check, key, knob
+from .walks import WalkConfig
 
 __all__ = ["ConfigError", "PipelineConfig", "load_config", "parse_config",
-           "base_settings", "experiment_grid", "config_dict"]
+           "base_settings", "config_dict"]
 
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration key."""
 
 
-def _require(cond, key, msg):
-    if not cond:
-        raise ConfigError(f"{key}: {msg}")
-
-
-def _as_int(v, key):
-    _require(isinstance(v, int) and not isinstance(v, bool), key, f"expected integer, got {v!r}")
-    return v
-
-
-def _as_seed(v, key):
-    v = _as_int(v, key)
-    _require(v >= 0, key, "seed must be >= 0")
-    return v
-
-
-def _as_float(v, key):
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool), key,
-             f"expected number, got {v!r}")
-    return float(v)
-
-
-def _as_bool(v, key):
-    _require(isinstance(v, bool), key, f"expected boolean, got {v!r}")
-    return v
-
-
-def _as_str(v, key):
-    _require(isinstance(v, str) and v, key, f"expected non-empty string, got {v!r}")
-    return v
-
-
-def _section(raw, name, known):
-    if raw is None:
-        return {}
-    _require(isinstance(raw, dict), name, "expected a mapping")
-    for k in raw:
-        if k not in known:
-            raise ConfigError(f"unknown config key: {name}.{k}")
-    return raw
-
-
 @dataclass(frozen=True)
 class SyntheticSection:
-    users: int = 500
-    items: int = 500
-    groups: int = 10
-    bulk_degree: int = 4
-    heavy_degree: int = 12
-    heavy_fraction: float = 0.125
-    p_in: float = 0.5
-    p_out: float = 0.005
-    seed: int = 0
+    users: int = knob(500, min=1)
+    items: int = knob(500, min=1)
+    groups: int = knob(10, min=1)
+    bulk_degree: int = knob(4, min=1)
+    heavy_degree: int = knob(12, min=1)
+    heavy_fraction: float = knob(0.125, min=0, max=1)
+    p_in: float = knob(0.5, min=0, max=1)
+    p_out: float = knob(0.005, min=0, max=1)
+    seed: int = knob(0, min=0)
+
+    def __post_init__(self):
+        check(self)
+        if self.groups > min(self.users, self.items):
+            raise KnobError("groups", "must be in [1, min(users, items)]")
+        if self.p_out > self.p_in:
+            raise KnobError("p_in", "need 0 <= p_out <= p_in <= 1")
 
 
 @dataclass(frozen=True)
 class DataSection:
     interactions: str | None = None
     delimiter: str = ","
-    user_col: int = 0
-    item_col: int = 1
-    value_col: int | None = None
-    timestamp_col: int | None = None
+    user_col: int = knob(0, min=0)
+    item_col: int = knob(1, min=0)
+    value_col: int | None = knob(None, min=0)
+    timestamp_col: int | None = knob(None, min=0)
     header: bool = False
-    min_count: int = 0
+    min_count: int = knob(0, min=0)
     synthetic: SyntheticSection | None = None
+
+    def __post_init__(self):
+        check(self)
+        if len(self.delimiter) != 1:
+            raise KnobError("delimiter", "must be a single character")
 
 
 @dataclass(frozen=True)
 class SplitSection:
-    ratios: tuple = (0.8, 0.1, 0.1)
-    seed: int = 0
+    ratios: tuple[float, ...] = knob((0.8, 0.1, 0.1), gt=0)
+    seed: int = knob(0, min=0)
+
+    def __post_init__(self):
+        check(self)
+        if len(self.ratios) != 3:
+            raise KnobError("ratios", "expected three fractions")
+        if abs(sum(self.ratios) - 1.0) > 1e-9:
+            raise KnobError("ratios", "fractions must sum to 1")
 
 
 @dataclass(frozen=True)
 class SparsifySection:
-    keep_fraction: float = 1.0
-    seed: int = 0
+    keep_fraction: float = knob(1.0, gt=0, max=1)
+    seed: int = knob(0, min=0)
 
-
-@dataclass(frozen=True)
-class WalkSection:
-    beta: int = 10
-    gamma: int = 80
-    seed: int = 0
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass(frozen=True)
 class PairsSection:
-    sigma: int = 3
+    sigma: int = knob(3, min=1, odd=True)
+
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass(frozen=True)
 class ConfidenceSection:
-    measure: str = "pmi"
-    shift_k: float = 1.0
+    measure: str = knob("pmi", choices=("co", "pmi"))
+    shift_k: float = knob(1.0, min=1)
 
-
-@dataclass(frozen=True)
-class AlsSection:
-    factors: int = 100
-    lam: float = 0.25
-    sweeps: int = 15
-    seed: int = 0
-    init_scale: float = 0.01
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass(frozen=True)
 class RecommendSection:
-    k_items: int = 10
+    k_items: int = knob(10, min=1)
     mask_train: bool = True
+
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass(frozen=True)
 class EvaluateSection:
-    cutoffs: tuple = (5, 10)
+    cutoffs: tuple[int, ...] = knob((5, 10), min=1)
 
-
-@dataclass(frozen=True)
-class ExperimentSection:
-    measures: tuple = ("pmi", "co")
-    sigmas: tuple = (3,)
-    keep_fractions: tuple = (1.0,)
-    seeds: tuple = (0,)
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -151,215 +127,71 @@ class PipelineConfig:
     data: DataSection = field(default_factory=DataSection)
     split: SplitSection = field(default_factory=SplitSection)
     sparsify: SparsifySection = field(default_factory=SparsifySection)
-    walk: WalkSection = field(default_factory=WalkSection)
+    walk: WalkConfig = field(default_factory=WalkConfig)
     pairs: PairsSection = field(default_factory=PairsSection)
     confidence: ConfidenceSection = field(default_factory=ConfidenceSection)
-    als: AlsSection = field(default_factory=AlsSection)
+    als: AlsConfig = field(default_factory=AlsConfig)
     recommend: RecommendSection = field(default_factory=RecommendSection)
     evaluate: EvaluateSection = field(default_factory=EvaluateSection)
-    experiment: ExperimentSection = field(default_factory=ExperimentSection)
+    experiment: ExperimentGrid = field(default_factory=ExperimentGrid)
     work_dir: str = "work"
-    workers: int = 1
+    workers: int = knob(1, min=1)  # accepted for compatibility; has no effect
+
+    def __post_init__(self):
+        check(self)
 
 
-def _parse_synthetic(raw):
-    raw = _section(raw, "data.synthetic",
-                   {"users", "items", "groups", "bulk_degree", "heavy_degree",
-                    "heavy_fraction", "p_in", "p_out", "seed"})
-    sec = SyntheticSection(
-        users=_as_int(raw.get("users", 500), "data.synthetic.users"),
-        items=_as_int(raw.get("items", 500), "data.synthetic.items"),
-        groups=_as_int(raw.get("groups", 10), "data.synthetic.groups"),
-        bulk_degree=_as_int(raw.get("bulk_degree", 4), "data.synthetic.bulk_degree"),
-        heavy_degree=_as_int(raw.get("heavy_degree", 12), "data.synthetic.heavy_degree"),
-        heavy_fraction=_as_float(raw.get("heavy_fraction", 0.125),
-                                 "data.synthetic.heavy_fraction"),
-        p_in=_as_float(raw.get("p_in", 0.5), "data.synthetic.p_in"),
-        p_out=_as_float(raw.get("p_out", 0.005), "data.synthetic.p_out"),
-        seed=_as_seed(raw.get("seed", 0), "data.synthetic.seed"),
-    )
-    _require(sec.users >= 1, "data.synthetic.users", "must be >= 1")
-    _require(sec.items >= 1, "data.synthetic.items", "must be >= 1")
-    _require(1 <= sec.groups <= min(sec.users, sec.items), "data.synthetic.groups",
-             "must be in [1, min(users, items)]")
-    _require(sec.bulk_degree >= 1, "data.synthetic.bulk_degree", "must be >= 1")
-    _require(sec.heavy_degree >= 1, "data.synthetic.heavy_degree", "must be >= 1")
-    _require(0.0 <= sec.heavy_fraction <= 1.0, "data.synthetic.heavy_fraction",
-             "must be in [0, 1]")
-    _require(0.0 <= sec.p_out <= sec.p_in <= 1.0, "data.synthetic.p_in",
-             "need 0 <= p_out <= p_in <= 1")
-    return sec
+def _dotted(path, k):
+    return f"{path}.{k}" if path else str(k)
 
 
-def _parse_data(raw):
-    raw = _section(raw, "data",
-                   {"interactions", "delimiter", "user_col", "item_col", "value_col",
-                    "timestamp_col", "header", "min_count", "synthetic"})
-    interactions = raw.get("interactions")
-    if interactions is not None:
-        interactions = _as_str(interactions, "data.interactions")
-    value_col = raw.get("value_col")
-    if value_col is not None:
-        value_col = _as_int(value_col, "data.value_col")
-    timestamp_col = raw.get("timestamp_col")
-    if timestamp_col is not None:
-        timestamp_col = _as_int(timestamp_col, "data.timestamp_col")
-    synthetic = raw.get("synthetic")
-    if synthetic is not None:
-        synthetic = _parse_synthetic(synthetic)
-    sec = DataSection(
-        interactions=interactions,
-        delimiter=_as_str(raw.get("delimiter", ","), "data.delimiter"),
-        user_col=_as_int(raw.get("user_col", 0), "data.user_col"),
-        item_col=_as_int(raw.get("item_col", 1), "data.item_col"),
-        header=_as_bool(raw.get("header", False), "data.header"),
-        min_count=_as_int(raw.get("min_count", 0), "data.min_count"),
-        value_col=value_col,
-        timestamp_col=timestamp_col,
-        synthetic=synthetic,
-    )
-    _require(sec.min_count >= 0, "data.min_count", "must be >= 0")
-    _require(sec.user_col >= 0, "data.user_col", "must be >= 0")
-    _require(sec.item_col >= 0, "data.item_col", "must be >= 0")
-    return sec
+_SCALARS = {
+    bool: ("boolean", lambda v: isinstance(v, bool)),
+    int: ("integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("non-empty string", lambda v: isinstance(v, str) and v != ""),
+}
 
 
-def _parse_split(raw):
-    raw = _section(raw, "split", {"ratios", "seed"})
-    ratios = raw.get("ratios", [0.8, 0.1, 0.1])
-    _require(isinstance(ratios, (list, tuple)) and len(ratios) == 3, "split.ratios",
-             "expected three fractions")
-    ratios = tuple(_as_float(r, "split.ratios") for r in ratios)
-    _require(all(r > 0 for r in ratios), "split.ratios", "fractions must be positive")
-    _require(abs(sum(ratios) - 1.0) <= 1e-9, "split.ratios", "fractions must sum to 1")
-    return SplitSection(ratios=ratios, seed=_as_seed(raw.get("seed", 0), "split.seed"))
+def _coerce(tp, v, path):
+    "Value v checked against annotation tp: a section, X | None, tuple[T, ...] or scalar."
+    if is_dataclass(tp):
+        return _section(tp, v, path)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return None if v is None else _coerce(args[0], v, path)
+    if origin is tuple:
+        if not isinstance(v, (list, tuple)) or not v:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        return tuple(_coerce(args[0], x, path) for x in v)
+    what, ok = _SCALARS[tp]
+    if not ok(v):
+        raise ConfigError(f"{path}: expected {what}, got {v!r}")
+    return tp(v)
 
 
-def _parse_sparsify(raw):
-    raw = _section(raw, "sparsify", {"keep_fraction", "seed"})
-    keep = _as_float(raw.get("keep_fraction", 1.0), "sparsify.keep_fraction")
-    _require(0.0 < keep <= 1.0, "sparsify.keep_fraction", "must be in (0, 1]")
-    return SparsifySection(keep_fraction=keep,
-                           seed=_as_seed(raw.get("seed", 0), "sparsify.seed"))
-
-
-def _parse_walk(raw):
-    raw = _section(raw, "walk", {"beta", "gamma", "seed"})
-    sec = WalkSection(
-        beta=_as_int(raw.get("beta", 10), "walk.beta"),
-        gamma=_as_int(raw.get("gamma", 80), "walk.gamma"),
-        seed=_as_seed(raw.get("seed", 0), "walk.seed"),
-    )
-    _require(sec.beta >= 1, "walk.beta", "must be >= 1")
-    _require(sec.gamma >= 1, "walk.gamma", "must be >= 1")
-    return sec
-
-
-def _parse_pairs(raw):
-    raw = _section(raw, "pairs", {"sigma"})
-    sigma = _as_int(raw.get("sigma", 3), "pairs.sigma")
-    _require(sigma >= 1, "pairs.sigma", "must be >= 1")
-    _require(sigma % 2 == 1, "pairs.sigma", "must be odd")
-    return PairsSection(sigma=sigma)
-
-
-def _parse_confidence(raw):
-    raw = _section(raw, "confidence", {"measure", "shift_k"})
-    measure = _as_str(raw.get("measure", "pmi"), "confidence.measure")
-    _require(measure in ("co", "pmi"), "confidence.measure", "must be 'co' or 'pmi'")
-    shift_k = _as_float(raw.get("shift_k", 1.0), "confidence.shift_k")
-    _require(shift_k >= 1.0, "confidence.shift_k", "must be >= 1")
-    return ConfidenceSection(measure=measure, shift_k=shift_k)
-
-
-def _parse_als(raw):
-    raw = _section(raw, "als", {"factors", "lambda", "sweeps", "seed", "init_scale"})
-    sec = AlsSection(
-        factors=_as_int(raw.get("factors", 100), "als.factors"),
-        lam=_as_float(raw.get("lambda", 0.25), "als.lambda"),
-        sweeps=_as_int(raw.get("sweeps", 15), "als.sweeps"),
-        seed=_as_seed(raw.get("seed", 0), "als.seed"),
-        init_scale=_as_float(raw.get("init_scale", 0.01), "als.init_scale"),
-    )
-    _require(sec.factors >= 1, "als.factors", "must be >= 1")
-    _require(sec.lam > 0, "als.lambda", "must be > 0")
-    _require(sec.sweeps >= 1, "als.sweeps", "must be >= 1")
-    _require(sec.init_scale >= 0, "als.init_scale", "must be >= 0")
-    return sec
-
-
-def _parse_recommend(raw):
-    raw = _section(raw, "recommend", {"k_items", "mask_train"})
-    k_items = _as_int(raw.get("k_items", 10), "recommend.k_items")
-    _require(k_items >= 1, "recommend.k_items", "must be >= 1")
-    return RecommendSection(
-        k_items=k_items,
-        mask_train=_as_bool(raw.get("mask_train", True), "recommend.mask_train"),
-    )
-
-
-def _parse_evaluate(raw):
-    raw = _section(raw, "evaluate", {"cutoffs"})
-    cutoffs = raw.get("cutoffs", [5, 10])
-    _require(isinstance(cutoffs, (list, tuple)) and cutoffs, "evaluate.cutoffs",
-             "expected a non-empty list")
-    cutoffs = tuple(_as_int(k, "evaluate.cutoffs") for k in cutoffs)
-    _require(all(k >= 1 for k in cutoffs), "evaluate.cutoffs", "cutoffs must be >= 1")
-    return EvaluateSection(cutoffs=cutoffs)
-
-
-def _parse_experiment(raw):
-    raw = _section(raw, "experiment", {"measures", "sigmas", "keep_fractions", "seeds"})
-
-    def listy(key, default):
-        v = raw.get(key, default)
-        _require(isinstance(v, (list, tuple)) and v, f"experiment.{key}",
-                 "expected a non-empty list")
-        return v
-
-    measures = tuple(_as_str(x, "experiment.measures") for x in listy("measures", ["pmi", "co"]))
-    for x in measures:
-        _require(x in ("co", "pmi", "mf", "itempop"), "experiment.measures",
-                 f"unknown measure {x!r}")
-    sigmas = tuple(_as_int(x, "experiment.sigmas") for x in listy("sigmas", [3]))
-    for x in sigmas:
-        _require(x >= 1 and x % 2 == 1, "experiment.sigmas", "window sizes must be odd and >= 1")
-    keeps = tuple(_as_float(x, "experiment.keep_fractions")
-                  for x in listy("keep_fractions", [1.0]))
-    for x in keeps:
-        _require(0.0 < x <= 1.0, "experiment.keep_fractions", "must be in (0, 1]")
-    seeds = tuple(_as_seed(x, "experiment.seeds") for x in listy("seeds", [0]))
-    return ExperimentSection(measures=measures, sigmas=sigmas,
-                             keep_fractions=keeps, seeds=seeds)
+def _section(cls, raw, path):
+    "Build dataclass cls from a mapping of YAML keys; errors name the dotted key."
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'top level'}: expected a mapping")
+    by_key = {key(f): f for f in fields(cls)}
+    for k in raw:
+        if k not in by_key:
+            raise ConfigError(f"unknown config key: {_dotted(path, k)}")
+    values = {f.name: _coerce(f.type, raw[k], _dotted(path, k))
+              for k, f in by_key.items() if k in raw}
+    try:
+        return cls(**values)
+    except KnobError as exc:
+        bad = next(key(f) for f in fields(cls) if f.name == exc.name)
+        raise ConfigError(f"{_dotted(path, bad)}: {exc.reason}") from None
 
 
 def parse_config(raw) -> PipelineConfig:
     """Validate a config mapping (already YAML-parsed) into PipelineConfig."""
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected a mapping")
-    known = {"data", "split", "sparsify", "walk", "pairs", "confidence", "als",
-             "recommend", "evaluate", "experiment", "work_dir", "workers"}
-    for k in raw:
-        if k not in known:
-            raise ConfigError(f"unknown config key: {k}")
-    workers = _as_int(raw.get("workers", 1), "workers")
-    _require(workers >= 1, "workers", "must be >= 1")
-    return PipelineConfig(
-        data=_parse_data(raw.get("data")),
-        split=_parse_split(raw.get("split")),
-        sparsify=_parse_sparsify(raw.get("sparsify")),
-        walk=_parse_walk(raw.get("walk")),
-        pairs=_parse_pairs(raw.get("pairs")),
-        confidence=_parse_confidence(raw.get("confidence")),
-        als=_parse_als(raw.get("als")),
-        recommend=_parse_recommend(raw.get("recommend")),
-        evaluate=_parse_evaluate(raw.get("evaluate")),
-        experiment=_parse_experiment(raw.get("experiment")),
-        work_dir=_as_str(raw.get("work_dir", "work"), "work_dir"),
-        workers=workers,
-    )
+    return _section(PipelineConfig, raw, "")
 
 
 def load_config(path) -> PipelineConfig:
@@ -370,22 +202,27 @@ def load_config(path) -> PipelineConfig:
 
 
 def override_seed(cfg: PipelineConfig, seed: int) -> PipelineConfig:
-    """Replace every seed in the config with one value (CLI --seed flag)."""
+    """Replace every seed in the config with one value (CLI --seed flag).
+
+    Every field named ``seed`` becomes seed and every ``seeds`` list (seed,).
+    """
     seed = int(seed)
     if seed < 0:
         raise ConfigError("--seed: seed must be >= 0")
-    data = cfg.data
-    if data.synthetic is not None:
-        data = replace(data, synthetic=replace(data.synthetic, seed=seed))
-    return replace(
-        cfg,
-        data=data,
-        split=replace(cfg.split, seed=seed),
-        sparsify=replace(cfg.sparsify, seed=seed),
-        walk=replace(cfg.walk, seed=seed),
-        als=replace(cfg.als, seed=seed),
-        experiment=replace(cfg.experiment, seeds=(seed,)),
-    )
+
+    def reseed(obj):
+        new = {}
+        for f in fields(obj):
+            v = getattr(obj, f.name)
+            if f.name == "seed":
+                new["seed"] = seed
+            elif f.name == "seeds":
+                new["seeds"] = (seed,)
+            elif is_dataclass(v):
+                new[f.name] = reseed(v)
+        return replace(obj, **new)
+
+    return reseed(cfg)
 
 
 def base_settings(cfg: PipelineConfig) -> PipelineSettings:
@@ -410,15 +247,6 @@ def base_settings(cfg: PipelineConfig) -> PipelineSettings:
         k_items=cfg.recommend.k_items,
         mask_train=cfg.recommend.mask_train,
         cutoffs=cfg.evaluate.cutoffs,
-    )
-
-
-def experiment_grid(cfg: PipelineConfig) -> ExperimentGrid:
-    return ExperimentGrid(
-        measures=cfg.experiment.measures,
-        sigmas=cfg.experiment.sigmas,
-        keep_fractions=cfg.experiment.keep_fractions,
-        seeds=cfg.experiment.seeds,
     )
 
 

@@ -6,7 +6,7 @@ extreme sparsity.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,9 @@ from .confidence import co_matrix, sppmi_matrix
 from .datasets import Dataset, sparsify
 from .factorization import AlsConfig, als_fit
 from .graph import build_graph
+from .knobs import check, key, knob
 from .pairs import sample_pairs
-from .recommend import item_pop_scores, recommend_topk, top_k
+from .recommend import item_pop_scores, recommend_topk, top_k, train_masks
 from .walks import WalkConfig, generate_walks
 
 __all__ = ["MetricsReport", "PipelineSettings", "ExperimentGrid", "evaluate",
@@ -54,7 +55,7 @@ class PipelineSettings:
     gamma: int = 80
     shift_k: float = 1.0
     factors: int = 100
-    lam: float = 0.25
+    lam: float = knob(0.25, key="lambda")
     sweeps: int = 15
     init_scale: float = 0.01
     k_items: int = 10
@@ -62,32 +63,21 @@ class PipelineSettings:
     cutoffs: tuple = (5, 10)
 
     def echo(self):
-        "Config echo embedded in reports; keys define the report columns."
-        return {
-            "measure": self.measure,
-            "sigma": self.sigma,
-            "keep_fraction": self.keep_fraction,
-            "seed": self.seed,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "shift_k": self.shift_k,
-            "factors": self.factors,
-            "lambda": self.lam,
-            "sweeps": self.sweeps,
-            "init_scale": self.init_scale,
-            "k_items": self.k_items,
-            "mask_train": self.mask_train,
-        }
+        "Config echo embedded in reports: every knob but cutoffs, in field order."
+        return {key(f): getattr(self, f.name) for f in fields(self) if f.name != "cutoffs"}
 
 
 @dataclass(frozen=True)
 class ExperimentGrid:
     """Cartesian grid over measure, window size, sparsity, and seed."""
 
-    measures: tuple = ("pmi", "co")
-    sigmas: tuple = (3,)
-    keep_fractions: tuple = (1.0,)
-    seeds: tuple = (0,)
+    measures: tuple[str, ...] = knob(("pmi", "co"), choices=CELL_MEASURES)
+    sigmas: tuple[int, ...] = knob((3,), min=1, odd=True)
+    keep_fractions: tuple[float, ...] = knob((1.0,), gt=0, max=1)
+    seeds: tuple[int, ...] = knob((0,), min=0)
+
+    def __post_init__(self):
+        check(self)
 
 
 def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
@@ -148,8 +138,7 @@ def _binary_train_matrix(train, m, n):
     )
 
 
-def run_cell(dataset: Dataset, st: PipelineSettings, workers: int = 1,
-             _caches=None) -> MetricsReport:
+def run_cell(dataset: Dataset, st: PipelineSettings, _caches=None) -> MetricsReport:
     """One pipeline pass: sparsify, walk, count, score, factorize, rank, evaluate.
 
     Evaluation always uses the unsparsified test split.  The optional
@@ -162,20 +151,15 @@ def run_cell(dataset: Dataset, st: PipelineSettings, workers: int = 1,
     m, n = dataset.n_users, dataset.n_items
     caches = _caches if _caches is not None else {"train": {}, "corpus": {}, "stats": {}}
 
-    key = (st.keep_fraction, st.seed)
-    if key not in caches["train"]:
-        caches["train"][key] = sparsify(dataset.train, st.keep_fraction, st.seed)
-    train = caches["train"][key]
-    masks = None
-    if st.mask_train:
-        masks = {}
-        for u, i in train:
-            masks.setdefault(u, set()).add(i)
+    tkey = (st.keep_fraction, st.seed)
+    if tkey not in caches["train"]:
+        caches["train"][tkey] = sparsify(dataset.train, st.keep_fraction, st.seed)
+    train = caches["train"][tkey]
+    masks = train_masks(train) if st.mask_train else {}
 
     if st.measure == "itempop":
         pop = item_pop_scores(train, n)
-        recs = [top_k(u, pop, st.k_items, masks.get(u, frozenset()) if masks else frozenset())
-                for u in range(m)]
+        recs = [top_k(u, pop, st.k_items, masks.get(u, frozenset())) for u in range(m)]
     else:
         if st.measure == "mf":
             s = _binary_train_matrix(train, m, n)
@@ -183,13 +167,11 @@ def run_cell(dataset: Dataset, st: PipelineSettings, workers: int = 1,
             ckey = (st.keep_fraction, st.seed, st.beta, st.gamma)
             if ckey not in caches["corpus"]:
                 g = build_graph(train, m, n)
-                caches["corpus"][ckey] = generate_walks(
-                    g, WalkConfig(st.beta, st.gamma, st.seed), workers
-                )
+                caches["corpus"][ckey] = generate_walks(g, WalkConfig(st.beta, st.gamma, st.seed))
             corpus = caches["corpus"][ckey]
             skey = ckey + (st.sigma,)
             if skey not in caches["stats"]:
-                caches["stats"][skey] = sample_pairs(corpus, st.sigma, workers)
+                caches["stats"][skey] = sample_pairs(corpus, st.sigma)
             stats = caches["stats"][skey]
             s = co_matrix(stats) if st.measure == "co" else sppmi_matrix(stats, st.shift_k)
         cfg = AlsConfig(st.factors, st.lam, st.sweeps, st.seed, st.init_scale)
@@ -199,8 +181,7 @@ def run_cell(dataset: Dataset, st: PipelineSettings, workers: int = 1,
     return evaluate(recs, dataset.test, st.cutoffs, config=st.echo())
 
 
-def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGrid,
-                   workers: int = 1):
+def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGrid):
     """Run every grid cell and return its MetricsReport rows in grid order.
 
     Cells that share (keep_fraction, seed) reuse one walk corpus, so a
@@ -215,7 +196,7 @@ def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGri
                 for seed in grid.seeds:
                     st = replace(base, measure=measure, sigma=int(sigma),
                                  keep_fraction=float(keep), seed=int(seed))
-                    rows.append(run_cell(dataset, st, workers, _caches=caches))
+                    rows.append(run_cell(dataset, st, _caches=caches))
     return rows
 
 

@@ -13,6 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
+from .knobs import check, knob
+
 __all__ = ["AlsConfig", "FactorModel", "init_factors", "als_fit", "loss", "predict",
            "save_model", "load_model"]
 
@@ -21,21 +23,14 @@ __all__ = ["AlsConfig", "FactorModel", "init_factors", "als_fit", "loss", "predi
 class AlsConfig:
     """Latent dimension, ridge strength, sweep count, and init parameters."""
 
-    factors: int = 100
-    lam: float = 0.25
-    sweeps: int = 15
-    seed: int = 0
-    init_scale: float = 0.01
+    factors: int = knob(100, min=1)
+    lam: float = knob(0.25, key="lambda", gt=0)
+    sweeps: int = knob(15, min=1)
+    seed: int = knob(0, min=0)
+    init_scale: float = knob(0.01, min=0)
 
     def __post_init__(self):
-        if self.factors < 1:
-            raise ValueError("factors must be >= 1")
-        if not self.lam > 0:
-            raise ValueError("lam must be > 0")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
+        check(self)
 
 
 @dataclass

@@ -7,7 +7,7 @@ import numpy as np
 
 from .factorization import FactorModel
 
-__all__ = ["RankedList", "top_k", "item_pop_scores", "recommend_topk",
+__all__ = ["RankedList", "top_k", "item_pop_scores", "train_masks", "recommend_topk",
            "save_recommendations", "load_recommendations"]
 
 
@@ -64,33 +64,34 @@ def item_pop_scores(train, n_items):
     return counts
 
 
+def train_masks(train):
+    """Per-user sets of training items, keyed by user: the masks recommend_topk takes."""
+    masks = {}
+    for u, i in train:
+        masks.setdefault(u, set()).add(i)
+    return masks
+
+
 def recommend_topk(model: FactorModel, k_items, masks=None, chunk=1024):
     """Ranked lists for every user from a factor model.
 
     Args:
         model: fitted factors.
         k_items: per-user list length.
-        masks: optional per-user sets of item indices to exclude, indexed
-            by user (dict or list); missing entries mean no mask.
+        masks: optional dict of per-user sets of item indices to exclude,
+            keyed by user; missing entries mean no mask.
     Returns:
         List of RankedList, one per user in index order.
     """
     m = model.n_users
+    masks = masks or {}
     out = []
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         block = model.X[lo:hi] @ model.Y.T
         for u in range(lo, hi):
-            out.append(top_k(u, block[u - lo], k_items, _mask_for(masks, u)))
+            out.append(top_k(u, block[u - lo], k_items, masks.get(u, frozenset())))
     return out
-
-
-def _mask_for(masks, u):
-    if masks is None:
-        return frozenset()
-    if isinstance(masks, dict):
-        return masks.get(u, frozenset())
-    return masks[u]
 
 
 def save_recommendations(recs, path):

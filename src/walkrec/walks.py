@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import BipartiteGraph
+from .knobs import check, knob
 
 __all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
 
@@ -17,15 +18,12 @@ _SAVE_ROWS = 8192  # walks rendered per write, bounding the token buffer
 class WalkConfig:
     """Walk generation knobs: walks per vertex, walk length, seed."""
 
-    beta: int = 10
-    gamma: int = 80
-    seed: int = 0
+    beta: int = knob(10, min=1)
+    gamma: int = knob(80, min=1)
+    seed: int = knob(0, min=0)
 
     def __post_init__(self):
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
+        check(self)
 
 
 @dataclass
@@ -113,11 +111,15 @@ def _token_names(m, n):
 
 
 def save_walks(corpus: WalkCorpus, path):
-    """One walk per line, space-separated 'u<idx>' / 'i<idx>' tokens."""
+    """One walk per line, space-separated 'u<idx>' / 'i<idx>' tokens.
+
+    The header line carries the user, item and walk counts.
+    """
     names = _token_names(corpus.n_users, corpus.n_items)
     spaced, ended = names + " ", names + "\n"
     with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# users={corpus.n_users} items={corpus.n_items}\n")
+        f.write(f"# users={corpus.n_users} items={corpus.n_items} "
+                f"walks={len(corpus.walks)}\n")
         for lo in range(0, len(corpus.walks), _SAVE_ROWS):
             part = corpus.walks[lo:lo + _SAVE_ROWS]
             flat = np.concatenate(part)
@@ -146,7 +148,9 @@ def load_walks(path) -> WalkCorpus:
 
     Blank lines are skipped.  Raises ValueError naming the file and line
     for an out-of-range or malformed token, and for a walk whose length
-    differs from the first walk's, as a truncated file leaves it.
+    differs from the first walk's, as a truncated file leaves it.  A file
+    cut at a line boundary fails the header's walk count, when the header
+    has one.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as f:
@@ -171,4 +175,7 @@ def load_walks(path) -> WalkCorpus:
         j = int(short[0])
         raise ValueError(f"{path}: line {j + 2}: walk has {lengths[j]} vertices, "
                          f"expected {gamma} as on line {filled[0] + 2}")
+    if "walks" in fields and int(fields["walks"]) != len(filled):
+        raise ValueError(f"{path}: header says walks={fields['walks']}, "
+                         f"file has {len(filled)} walks")
     return WalkCorpus(codes.reshape(len(filled), gamma), m, n)

@@ -5,7 +5,8 @@ import pytest
 
 from walkrec.factorization import FactorModel
 from walkrec.recommend import (item_pop_scores, load_recommendations,
-                               recommend_topk, save_recommendations, top_k)
+                               recommend_topk, save_recommendations, top_k,
+                               train_masks)
 
 TOY_EDGES = {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)}
 
@@ -85,6 +86,10 @@ class TestRecommendTopk:
         for u in range(6):
             expect = top_k(u, model.X[u] @ model.Y.T, 4, masks.get(u, frozenset()))
             assert recs[u].item_indices() == expect.item_indices()
+
+    def test_train_masks_group_items_by_user(self):
+        assert train_masks({(0, 1), (0, 2), (3, 7)}) == {0: {1, 2}, 3: {7}}
+        assert train_masks(set()) == {}
 
     def test_chunking_does_not_change_output(self):
         rng = np.random.default_rng(5)

@@ -166,6 +166,19 @@ class TestTruncatedCorpus:
         with pytest.raises(ValueError, match=rf"walks\.txt: line {last_line}: walk has"):
             load_walks(p)
 
+    def test_cut_at_a_line_boundary_fails_the_walk_count(self, tmp_path):
+        g = build_graph(TOY_EDGES, 3, 4)
+        corpus = generate_walks(g, WalkConfig(beta=2, gamma=5, seed=8))
+        n = len(corpus.walks)
+        p = tmp_path / "walks.txt"
+        save_walks(corpus, p)
+        lines = p.read_text().splitlines(keepends=True)
+        assert lines[0] == f"# users=3 items=4 walks={n}\n"
+        p.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError,
+                           match=rf"walks\.txt: header says walks={n}, file has {n - 1} walks"):
+            load_walks(p)
+
     def test_short_line_in_the_middle(self, tmp_path):
         p = tmp_path / "walks.txt"
         p.write_text("# users=2 items=2\nu0 i0 u1\ni0 u0\nu1 i1 u1\n")
