@@ -51,13 +51,13 @@ class PipelineSettings:
     sigma: int = 3
     keep_fraction: float = 1.0
     seed: int = 0
-    beta: int = 10
-    gamma: int = 80
+    beta: int = WalkConfig.beta
+    gamma: int = WalkConfig.gamma
     shift_k: float = 1.0
-    factors: int = 100
-    lam: float = knob(0.25, key="lambda")
-    sweeps: int = 15
-    init_scale: float = 0.01
+    factors: int = AlsConfig.factors
+    lam: float = knob(AlsConfig.lam, key="lambda")
+    sweeps: int = AlsConfig.sweeps
+    init_scale: float = AlsConfig.init_scale
     k_items: int = 10
     mask_train: bool = True
     cutoffs: tuple = (5, 10)

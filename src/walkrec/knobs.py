@@ -6,6 +6,7 @@ construction, and the config parser reads the same declarations to map
 YAML keys to fields and to name the key of any error.
 """
 
+import math
 from dataclasses import field, fields
 
 __all__ = ["KnobError", "knob", "key", "check"]
@@ -24,7 +25,8 @@ def knob(default, key=None, *, min=None, gt=None, max=None, odd=False, choices=N
     """A dataclass field with its YAML key (the field name by default) and bounds.
 
     Bounds apply to each element of a list or tuple value and are skipped
-    for None.  Every comparison fails for NaN.
+    for None.  A float value must also be finite, so NaN and infinities
+    fail whatever the bounds.
     """
     bounds = {"min": min, "gt": gt, "max": max, "odd": odd, "choices": choices}
     return field(default=default, metadata={"key": key, "bounds": bounds})
@@ -37,6 +39,8 @@ def key(f):
 
 def _violation(x, min, gt, max, odd, choices):
     "The rule x breaks, or None."
+    if isinstance(x, float) and not math.isfinite(x):
+        return "must be finite"
     if choices is not None:
         return None if x in choices else f"must be one of {', '.join(map(repr, choices))}"
     if not ((min is None or x >= min) and (gt is None or x > gt) and (max is None or x <= max)):

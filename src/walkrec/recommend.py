@@ -1,6 +1,7 @@
 """Top-K ranking from score vectors, with train masking and the popularity baseline."""
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -72,25 +73,64 @@ def train_masks(train):
     return masks
 
 
+def _rank_rows(first_user, scores, k, masks):
+    """top_k(first_user + r, scores[r], k, masks[r]) for every row r of a block.
+
+    scores is overwritten.  Negated scores of masked items become NaN, so a
+    row-wise partition puts them last with the real NaNs.  A row's
+    candidates are its items at or above its k-th best score, or all its
+    unmasked items when that k-th best is NaN.  One lexsort orders every
+    candidate by (row, -score with NaN last, item), as top_k's stable sort
+    orders one row, and each row keeps its first k.
+    """
+    neg = np.asarray(scores, dtype=np.float64)
+    np.negative(neg, out=neg)
+    rows = np.repeat(np.arange(len(masks)), [len(mk) for mk in masks])
+    neg[rows, np.fromiter(chain.from_iterable(masks), np.int64, len(rows))] = np.nan
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    cand = neg <= kth
+    for u in np.flatnonzero(np.isnan(kth[:, 0])).tolist():
+        cand[u] = True
+        cand[u, list(masks[u])] = False
+    r, c = np.divmod(np.flatnonzero(cand), neg.shape[1])
+    v = neg[r, c]
+    order = np.lexsort((c, v, r))
+    r, c, v = r[order], c[order], v[order]
+    counts = np.bincount(r, minlength=len(masks))
+    starts = np.cumsum(counts) - counts
+    keep = np.arange(len(r)) < (starts + k)[r]
+    items = list(zip(c[keep].tolist(), np.negative(v[keep]).tolist()))
+    ends = np.cumsum(np.minimum(counts, k)).tolist()
+    return [RankedList(first_user + u, items[a:b])
+            for u, (a, b) in enumerate(zip([0, *ends], ends))]
+
+
 def recommend_topk(model: FactorModel, k_items, masks=None, chunk=1024):
     """Ranked lists for every user from a factor model.
 
+    Each block of chunk users is scored with one product and ranked in one
+    pass; the lists equal top_k's on each user's score row.
+
     Args:
         model: fitted factors.
-        k_items: per-user list length.
+        k_items: per-user list length, >= 1.
         masks: optional dict of per-user sets of item indices to exclude,
             keyed by user; missing entries mean no mask.
     Returns:
         List of RankedList, one per user in index order.
     """
-    m = model.n_users
+    if k_items < 1:
+        raise ValueError("k_items must be >= 1")
+    m, n = model.n_users, model.n_items
+    k = min(int(k_items), n)
+    if k == 0:
+        return [RankedList(u, []) for u in range(m)]
     masks = masks or {}
     out = []
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        block = model.X[lo:hi] @ model.Y.T
-        for u in range(lo, hi):
-            out.append(top_k(u, block[u - lo], k_items, masks.get(u, frozenset())))
+        out += _rank_rows(lo, model.X[lo:hi] @ model.Y.T, k,
+                          [masks.get(u, ()) for u in range(lo, hi)])
     return out
 
 

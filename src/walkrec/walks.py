@@ -1,13 +1,14 @@
 """Truncated uniform random walks over the bipartite graph."""
 
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .graph import BipartiteGraph
 from .knobs import check, knob
+from .pcg64 import Pcg64Streams
 
 __all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
 
@@ -81,27 +82,25 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig, workers: int = 1) -> Walk
     """Launch cfg.beta walks of cfg.gamma vertices from every non-isolated vertex.
 
     Each successor is drawn uniformly from the current vertex's neighbors.
-    Every walk consumes its own random stream keyed by
-    (seed, start vertex, walk index), so its vertices do not depend on the
-    other walks; all walks then advance together, one array step per
-    position.  Rows are in (start code, walk index) order.
+    Every walk consumes its own random stream, the one
+    ``np.random.default_rng((seed, start code, walk index))`` draws, so its
+    vertices do not depend on the other walks.  The streams of all walks are
+    computed together as arrays (Pcg64Streams), and all walks advance
+    together, one array step per position.  Rows are in (start code, walk
+    index) order.  Start codes and walk indices must be below 2**32.
 
     ``workers`` is accepted for compatibility and has no effect.
     """
     indptr, indices = _adjacency(g)
     deg = np.diff(indptr)
     starts = np.flatnonzero(deg)
-    steps = cfg.gamma - 1
-    r = np.empty((len(starts) * cfg.beta, steps))
-    for w, (code, b) in enumerate(product(starts.tolist(), range(cfg.beta))):
-        np.random.default_rng((cfg.seed, code, b)).random(out=r[w])
-
-    walks = np.empty((len(r), cfg.gamma), dtype=np.int64)
+    walks = np.empty((len(starts) * cfg.beta, cfg.gamma), dtype=np.int64)
     walks[:, 0] = cur = np.repeat(starts, cfg.beta)
-    for t in range(steps):
+    streams = Pcg64Streams(cfg.seed, cur, np.tile(np.arange(cfg.beta), len(starts)))
+    for t in range(1, cfg.gamma):
         # float product then truncation, exactly as int(r * len(row)) per walk
-        cur = indices[indptr[cur] + (r[:, t] * deg[cur]).astype(np.int64)]
-        walks[:, t + 1] = cur
+        cur = indices[indptr[cur] + (streams.random() * deg[cur]).astype(np.int64)]
+        walks[:, t] = cur
     return WalkCorpus(walks, g.n_users, g.n_items)
 
 

@@ -8,9 +8,9 @@ import pytest
 import yaml
 
 from walkrec.cli import main
-from walkrec.config import (ConfigError, PipelineConfig, config_dict, load_config,
-                            override_seed, parse_config)
-from walkrec.evaluation import ExperimentGrid
+from walkrec.config import (ConfigError, PipelineConfig, base_settings, config_dict,
+                            load_config, override_seed, parse_config)
+from walkrec.evaluation import ExperimentGrid, PipelineSettings
 from walkrec.factorization import AlsConfig
 from walkrec.walks import WalkConfig
 
@@ -35,6 +35,7 @@ BASE = {
 }
 
 NAN = math.nan
+INF = math.inf
 
 
 def with_overrides(overrides):
@@ -86,6 +87,8 @@ INVALID = [
     ({"data.synthetic.heavy_fraction": NAN}, "data.synthetic.heavy_fraction"),
     ({"data.synthetic.p_in": 1.5}, "data.synthetic.p_in"),
     ({"data.synthetic.p_in": NAN}, "data.synthetic.p_in"),
+    ({"data.synthetic.p_in": INF}, "data.synthetic.p_in"),
+    ({"data.synthetic.p_in": -INF}, "data.synthetic.p_in"),
     ({"data.synthetic.p_out": 0.9}, "data.synthetic.p_in"),  # p_out > p_in
     ({"data.synthetic.p_out": -0.1}, "data.synthetic.p_out"),
     ({"data.synthetic.seed": -1}, "data.synthetic.seed"),
@@ -105,6 +108,8 @@ INVALID = [
     ({"sparsify.keep_fraction": 0.0}, "sparsify.keep_fraction"),
     ({"sparsify.keep_fraction": 1.5}, "sparsify.keep_fraction"),
     ({"sparsify.keep_fraction": NAN}, "sparsify.keep_fraction"),
+    ({"sparsify.keep_fraction": INF}, "sparsify.keep_fraction"),
+    ({"sparsify.keep_fraction": -INF}, "sparsify.keep_fraction"),
     ({"sparsify.keep_fraction": "all"}, "sparsify.keep_fraction"),
     ({"sparsify.seed": -1}, "sparsify.seed"),
     # walk
@@ -127,6 +132,8 @@ INVALID = [
     ({"confidence.measure": ""}, "confidence.measure"),
     ({"confidence.shift_k": 0.5}, "confidence.shift_k"),
     ({"confidence.shift_k": NAN}, "confidence.shift_k"),
+    ({"confidence.shift_k": INF}, "confidence.shift_k"),
+    ({"confidence.shift_k": -INF}, "confidence.shift_k"),
     ({"confidence.shift_k": "1"}, "confidence.shift_k"),
     # als
     ({"als.foo": 1}, "als.foo"),
@@ -135,11 +142,15 @@ INVALID = [
     ({"als.lambda": 0}, "als.lambda"),
     ({"als.lambda": -1.0}, "als.lambda"),
     ({"als.lambda": NAN}, "als.lambda"),
+    ({"als.lambda": INF}, "als.lambda"),
+    ({"als.lambda": -INF}, "als.lambda"),
     ({"als.lambda": False}, "als.lambda"),
     ({"als.sweeps": 0}, "als.sweeps"),
     ({"als.seed": -1}, "als.seed"),
     ({"als.init_scale": -0.1}, "als.init_scale"),
     ({"als.init_scale": NAN}, "als.init_scale"),
+    ({"als.init_scale": INF}, "als.init_scale"),
+    ({"als.init_scale": -INF}, "als.init_scale"),
     # recommend
     ({"recommend.foo": 1}, "recommend.foo"),
     ({"recommend.k_items": 0}, "recommend.k_items"),
@@ -196,6 +207,7 @@ def test_empty_config_is_all_defaults():
     ("experiment", {"experiment.sigmas": [2]}, "experiment.sigmas"),
     ("train", {"als.lambda": NAN}, "als.lambda"),
     ("split", {"workers": 0}, "workers"),
+    ("experiment", {"als.lambda": INF}, "als.lambda"),
 ])
 def test_cli_exits_2_naming_the_key(tmp_path, capsys, stage, overrides, key):
     raw = with_overrides({"work_dir": str(tmp_path / "work"), **overrides})
@@ -278,6 +290,7 @@ def test_override_seed_sets_exactly_the_six_seeds():
     lambda: AlsConfig(factors=0),
     lambda: AlsConfig(lam=0.0),
     lambda: AlsConfig(lam=NAN),
+    lambda: AlsConfig(lam=INF),
     lambda: AlsConfig(sweeps=0),
     lambda: AlsConfig(seed=-1),
     lambda: AlsConfig(init_scale=-0.1),
@@ -286,8 +299,18 @@ def test_override_seed_sets_exactly_the_six_seeds():
     lambda: ExperimentGrid(keep_fractions=(0.0,)),
     lambda: ExperimentGrid(seeds=(-1,)),
 ], ids=["walk.beta", "walk.gamma", "walk.seed", "als.factors", "als.lam",
-        "als.lam_nan", "als.sweeps", "als.seed", "als.init_scale", "grid.measures",
-        "grid.sigmas", "grid.keep_fractions", "grid.seeds"])
+        "als.lam_nan", "als.lam_inf", "als.sweeps", "als.seed", "als.init_scale",
+        "grid.measures", "grid.sigmas", "grid.keep_fractions", "grid.seeds"])
 def test_stage_classes_reject_out_of_bounds_at_construction(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_infinite_float_is_rejected_as_not_finite():
+    with pytest.raises(ConfigError, match="^als.lambda: must be finite"):
+        parse_config(with_overrides({"als.lambda": INF}))
+
+
+def test_unset_knobs_resolve_to_pipeline_settings_defaults(tmp_path):
+    cfg = parse_config({"data": {"interactions": "log.csv"}, "work_dir": str(tmp_path)})
+    assert base_settings(cfg) == PipelineSettings()

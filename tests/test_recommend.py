@@ -98,6 +98,42 @@ class TestRecommendTopk:
         b = recommend_topk(model, 3, None, chunk=1024)
         assert [rl.items for rl in a] == [rl.items for rl in b]
 
+    def test_blocks_match_per_user_top_k_with_ties_nans_and_masks(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            m, n, f = int(rng.integers(1, 12)), int(rng.integers(1, 15)), 3
+            # small integer factors tie often; an infinite item factor makes
+            # the item's score NaN for users with a zero there (0 * inf) and
+            # +-inf for the others; a NaN user factor makes a whole row NaN
+            X = rng.integers(-1, 3, size=(m, f)).astype(np.float64)
+            Y = rng.integers(-1, 3, size=(n, f)).astype(np.float64)
+            Y[rng.random(n) < 0.2, 0] = np.inf
+            X[rng.random(m) < 0.1, 1] = np.nan
+            model = FactorModel(X, Y)
+            k = int(rng.integers(1, n + 3))
+            masks = {}
+            for u in range(m):
+                kind = rng.integers(4)  # absent, empty, some items, at most k left
+                if kind == 1:
+                    masks[u] = set()
+                elif kind >= 2:
+                    size = int(rng.integers(0, n + 1)) if kind == 2 else max(n - k + 1, 0)
+                    masks[u] = set(rng.choice(n, size=min(size, n), replace=False).tolist())
+            with np.errstate(invalid="ignore"):  # 0 * inf in the products
+                recs = recommend_topk(model, k, masks, chunk=int(rng.integers(1, 5)))
+                rows = [X[u] @ Y.T for u in range(m)]
+            assert [rl.user for rl in recs] == list(range(m))
+            for u in range(m):
+                want = top_k(u, rows[u], k, masks.get(u, frozenset()))
+                assert recs[u].item_indices() == want.item_indices()
+                assert np.array_equal([v for _, v in recs[u].items],
+                                      [v for _, v in want.items], equal_nan=True)
+
+    def test_k_must_be_positive(self):
+        model = FactorModel(np.ones((2, 1)), np.ones((3, 1)))
+        with pytest.raises(ValueError):
+            recommend_topk(model, 0)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
