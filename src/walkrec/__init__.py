@@ -18,7 +18,7 @@ from .factorization import (AlsConfig, FactorModel, als_fit, init_factors,
 from .graph import BipartiteGraph, Vertex, build_graph, neighbors
 from .pairs import PairCorpusStats, merge, sample_pairs
 from .recommend import RankedList, item_pop_scores, recommend_topk, top_k, train_masks
-from .synthetic import generate_synthetic
+from .synthetic import SyntheticConfig, generate_synthetic
 from .walks import WalkConfig, WalkCorpus, generate_walks
 
 __version__ = "0.1.0"

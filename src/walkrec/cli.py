@@ -8,13 +8,14 @@ the seeds it carries determine every output byte.
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import ConfigError, base_settings, config_dict, load_config, override_seed
 from .confidence import co_matrix, load_confidence, save_confidence, sppmi_matrix
-from .datasets import (IngestFormat, binarize, filter_min_interactions, ingest,
-                       load_dataset, load_interactions, save_dataset,
-                       save_interactions, sparsify, split)
+from .datasets import (binarize, filter_min_interactions, ingest, load_dataset,
+                       load_interactions, save_dataset, save_interactions, sparsify,
+                       split)
 from .evaluation import evaluate, run_experiment, write_report_json, write_report_tsv
 from .factorization import als_fit, load_model, save_model
 from .graph import build_graph
@@ -35,21 +36,10 @@ def _source_pairs(cfg):
     "Binarized, filtered key pairs from the configured data source."
     data = cfg.data
     if data.synthetic is not None:
-        syn = data.synthetic
-        pairs = generate_synthetic(
-            n_users=syn.users, n_items=syn.items, n_groups=syn.groups,
-            bulk_degree=syn.bulk_degree, heavy_degree=syn.heavy_degree,
-            heavy_fraction=syn.heavy_fraction,
-            p_in=syn.p_in, p_out=syn.p_out, seed=syn.seed,
-        )
+        pairs = generate_synthetic(**asdict(data.synthetic))
     elif data.interactions is not None:
-        fmt = IngestFormat(
-            delimiter=data.delimiter, user_col=data.user_col, item_col=data.item_col,
-            value_col=data.value_col, timestamp_col=data.timestamp_col,
-            header=data.header,
-        )
         with open(data.interactions, "r", encoding="utf-8") as f:
-            pairs = binarize(ingest(f, fmt))
+            pairs = binarize(ingest(f, data))
     else:
         raise ConfigError("data.interactions or data.synthetic is required")
     return filter_min_interactions(pairs, data.min_count)

@@ -3,25 +3,32 @@
 Defaults follow the standard operating point of the method: 10 walks of
 80 vertices per vertex, window 3, 100 factors, ridge 0.25, top-10 lists.
 Each knob's default, YAML key and bounds are declared once, with ``knob``
-on the dataclass that uses it; the stage classes WalkConfig, AlsConfig and
-ExperimentGrid are sections themselves.  One walker parses every section
-from those declarations, and every error names the offending dotted key.
+on the dataclass that uses it; the stage classes WalkConfig, AlsConfig,
+SyntheticConfig and IngestFormat (inside DataSection) are sections
+themselves.  One walker parses every section from those declarations, and
+every error names the offending dotted key.  PipelineSettings, the knobs
+of one experiment cell, takes its defaults and report keys from the same
+sections.
 """
 
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import yaml
 
-from .evaluation import ExperimentGrid, PipelineSettings
+from .confidence import MEASURES
+from .datasets import IngestFormat
 from .factorization import AlsConfig
-from .knobs import KnobError, check, key, knob
+from .knobs import KnobError, Knobs, key, knob
+from .synthetic import SyntheticConfig
 from .walks import WalkConfig
 
-__all__ = ["ConfigError", "PipelineConfig", "load_config", "parse_config",
-           "base_settings", "config_dict"]
+__all__ = ["ConfigError", "PipelineConfig", "PipelineSettings", "ExperimentGrid",
+           "load_config", "parse_config", "base_settings", "config_dict"]
+
+CELL_MEASURES = MEASURES + ("mf", "itempop")
 
 
 class ConfigError(ValueError):
@@ -29,50 +36,22 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SyntheticSection:
-    users: int = knob(500, min=1)
-    items: int = knob(500, min=1)
-    groups: int = knob(10, min=1)
-    bulk_degree: int = knob(4, min=1)
-    heavy_degree: int = knob(12, min=1)
-    heavy_fraction: float = knob(0.125, min=0, max=1)
-    p_in: float = knob(0.5, min=0, max=1)
-    p_out: float = knob(0.005, min=0, max=1)
-    seed: int = knob(0, min=0)
+class DataSection(IngestFormat):
+    """The data source: an interaction log read with the inherited
+    IngestFormat columns, or the synthetic generator."""
 
-    def __post_init__(self):
-        check(self)
-        if self.groups > min(self.users, self.items):
-            raise KnobError("groups", "must be in [1, min(users, items)]")
-        if self.p_out > self.p_in:
-            raise KnobError("p_in", "need 0 <= p_out <= p_in <= 1")
-
-
-@dataclass(frozen=True)
-class DataSection:
     interactions: str | None = None
-    delimiter: str = ","
-    user_col: int = knob(0, min=0)
-    item_col: int = knob(1, min=0)
-    value_col: int | None = knob(None, min=0)
-    timestamp_col: int | None = knob(None, min=0)
-    header: bool = False
     min_count: int = knob(0, min=0)
-    synthetic: SyntheticSection | None = None
-
-    def __post_init__(self):
-        check(self)
-        if len(self.delimiter) != 1:
-            raise KnobError("delimiter", "must be a single character")
+    synthetic: SyntheticConfig | None = None
 
 
 @dataclass(frozen=True)
-class SplitSection:
+class SplitSection(Knobs):
     ratios: tuple[float, ...] = knob((0.8, 0.1, 0.1), gt=0)
     seed: int = knob(0, min=0)
 
     def __post_init__(self):
-        check(self)
+        super().__post_init__()
         if len(self.ratios) != 3:
             raise KnobError("ratios", "expected three fractions")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
@@ -80,50 +59,82 @@ class SplitSection:
 
 
 @dataclass(frozen=True)
-class SparsifySection:
+class SparsifySection(Knobs):
     keep_fraction: float = knob(1.0, gt=0, max=1)
     seed: int = knob(0, min=0)
 
-    def __post_init__(self):
-        check(self)
-
 
 @dataclass(frozen=True)
-class PairsSection:
+class PairsSection(Knobs):
     sigma: int = knob(3, min=1, odd=True)
 
-    def __post_init__(self):
-        check(self)
-
 
 @dataclass(frozen=True)
-class ConfidenceSection:
-    measure: str = knob("pmi", choices=("co", "pmi"))
+class ConfidenceSection(Knobs):
+    measure: str = knob("pmi", choices=MEASURES)
     shift_k: float = knob(1.0, min=1)
 
-    def __post_init__(self):
-        check(self)
-
 
 @dataclass(frozen=True)
-class RecommendSection:
+class RecommendSection(Knobs):
     k_items: int = knob(10, min=1)
     mask_train: bool = True
 
-    def __post_init__(self):
-        check(self)
-
 
 @dataclass(frozen=True)
-class EvaluateSection:
+class EvaluateSection(Knobs):
     cutoffs: tuple[int, ...] = knob((5, 10), min=1)
 
-    def __post_init__(self):
-        check(self)
+
+@dataclass(frozen=True)
+class ExperimentGrid(Knobs):
+    """Cartesian grid over measure, window size, sparsity, and seed."""
+
+    measures: tuple[str, ...] = knob(("pmi", "co"), choices=CELL_MEASURES)
+    sigmas: tuple[int, ...] = knob((3,), min=1, odd=True)
+    keep_fractions: tuple[float, ...] = knob((1.0,), gt=0, max=1)
+    seeds: tuple[int, ...] = knob((0,), min=0)
+
+
+# The sections whose fields make up PipelineSettings; their three seeds
+# become its one seed.
+_SETTINGS_SECTIONS = (ConfidenceSection, PairsSection, SparsifySection, WalkConfig,
+                      AlsConfig, RecommendSection, EvaluateSection)
+_YAML_KEYS = {f.name: key(f) for cls in _SETTINGS_SECTIONS for f in fields(cls)}
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineSettings:
+    """Resolved knobs for one end-to-end pipeline pass.
+
+    seed drives the three stochastic stages of a pass (sparsification,
+    walk generation, factor init), so a single integer pins the run.
+    Every default is the one its config section declares.
+    """
+
+    measure: str = ConfidenceSection.measure
+    sigma: int = PairsSection.sigma
+    keep_fraction: float = SparsifySection.keep_fraction
+    seed: int = WalkConfig.seed
+    beta: int = WalkConfig.beta
+    gamma: int = WalkConfig.gamma
+    shift_k: float = ConfidenceSection.shift_k
+    factors: int = AlsConfig.factors
+    lam: float = AlsConfig.lam
+    sweeps: int = AlsConfig.sweeps
+    init_scale: float = AlsConfig.init_scale
+    k_items: int = RecommendSection.k_items
+    mask_train: bool = RecommendSection.mask_train
+    cutoffs: tuple = EvaluateSection.cutoffs
+
+    def echo(self):
+        "Config echo embedded in reports: every knob but cutoffs by YAML key, in field order."
+        return {_YAML_KEYS[f.name]: getattr(self, f.name)
+                for f in fields(self) if f.name != "cutoffs"}
+
+
+@dataclass(frozen=True)
+class PipelineConfig(Knobs):
     data: DataSection = field(default_factory=DataSection)
     split: SplitSection = field(default_factory=SplitSection)
     sparsify: SparsifySection = field(default_factory=SparsifySection)
@@ -136,9 +147,6 @@ class PipelineConfig:
     experiment: ExperimentGrid = field(default_factory=ExperimentGrid)
     work_dir: str = "work"
     workers: int = knob(1, min=1)  # accepted for compatibility; has no effect
-
-    def __post_init__(self):
-        check(self)
 
 
 def _dotted(path, k):
@@ -228,35 +236,31 @@ def override_seed(cfg: PipelineConfig, seed: int) -> PipelineConfig:
 def base_settings(cfg: PipelineConfig) -> PipelineSettings:
     """Pipeline settings for one experiment cell before grid overrides.
 
-    The cell seed set by the grid replaces the sparsify, walk, and ALS
-    seeds; stagewise runs match a cell exactly when those three config
+    Each settings field takes its section's value; the seed is the walk
+    seed.  The cell seed set by the grid replaces the sparsify, walk, and
+    ALS seeds; stagewise runs match a cell exactly when those three config
     seeds are set to the cell's seed.
     """
-    return PipelineSettings(
-        measure=cfg.confidence.measure,
-        sigma=cfg.pairs.sigma,
-        keep_fraction=cfg.sparsify.keep_fraction,
-        seed=cfg.walk.seed,
-        beta=cfg.walk.beta,
-        gamma=cfg.walk.gamma,
-        shift_k=cfg.confidence.shift_k,
-        factors=cfg.als.factors,
-        lam=cfg.als.lam,
-        sweeps=cfg.als.sweeps,
-        init_scale=cfg.als.init_scale,
-        k_items=cfg.recommend.k_items,
-        mask_train=cfg.recommend.mask_train,
-        cutoffs=cfg.evaluate.cutoffs,
-    )
+    sections = [getattr(cfg, f.name) for f in fields(cfg) if f.type in _SETTINGS_SECTIONS]
+    values = {f.name: getattr(s, f.name) for s in sections for f in fields(s)}
+    return PipelineSettings(**{**values, "seed": cfg.walk.seed})
+
+
+def _plain(obj):
+    "A section tree as nested dicts keyed by YAML key."
+    if not is_dataclass(obj):
+        return obj
+    return {key(f): _plain(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def config_dict(cfg: PipelineConfig) -> dict:
-    """The fully resolved config as plain data, for embedding in reports.
+    """The fully resolved config as plain data under its YAML keys, for reports.
 
-    Execution knobs that cannot affect results (worker count, work_dir)
-    are omitted so reports stay byte-identical across them.
+    parse_config reads it back to the same config.  Execution knobs that
+    cannot affect results (worker count, work_dir) are omitted so reports
+    stay byte-identical across them.
     """
-    out = asdict(cfg)
+    out = _plain(cfg)
     out.pop("workers", None)
     out.pop("work_dir", None)
     return out

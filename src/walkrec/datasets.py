@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .knobs import KnobError, Knobs, knob
+
 __all__ = [
     "RawInteraction",
     "IngestFormat",
@@ -35,15 +37,20 @@ class RawInteraction:
 
 
 @dataclass(frozen=True)
-class IngestFormat:
+class IngestFormat(Knobs):
     """Column layout of a delimiter-separated interaction file."""
 
     delimiter: str = ","
-    user_col: int = 0
-    item_col: int = 1
-    value_col: int | None = None
-    timestamp_col: int | None = None
+    user_col: int = knob(0, min=0)
+    item_col: int = knob(1, min=0)
+    value_col: int | None = knob(None, min=0)
+    timestamp_col: int | None = knob(None, min=0)
     header: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.delimiter) != 1:
+            raise KnobError("delimiter", "must be a single character")
 
 
 @dataclass(frozen=True)

@@ -6,25 +6,23 @@ extreme sparsity.
 """
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .confidence import co_matrix, sppmi_matrix
+from .config import CELL_MEASURES, ExperimentGrid, PipelineSettings
 from .datasets import Dataset, sparsify
 from .factorization import AlsConfig, als_fit
 from .graph import build_graph
-from .knobs import check, key, knob
 from .pairs import sample_pairs
 from .recommend import item_pop_scores, recommend_topk, top_k, train_masks
 from .walks import WalkConfig, generate_walks
 
 __all__ = ["MetricsReport", "PipelineSettings", "ExperimentGrid", "evaluate",
            "run_cell", "run_experiment", "write_report_tsv", "write_report_json"]
-
-CELL_MEASURES = ("co", "pmi", "mf", "itempop")
 
 
 @dataclass
@@ -37,47 +35,6 @@ class MetricsReport:
     f1: dict
     user_count: int
     config: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class PipelineSettings:
-    """Resolved knobs for one end-to-end pipeline pass.
-
-    seed drives the three stochastic stages of a pass (sparsification,
-    walk generation, factor init), so a single integer pins the run.
-    """
-
-    measure: str = "pmi"
-    sigma: int = 3
-    keep_fraction: float = 1.0
-    seed: int = 0
-    beta: int = WalkConfig.beta
-    gamma: int = WalkConfig.gamma
-    shift_k: float = 1.0
-    factors: int = AlsConfig.factors
-    lam: float = knob(AlsConfig.lam, key="lambda")
-    sweeps: int = AlsConfig.sweeps
-    init_scale: float = AlsConfig.init_scale
-    k_items: int = 10
-    mask_train: bool = True
-    cutoffs: tuple = (5, 10)
-
-    def echo(self):
-        "Config echo embedded in reports: every knob but cutoffs, in field order."
-        return {key(f): getattr(self, f.name) for f in fields(self) if f.name != "cutoffs"}
-
-
-@dataclass(frozen=True)
-class ExperimentGrid:
-    """Cartesian grid over measure, window size, sparsity, and seed."""
-
-    measures: tuple[str, ...] = knob(("pmi", "co"), choices=CELL_MEASURES)
-    sigmas: tuple[int, ...] = knob((3,), min=1, odd=True)
-    keep_fractions: tuple[float, ...] = knob((1.0,), gt=0, max=1)
-    seeds: tuple[int, ...] = knob((0,), min=0)
-
-    def __post_init__(self):
-        check(self)
 
 
 def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:

@@ -13,14 +13,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from .knobs import check, knob
+from .knobs import Knobs, knob
 
 __all__ = ["AlsConfig", "FactorModel", "init_factors", "als_fit", "loss", "predict",
            "save_model", "load_model"]
 
 
 @dataclass(frozen=True)
-class AlsConfig:
+class AlsConfig(Knobs):
     """Latent dimension, ridge strength, sweep count, and init parameters."""
 
     factors: int = knob(100, min=1)
@@ -28,9 +28,6 @@ class AlsConfig:
     sweeps: int = knob(15, min=1)
     seed: int = knob(0, min=0)
     init_scale: float = knob(0.01, min=0)
-
-    def __post_init__(self):
-        check(self)
 
 
 @dataclass

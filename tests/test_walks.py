@@ -75,12 +75,6 @@ class TestDeterminism:
         assert len(a.walks) == len(b.walks)
         assert all(np.array_equal(x, y) for x, y in zip(a.walks, b.walks))
 
-    def test_worker_count_does_not_change_corpus(self):
-        g = build_graph(TOY_EDGES, 3, 4)
-        a = generate_walks(g, WalkConfig(beta=5, gamma=20, seed=3), workers=1)
-        b = generate_walks(g, WalkConfig(beta=5, gamma=20, seed=3), workers=4)
-        assert all(np.array_equal(x, y) for x, y in zip(a.walks, b.walks))
-
     def test_seed_changes_corpus(self):
         g = build_graph(TOY_EDGES, 3, 4)
         a = generate_walks(g, WalkConfig(beta=5, gamma=20, seed=3))
