@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
+from .blas import one_thread
 from .knobs import Knobs, knob
 
 __all__ = ["AlsConfig", "FactorModel", "init_factors", "als_fit", "loss", "predict",
@@ -69,15 +70,17 @@ def init_factors(n_users, n_items, cfg: AlsConfig) -> FactorModel:
 
 
 def _half_sweep(mat: sp.csr_matrix, other: np.ndarray, lam: float,
-                b: np.ndarray | None = None) -> np.ndarray:
+                b: np.ndarray | None = None, gram: np.ndarray | None = None) -> np.ndarray:
     """Solve (other' other + lam I) z_r = other' mat[r] for every row r.
 
     One Cholesky factorization serves all rows; a single refinement step
     keeps the per-row normal-equation residual at solver precision.  b is
-    mat @ other when the caller has already computed it.
+    mat @ other and gram is other' other when the caller has already
+    computed them.
     """
     k = other.shape[1]
-    gram = other.T @ other
+    if gram is None:
+        gram = other.T @ other
     a = gram + lam * np.eye(k)
     if b is None:
         b = mat @ other
@@ -88,26 +91,28 @@ def _half_sweep(mat: sp.csr_matrix, other: np.ndarray, lam: float,
     return z
 
 
-def _objective(s_csr: sp.csr_matrix, x: np.ndarray, y: np.ndarray, lam: float,
-               stx: np.ndarray) -> float:
+def _objective(s_csr: sp.csr_matrix, y: np.ndarray, stx: np.ndarray,
+               gx: np.ndarray, gy: np.ndarray, lam: float) -> float:
     """Full-matrix squared error plus ridge penalty, without materializing M x N.
 
     The data term sum over stored (u, i) of s_ui * x_u . y_i equals
-    sum(Y * (S' X)); stx is that S' X.
+    sum(Y * (S' X)); stx is that S' X.  gx = X'X and gy = Y'Y give the
+    sum of squared predictions, sum(gx * gy), and the ridge term, their
+    traces.
     """
-    gx = x.T @ x
-    gy = y.T @ y
     sq = float(s_csr.data @ s_csr.data) - 2.0 * float(np.vdot(y, stx))
     sq += float(np.sum(gx * gy))
-    return sq + lam * (float(np.sum(x * x)) + float(np.sum(y * y)))
+    return sq + lam * (float(np.trace(gx)) + float(np.trace(gy)))
 
 
+@one_thread()
 def als_fit(s, cfg: AlsConfig = AlsConfig()) -> FactorModel:
     """Fit factors to the confidence matrix by alternating ridge solves.
 
     Each sweep updates all user rows against fixed item factors, then all
     item rows against the fresh user factors, and appends the objective to
-    the loss trace.  Deterministic for fixed (s, cfg).
+    the loss trace.  Runs on one BLAS thread, so for fixed (s, cfg) the
+    result is the same bytes whatever thread count the caller has set.
 
     Args:
         s: ConfidenceMatrix or scipy sparse matrix (users x items).
@@ -120,25 +125,30 @@ def als_fit(s, cfg: AlsConfig = AlsConfig()) -> FactorModel:
     model = init_factors(m, n, cfg)
     x, y = model.X, model.Y
     s_csc_t = s_csr.T.tocsr()
+    gy = y.T @ y
 
     for sweep in range(cfg.sweeps):
-        x = _half_sweep(s_csr, y, cfg.lam)
+        x = _half_sweep(s_csr, y, cfg.lam, gram=gy)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite user factors at sweep {sweep}")
         stx = s_csc_t @ x
-        y = _half_sweep(s_csc_t, x, cfg.lam, stx)
+        gx = x.T @ x
+        y = _half_sweep(s_csc_t, x, cfg.lam, stx, gx)
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"non-finite item factors at sweep {sweep}")
-        model.loss_trace.append(_objective(s_csr, x, y, cfg.lam, stx))
+        gy = y.T @ y
+        model.loss_trace.append(_objective(s_csr, y, stx, gx, gy, cfg.lam))
 
     model.X, model.Y = x, y
     return model
 
 
+@one_thread()
 def loss(s, model: FactorModel, lam: float) -> float:
     """Objective value of the model on confidence matrix s."""
     s_csr = _as_csr(s)
-    return _objective(s_csr, model.X, model.Y, lam, s_csr.T @ model.X)
+    x, y = model.X, model.Y
+    return _objective(s_csr, y, s_csr.T @ x, x.T @ x, y.T @ y, lam)
 
 
 def predict(model: FactorModel, u: int, i: int) -> float:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import one_thread
 from .factorization import FactorModel
 
 __all__ = ["RankedList", "top_k", "item_pop_scores", "train_masks", "recommend_topk",
@@ -125,8 +126,9 @@ def _rank_rows(first_user, scores, k, masks):
 def recommend_topk(model: FactorModel, k_items, masks=None, chunk=1024):
     """Ranked lists for every user from a factor model.
 
-    Each block of chunk users is scored with one product and ranked in one
-    pass; the lists equal top_k's on each user's score row.
+    Each block of chunk users is scored with one product on one BLAS
+    thread, so the scores do not depend on the caller's thread count, and
+    ranked in one pass; the lists equal top_k's on each user's score row.
 
     Args:
         model: fitted factors.
@@ -147,8 +149,9 @@ def recommend_topk(model: FactorModel, k_items, masks=None, chunk=1024):
     out = []
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        out += _rank_rows(lo, model.X[lo:hi] @ model.Y.T, k,
-                          [masks.get(u, ()) for u in range(lo, hi)])
+        with one_thread():
+            scores = model.X[lo:hi] @ model.Y.T
+        out += _rank_rows(lo, scores, k, [masks.get(u, ()) for u in range(lo, hi)])
     return out
 
 
