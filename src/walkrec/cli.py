@@ -171,24 +171,8 @@ def main(argv=None):
             cfg = override_seed(cfg, args.seed)
         if args.workers is not None and args.workers < 1:
             raise ConfigError("--workers: must be >= 1")
-        if args.stage == "ingest":
-            cmd_ingest(cfg)
-        elif args.stage == "split":
-            cmd_split(cfg)
-        elif args.stage == "walk":
-            cmd_walk(cfg)
-        elif args.stage == "pairs":
-            cmd_pairs(cfg)
-        elif args.stage == "confidence":
-            cmd_confidence(cfg)
-        elif args.stage == "train":
-            cmd_train(cfg)
-        elif args.stage == "recommend":
-            cmd_recommend(cfg)
-        elif args.stage == "evaluate":
-            cmd_evaluate(cfg)
-        elif args.stage == "experiment":
-            cmd_experiment(cfg)
+        # looked up per call: a module global rebound after import is the one run
+        globals()[f"cmd_{args.stage}"](cfg)
         return 0
     except ConfigError as exc:
         print(f"walkrec {args.stage}: config error: {exc}", file=sys.stderr)

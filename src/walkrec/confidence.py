@@ -8,12 +8,12 @@ co-occurs and a pair with weak association are both implicit zeros.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .pairs import PairCorpusStats
+from .tables import read_matrix, write_matrix
 
 __all__ = ["ConfidenceMatrix", "co_matrix", "sppmi_matrix", "save_confidence", "load_confidence"]
 
@@ -24,7 +24,7 @@ MEASURES = ("co", "pmi")
 class ConfidenceMatrix:
     """Sparse non-negative feedback matrix; absent entries are zeros."""
 
-    matrix: sp.csr_matrix  # float64, n_users x n_items, stored entries > 0
+    matrix: sp.csr_matrix  # float64, n_users x n_items, stored entries finite and > 0
     measure: str
     shift_k: float | None = None
 
@@ -39,8 +39,9 @@ class ConfidenceMatrix:
     def validate(self):
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
-        if self.matrix.nnz and self.matrix.data.min() <= 0:
-            raise ValueError("stored confidence entries must be positive")
+        data = self.matrix.data
+        if not (np.isfinite(data).all() and (data > 0).all()):
+            raise ValueError("stored confidence entries must be finite and positive")
 
 
 def co_matrix(stats: PairCorpusStats) -> ConfidenceMatrix:
@@ -83,41 +84,16 @@ def sppmi_matrix(stats: PairCorpusStats, shift_k: float = 1.0) -> ConfidenceMatr
 
 def save_confidence(conf: ConfidenceMatrix, path):
     """Write 'u<TAB>i<TAB>value' lines; values at 17 significant digits."""
-    coo = conf.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
     shift = "none" if conf.shift_k is None else f"{conf.shift_k:.17g}"
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write(
-            f"# users={conf.n_users} items={conf.n_items} "
-            f"measure={conf.measure} shift_k={shift}\n"
-        )
-        for j in order:
-            f.write(f"{coo.row[j]}\t{coo.col[j]}\t{coo.data[j]:.17g}\n")
+    write_matrix(path, conf.matrix, "%.17g", {"measure": conf.measure, "shift_k": shift})
 
 
 def load_confidence(path) -> ConfidenceMatrix:
     """Read a matrix written by save_confidence; round-trip is bit exact."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if not header.startswith("# users="):
-            raise ValueError(f"{path}: missing confidence header")
-        fields = dict(part.split("=") for part in header[2:].split())
-        m, n = int(fields["users"]), int(fields["items"])
-        measure = fields["measure"]
-        shift_k = None if fields["shift_k"] == "none" else float(fields["shift_k"])
-        rows, cols, vals = [], [], []
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            u, i, v = line.split("\t")
-            rows.append(int(u))
-            cols.append(int(i))
-            vals.append(float(v))
-    mat = sp.coo_matrix(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(m, n)
-    ).tocsr()
-    out = ConfidenceMatrix(mat, measure=measure, shift_k=shift_k)
+    header, mat = read_matrix(path, np.float64, {
+        "measure": str, "shift_k": lambda s: None if s == "none" else float(s)})
+    if header["measure"] not in MEASURES:
+        raise ValueError(f"{path}: line 1: unknown measure {header['measure']!r}")
+    out = ConfidenceMatrix(mat, measure=header["measure"], shift_k=header["shift_k"])
     out.validate()
     return out

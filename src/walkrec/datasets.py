@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .knobs import KnobError, Knobs, knob
+from .tables import check_rows, read_table, write_table
 
 __all__ = [
     "RawInteraction",
@@ -259,71 +260,22 @@ def sparsify(train, keep_fraction, seed=0):
     return kept
 
 
-def _check_key(key):
-    if "\t" in key or "\n" in key or "\r" in key:
-        raise ValueError(f"key {key!r} contains tab or newline; cannot persist")
-    return key
+def _columns(pairs):
+    "Sorted pairs as two lists (zip(*rows) would hold one iterator per row and set off GC)."
+    rows = sorted(pairs)
+    return [u for u, _ in rows], [i for _, i in rows]
 
 
 def save_interactions(pairs, path):
     """Write binarized key pairs as sorted 'user<TAB>item' lines."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as f:
-        for u, i in sorted(pairs):
-            f.write(f"{_check_key(u)}\t{_check_key(i)}\n")
+    write_table(path, ("%s", "%s"), _columns(pairs))
 
 
 def load_interactions(path):
     """Read key pairs written by save_interactions."""
-    pairs = set()
-    with Path(path).open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ValueError(f"{path}: line {lineno}: expected 'user<TAB>item'")
-            pairs.add((parts[0], parts[1]))
-    return pairs
-
-
-def _write_split(part, path):
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        for u, i in sorted(part):
-            f.write(f"{u}\t{i}\n")
-
-
-def _read_split(path):
-    part = set()
-    with Path(path).open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            u, i = line.split("\t")
-            part.add((int(u), int(i)))
-    return part
-
-
-def _write_map(id_map, path):
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        for idx, key in enumerate(id_map.backward):
-            f.write(f"{idx}\t{_check_key(key)}\n")
-
-
-def _read_map(path):
-    backward = []
-    with Path(path).open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            idx, key = line.split("\t")
-            if int(idx) != len(backward):
-                raise ValueError(f"{path}: line {lineno}: non-contiguous index {idx}")
-            backward.append(key)
-    return IdMap.from_keys(backward)
+    _, (users, items) = read_table(path, (object, object))
+    check_rows(path, (users == "") | (items == ""), "empty key")
+    return set(zip(users.tolist(), items.tolist()))
 
 
 def save_dataset(ds: Dataset, directory):
@@ -334,22 +286,30 @@ def save_dataset(ds: Dataset, directory):
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_split(ds.train, directory / "train.tsv")
-    _write_split(ds.valid, directory / "valid.tsv")
-    _write_split(ds.test, directory / "test.tsv")
-    _write_map(ds.user_map, directory / "users.tsv")
-    _write_map(ds.item_map, directory / "items.tsv")
+    for name in ("train", "valid", "test"):
+        write_table(directory / f"{name}.tsv", ("%d", "%d"), _columns(getattr(ds, name)))
+    for name, id_map in (("users", ds.user_map), ("items", ds.item_map)):
+        write_table(directory / f"{name}.tsv", ("%d", "%s"),
+                    (range(len(id_map)), id_map.backward))
 
 
 def load_dataset(directory):
     """Read a Dataset persisted by save_dataset."""
     directory = Path(directory)
-    ds = Dataset(
-        user_map=_read_map(directory / "users.tsv"),
-        item_map=_read_map(directory / "items.tsv"),
-        train=_read_split(directory / "train.tsv"),
-        valid=_read_split(directory / "valid.tsv"),
-        test=_read_split(directory / "test.tsv"),
-    )
+    maps = []
+    for name in ("users", "items"):
+        path = directory / f"{name}.tsv"
+        _, (index, keys) = read_table(path, (np.int64, object))
+        check_rows(path, index != np.arange(len(index)), "non-contiguous index {}", index)
+        _, first = np.unique(keys, return_index=True)
+        check_rows(path, ~np.isin(index, first), "key {!r} repeats an earlier line", keys)
+        maps.append(IdMap.from_keys(keys.tolist()))
+    ds = Dataset(*maps)
+    for name in ("train", "valid", "test"):
+        path = directory / f"{name}.tsv"
+        _, (u, i) = read_table(path, (np.int64, np.int64))
+        check_rows(path, (u < 0) | (u >= ds.n_users), "user {} out of range", u)
+        check_rows(path, (i < 0) | (i >= ds.n_items), "item {} out of range", i)
+        setattr(ds, name, set(zip(u.tolist(), i.tolist())))
     ds.validate()
     return ds

@@ -19,6 +19,7 @@ from .factorization import AlsConfig, als_fit
 from .graph import build_graph
 from .pairs import sample_pairs
 from .recommend import item_pop_scores, recommend_topk, top_k, train_masks
+from .tables import write_table
 from .walks import WalkConfig, generate_walks
 
 __all__ = ["MetricsReport", "PipelineSettings", "ExperimentGrid", "evaluate",
@@ -166,25 +167,19 @@ def _knob_str(v):
 
 
 def write_report_tsv(reports, path):
-    """Tab-separated table: one row per report, knobs then metric percentages."""
+    """Tab-separated table: a row of column names, then one row per report.
+
+    The columns are the first report's knobs, then P, R and F1 in percent
+    at each of its cutoffs.
+    """
     if not reports:
         raise ValueError("no report rows to write")
-    knob_cols = list(reports[0].config.keys())
-    cutoffs = reports[0].cutoffs
-    metric_cols = []
-    for k in cutoffs:
-        metric_cols += [f"P@{k}", f"R@{k}", f"F1@{k}"]
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write("\t".join(knob_cols + metric_cols) + "\n")
-        for rep in reports:
-            cells = [_knob_str(rep.config[c]) for c in knob_cols]
-            for k in rep.cutoffs:
-                cells += [
-                    f"{100.0 * rep.precision[k]:.3f}",
-                    f"{100.0 * rep.recall[k]:.3f}",
-                    f"{100.0 * rep.f1[k]:.3f}",
-                ]
-            f.write("\t".join(cells) + "\n")
+    columns = [[c] + [_knob_str(rep.config[c]) for rep in reports] for c in reports[0].config]
+    for k in reports[0].cutoffs:
+        for name, metric in (("P", "precision"), ("R", "recall"), ("F1", "f1")):
+            columns.append([f"{name}@{k}"]
+                           + [f"{100.0 * getattr(rep, metric)[k]:.3f}" for rep in reports])
+    write_table(path, ("%s",) * len(columns), columns)
 
 
 def write_report_json(reports, path, resolved_config=None):

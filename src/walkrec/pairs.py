@@ -7,11 +7,11 @@ alternate), so each sampled pair is user-item by construction.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+from .tables import read_matrix, write_matrix
 from .walks import WalkCorpus
 
 __all__ = ["PairCorpusStats", "sample_pairs", "merge", "save_stats", "load_stats"]
@@ -40,13 +40,14 @@ class PairCorpusStats:
         return self.pair_count.shape[1]
 
     @classmethod
+    def from_pair_count(cls, pair):
+        "The statistics of a pair count matrix: its row sums, column sums and sum."
+        user_count = np.asarray(pair.sum(axis=1)).ravel()
+        return cls(pair, user_count, np.asarray(pair.sum(axis=0)).ravel(), int(user_count.sum()))
+
+    @classmethod
     def empty(cls, n_users, n_items):
-        return cls(
-            pair_count=sp.csr_matrix((n_users, n_items), dtype=np.int64),
-            user_count=np.zeros(n_users, dtype=np.int64),
-            item_count=np.zeros(n_items, dtype=np.int64),
-            total=0,
-        )
+        return cls.from_pair_count(sp.csr_matrix((n_users, n_items), dtype=np.int64))
 
     def validate(self):
         """Check the marginal identities; raises ValueError if they fail."""
@@ -99,13 +100,7 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
             i = walks[:, lo + delta:hi + delta][centre] - m
             pair += sp.csr_matrix((np.ones(len(u), dtype=np.int64), (u, i)), shape=(m, n))
     pair.sum_duplicates()
-    user_count = np.asarray(pair.sum(axis=1)).ravel()
-    return PairCorpusStats(
-        pair_count=pair,
-        user_count=user_count,
-        item_count=np.asarray(pair.sum(axis=0)).ravel(),
-        total=int(user_count.sum()),
-    )
+    return PairCorpusStats.from_pair_count(pair)
 
 
 def merge(a: PairCorpusStats, b: PairCorpusStats) -> PairCorpusStats:
@@ -125,41 +120,14 @@ def merge(a: PairCorpusStats, b: PairCorpusStats) -> PairCorpusStats:
 
 def save_stats(stats: PairCorpusStats, path):
     """Write 'u<TAB>i<TAB>count' lines under a header carrying the totals."""
-    coo = stats.pair_count.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# users={stats.n_users} items={stats.n_items} total={stats.total}\n")
-        for j in order:
-            f.write(f"{coo.row[j]}\t{coo.col[j]}\t{coo.data[j]}\n")
+    write_matrix(path, stats.pair_count, "%d", {"total": stats.total})
 
 
 def load_stats(path) -> PairCorpusStats:
     """Read statistics written by save_stats; marginals are recomputed."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if not header.startswith("# users="):
-            raise ValueError(f"{path}: missing stats header")
-        fields = dict(part.split("=") for part in header[2:].split())
-        m, n, total = int(fields["users"]), int(fields["items"]), int(fields["total"])
-        rows, cols, counts = [], [], []
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            u, i, c = line.split("\t")
-            rows.append(int(u))
-            cols.append(int(i))
-            counts.append(int(c))
-    pair = sp.coo_matrix(
-        (np.asarray(counts, dtype=np.int64), (rows, cols)), shape=(m, n)
-    ).tocsr()
-    stats = PairCorpusStats(
-        pair_count=pair,
-        user_count=np.asarray(pair.sum(axis=1)).ravel().astype(np.int64),
-        item_count=np.asarray(pair.sum(axis=0)).ravel().astype(np.int64),
-        total=int(pair.data.sum()) if pair.nnz else 0,
-    )
-    if stats.total != total:
-        raise ValueError(f"{path}: header total {total} != sum of counts {stats.total}")
+    header, pair = read_matrix(path, np.int64, {"total": int})
+    stats = PairCorpusStats.from_pair_count(pair)
+    if stats.total != header["total"]:
+        raise ValueError(f"{path}: line 1: header total {header['total']} != {stats.total}")
+    stats.validate()
     return stats

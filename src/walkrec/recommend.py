@@ -2,12 +2,12 @@
 
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
 from .blas import one_thread
 from .factorization import FactorModel
+from .tables import check_rows, read_table, write_table
 
 __all__ = ["RankedList", "top_k", "item_pop_scores", "train_masks", "recommend_topk",
            "save_recommendations", "load_recommendations"]
@@ -157,29 +157,28 @@ def recommend_topk(model: FactorModel, k_items, masks=None, chunk=1024):
 
 def save_recommendations(recs, path):
     """Write 'u<TAB>rank<TAB>i<TAB>score' lines; rank is 1-based."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        for rl in recs:
-            for rank, (i, score) in enumerate(rl.items, start=1):
-                f.write(f"{rl.user}\t{rank}\t{i}\t{score:.17g}\n")
+    lengths = np.array([len(rl.items) for rl in recs], dtype=np.int64)
+    users = np.repeat([rl.user for rl in recs], lengths)
+    ranks = np.arange(len(users)) - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
+    items = [i for rl in recs for i, _ in rl.items]
+    scores = [s for rl in recs for _, s in rl.items]
+    write_table(path, ("%d", "%d", "%d", "%.17g"), (users, ranks, items, scores))
 
 
 def load_recommendations(path, n_users):
     """Read ranked lists written by save_recommendations.
 
     Users with no lines come back as empty RankedLists, so the result
-    always covers users 0..n_users-1.
+    always covers users 0..n_users-1.  Each user's ranks run 1, 2, ...
+    in file order.
     """
-    lists = [RankedList(u, []) for u in range(n_users)]
-    with Path(path).open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            u, rank, i, score = line.split("\t")
-            u = int(u)
-            if not 0 <= u < n_users:
-                raise ValueError(f"{path}: line {lineno}: user {u} out of range")
-            if int(rank) != len(lists[u].items) + 1:
-                raise ValueError(f"{path}: line {lineno}: ranks out of order")
-            lists[u].items.append((int(i), float(score)))
-    return lists
+    _, (users, ranks, items, scores) = read_table(path, (np.int64,) * 3 + (np.float64,))
+    check_rows(path, (users < 0) | (users >= n_users), "user {} out of range", users)
+    order = np.argsort(users, kind="stable")
+    counts = np.bincount(users, minlength=n_users)
+    expected = np.empty_like(ranks)
+    expected[order] = np.arange(len(users)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    check_rows(path, ranks != expected, "ranks out of order")
+    pairs = list(zip(items[order].tolist(), scores[order].tolist()))
+    ends = np.cumsum(counts).tolist()
+    return [RankedList(u, pairs[a:b]) for u, (a, b) in enumerate(zip([0, *ends], ends))]

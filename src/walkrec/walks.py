@@ -9,6 +9,7 @@ import numpy as np
 from .graph import BipartiteGraph
 from .knobs import Knobs, knob
 from .pcg64 import Pcg64Streams
+from .tables import format_header, parse_header
 
 __all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
 
@@ -112,8 +113,8 @@ def save_walks(corpus: WalkCorpus, path):
     names = _token_names(corpus.n_users, corpus.n_items)
     spaced, ended = names + " ", names + "\n"
     with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# users={corpus.n_users} items={corpus.n_items} "
-                f"walks={len(corpus.walks)}\n")
+        f.write(format_header({"users": corpus.n_users, "items": corpus.n_items,
+                               "walks": len(corpus.walks)}))
         for lo in range(0, len(corpus.walks), _SAVE_ROWS):
             part = corpus.walks[lo:lo + _SAVE_ROWS]
             flat = np.concatenate(part)
@@ -148,11 +149,8 @@ def load_walks(path) -> WalkCorpus:
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if not header.startswith("# users="):
-            raise ValueError(f"{path}: missing corpus header")
-        fields = dict(part.split("=") for part in header[2:].split())
-        m, n = int(fields["users"]), int(fields["items"])
+        fields = parse_header(f.readline(), path, {"users": int, "items": int})
+        m, n = fields["users"], fields["items"]
         lines = list(map(str.split, f.read().split("\n")))
     lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
     toks = list(chain.from_iterable(lines))
@@ -169,7 +167,7 @@ def load_walks(path) -> WalkCorpus:
         j = int(short[0])
         raise ValueError(f"{path}: line {j + 2}: walk has {lengths[j]} vertices, "
                          f"expected {gamma} as on line {filled[0] + 2}")
-    if "walks" in fields and int(fields["walks"]) != len(filled):
+    if fields.get("walks", str(len(filled))) != str(len(filled)):
         raise ValueError(f"{path}: header says walks={fields['walks']}, "
                          f"file has {len(filled)} walks")
     return WalkCorpus(codes.reshape(len(filled), gamma), m, n)
