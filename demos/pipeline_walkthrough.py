@@ -8,8 +8,7 @@ import numpy as np
 
 from walkrec import (AlsConfig, WalkConfig, als_fit, build_graph, evaluate,
                      generate_synthetic, generate_walks, item_pop_scores,
-                     recommend_topk, sample_pairs, split, sppmi_matrix, top_k,
-                     train_masks)
+                     recommend_topk, sample_pairs, split, sppmi_matrix, top_k)
 
 # ------------------------------------------------------------------
 # 1. Data: a clustered sparse purchase log, indexed and split 80/10/10
@@ -24,8 +23,8 @@ print(f"split: train={len(ds.train)} valid={len(ds.valid)} test={len(ds.test)}")
 # 2. The training interactions as a bipartite graph
 # ------------------------------------------------------------------
 g = build_graph(ds.train, ds.n_users, ds.n_items)
-user_degs = np.array([len(a) for a in g.user_adj])
-item_degs = np.array([len(a) for a in g.item_adj])
+degs = np.diff(g.indptr)  # one CSR row per vertex: users first, then items
+user_degs, item_degs = degs[:ds.n_users], degs[ds.n_users:]
 print(f"graph: {g.n_edges} edges; user degree mean {user_degs.mean():.2f} "
       f"max {user_degs.max()}; item degree mean {item_degs.mean():.2f} "
       f"max {item_degs.max()}; isolated users {(user_degs == 0).sum()}")
@@ -67,10 +66,10 @@ print(f"als: objective {trace[0]:.1f} -> {trace[-1]:.1f} over {len(trace)} sweep
 # ------------------------------------------------------------------
 # 7. Top-10 recommendations with training items masked
 # ------------------------------------------------------------------
-masks = train_masks(ds.train)
-recs = recommend_topk(model, k_items=10, masks=masks)
-u0 = next(u for u in range(ds.n_users) if len(masks.get(u, ())) >= 3)
-print(f"recommendations for user {u0} (owns {sorted(masks[u0])}):")
+recs = recommend_topk(model, k_items=10, mask=ds.train)  # train: sorted (u, i) rows
+owned = np.split(ds.train[:, 1], np.searchsorted(ds.train[:, 0], np.arange(1, ds.n_users)))
+u0 = next(u for u in range(ds.n_users) if len(owned[u]) >= 3)
+print(f"recommendations for user {u0} (owns {owned[u0].tolist()}):")
 for rank, (i, score) in enumerate(recs[u0].items[:5], start=1):
     print(f"  {rank}. item {i}  score {score:.4f}")
 
@@ -84,6 +83,6 @@ for k in report.cutoffs:
 
 # the non-personalized popularity baseline, for scale
 pop = item_pop_scores(ds.train, ds.n_items)
-pop_recs = [top_k(u, pop, 10, masks.get(u, frozenset())) for u in range(ds.n_users)]
+pop_recs = [top_k(u, pop, 10, owned[u]) for u in range(ds.n_users)]
 pop_report = evaluate(pop_recs, ds.test, cutoffs=[10])
 print(f"popularity baseline F1@10 = {100 * pop_report.f1[10]:.3f}%")

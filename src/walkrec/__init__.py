@@ -8,7 +8,7 @@ evaluated as ranked top-K recommendation.
 """
 
 from .confidence import ConfidenceMatrix, co_matrix, sppmi_matrix
-from .datasets import (Dataset, IdMap, IngestFormat, RawInteraction, binarize,
+from .datasets import (Dataset, IdMap, IngestFormat, RawInteraction, as_pairs, binarize,
                        filter_min_interactions, ingest, load_dataset,
                        save_dataset, sparsify, split)
 from .evaluation import (ExperimentGrid, MetricsReport, PipelineSettings,
@@ -17,7 +17,7 @@ from .factorization import (AlsConfig, FactorModel, als_fit, init_factors,
                             loss, predict)
 from .graph import BipartiteGraph, Vertex, build_graph, neighbors
 from .pairs import PairCorpusStats, merge, sample_pairs
-from .recommend import RankedList, item_pop_scores, recommend_topk, top_k, train_masks
+from .recommend import RankedList, item_pop_scores, recommend_topk, top_k
 from .synthetic import SyntheticConfig, generate_synthetic
 from .walks import WalkConfig, WalkCorpus, generate_walks
 

@@ -20,8 +20,7 @@ from .evaluation import evaluate, run_experiment, write_report_json, write_repor
 from .factorization import als_fit, load_model, save_model
 from .graph import build_graph
 from .pairs import load_stats, sample_pairs, save_stats
-from .recommend import (load_recommendations, recommend_topk, save_recommendations,
-                        train_masks)
+from .recommend import load_recommendations, recommend_topk, save_recommendations
 from .synthetic import generate_synthetic
 from .walks import generate_walks, load_walks, save_walks
 
@@ -108,8 +107,8 @@ def cmd_train(cfg):
 def cmd_recommend(cfg):
     model, _ = load_model(_work(cfg) / "model.npz")
     ds = load_dataset(_work(cfg) / "dataset")
-    masks = train_masks(ds.train) if cfg.recommend.mask_train else None
-    recs = recommend_topk(model, cfg.recommend.k_items, masks)
+    mask = ds.train if cfg.recommend.mask_train else None
+    recs = recommend_topk(model, cfg.recommend.k_items, mask)
     out = _work(cfg) / "recommendations.tsv"
     save_recommendations(recs, out)
     print(f"recommend: top-{cfg.recommend.k_items} lists for {len(recs)} users -> {out}")

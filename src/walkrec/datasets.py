@@ -2,19 +2,20 @@
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .knobs import KnobError, Knobs, knob
-from .tables import check_rows, read_table, write_table
+from .tables import check_rows, check_unique, read_table, write_table
 
 __all__ = [
     "RawInteraction",
     "IngestFormat",
     "IdMap",
     "Dataset",
+    "as_pairs",
     "ingest",
     "binarize",
     "filter_min_interactions",
@@ -74,15 +75,38 @@ class IdMap:
         return len(self.backward)
 
 
+_SPLITS = ("train", "valid", "test")
+
+
+def as_pairs(pairs):
+    """Any iterable of (u, i) index pairs as a sorted, duplicate-free (n, 2) int64 array."""
+    rows = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    rows = rows.reshape(-1, 2) if rows.size == 0 else rows
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(f"expected (u, i) pairs, got an array of shape {rows.shape}")
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[first]
+
+
 @dataclass
 class Dataset:
-    """Indexed binary interactions partitioned into train/valid/test."""
+    """Indexed binary interactions partitioned into train/valid/test.
+
+    Each split is a sorted, duplicate-free (n, 2) int64 array of (u, i)
+    rows; any iterable of pairs given to the constructor is converted.
+    """
 
     user_map: IdMap
     item_map: IdMap
-    train: set = field(default_factory=set)
-    valid: set = field(default_factory=set)
-    test: set = field(default_factory=set)
+    train: np.ndarray = ()
+    valid: np.ndarray = ()
+    test: np.ndarray = ()
+
+    def __post_init__(self):
+        for name in _SPLITS:
+            setattr(self, name, as_pairs(getattr(self, name)))
 
     @property
     def n_users(self):
@@ -94,13 +118,14 @@ class Dataset:
 
     def validate(self):
         """Check disjointness and index ranges; raises ValueError on violation."""
-        if self.train & self.valid or self.train & self.test or self.valid & self.test:
+        parts = [getattr(self, name) for name in _SPLITS]
+        if len(as_pairs(np.concatenate(parts))) < sum(map(len, parts)):
             raise ValueError("train/valid/test splits are not pairwise disjoint")
-        m, n = self.n_users, self.n_items
-        for name, part in (("train", self.train), ("valid", self.valid), ("test", self.test)):
-            for u, i in part:
-                if not (0 <= u < m and 0 <= i < n):
-                    raise ValueError(f"{name} contains out-of-range pair ({u}, {i})")
+        for name, (u, i) in zip(_SPLITS, (part.T for part in parts)):
+            bad = (u < 0) | (u >= self.n_users) | (i < 0) | (i >= self.n_items)
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise ValueError(f"{name} contains out-of-range pair ({u[j]}, {i[j]})")
 
 
 def ingest(source, fmt: IngestFormat = IngestFormat()):
@@ -163,6 +188,11 @@ def binarize(raws):
     return {(r.user_key, r.item_key) for r in raws}
 
 
+def _key_rows(pairs):
+    "Key pairs as an (n, 2) object array, in iteration order."
+    return np.array(list(pairs), dtype=object).reshape(-1, 2)
+
+
 def filter_min_interactions(pairs, min_count):
     """Drop users and items with degree < min_count until a fixed point.
 
@@ -173,21 +203,15 @@ def filter_min_interactions(pairs, min_count):
         raise ValueError("min_count must be >= 0")
     if min_count == 0:
         return set(pairs)
-    current = set(pairs)
+    keys = _key_rows(pairs)
+    u, i = (np.unique(col, return_inverse=True)[1] for col in keys.T)
+    alive = np.ones(len(keys), dtype=bool)
     while True:
-        u_deg = {}
-        i_deg = {}
-        for u, i in current:
-            u_deg[u] = u_deg.get(u, 0) + 1
-            i_deg[i] = i_deg.get(i, 0) + 1
-        kept = {
-            (u, i)
-            for u, i in current
-            if u_deg[u] >= min_count and i_deg[i] >= min_count
-        }
-        if len(kept) == len(current):
-            return kept
-        current = kept
+        kept = (alive & (np.bincount(u, alive)[u] >= min_count)
+                & (np.bincount(i, alive)[i] >= min_count))
+        if kept.sum() == alive.sum():
+            return set(map(tuple, keys[kept].tolist()))
+        alive = kept
 
 
 def split(pairs, ratios=(0.8, 0.1, 0.1), seed=0):
@@ -207,13 +231,12 @@ def split(pairs, ratios=(0.8, 0.1, 0.1), seed=0):
         raise ValueError("ratios must be three positive fractions")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    n = len(pairs)
+    (user_keys, u), (item_keys, i) = (np.unique(col, return_inverse=True)
+                                      for col in _key_rows(pairs).T)
+    indexed = as_pairs(np.stack([u, i], axis=1))  # the permutation is over sorted rows
+    n = len(indexed)
     if n < 3:
         raise ValueError(f"need at least 3 interactions to split, got {n}")
-
-    user_map = IdMap.from_keys(sorted({u for u, _ in pairs}))
-    item_map = IdMap.from_keys(sorted({i for _, i in pairs}))
-    indexed = sorted((user_map.forward[u], item_map.forward[i]) for u, i in pairs)
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -221,10 +244,9 @@ def split(pairs, ratios=(0.8, 0.1, 0.1), seed=0):
     n_test = int(math.floor(n * ratios[2]))
     n_train = n - n_valid - n_test
 
-    train = {indexed[j] for j in perm[:n_train]}
-    valid = {indexed[j] for j in perm[n_train : n_train + n_valid]}
-    test = {indexed[j] for j in perm[n_train + n_valid :]}
-    ds = Dataset(user_map, item_map, train, valid, test)
+    ds = Dataset(IdMap.from_keys(user_keys.tolist()), IdMap.from_keys(item_keys.tolist()),
+                 indexed[perm[:n_train]], indexed[perm[n_train:n_train + n_valid]],
+                 indexed[perm[n_train + n_valid:]])
     ds.validate()
     return ds
 
@@ -234,47 +256,38 @@ def sparsify(train, keep_fraction, seed=0):
 
     The ceiling guarantees every user that had an interaction keeps at
     least one.  Sampling is per user from a stream keyed by (seed, u), so
-    the result does not depend on iteration order.
+    the result does not depend on iteration order.  Returns the kept rows
+    of as_pairs(train).
     """
+    train = as_pairs(train)
     keep_fraction = float(keep_fraction)
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
     if keep_fraction == 1.0:
-        return set(train)
+        return train
 
-    by_user = {}
-    for u, i in train:
-        by_user.setdefault(u, []).append(i)
-
-    kept = set()
-    for u in sorted(by_user):
-        items = sorted(by_user[u])
-        d = len(items)
+    users, starts, degrees = np.unique(train[:, 0], return_index=True, return_counts=True)
+    kept = [np.empty(0, dtype=np.int64)]
+    for u, lo, d in zip(users.tolist(), starts.tolist(), degrees.tolist()):
         # small epsilon so a float product that lands a hair above an exact
         # integer does not inflate the ceiling
         n_keep = max(1, math.ceil(d * keep_fraction - 1e-12))
         rng = np.random.default_rng((seed, u))
-        pick = rng.choice(d, size=min(n_keep, d), replace=False)
-        for j in pick:
-            kept.add((u, items[j]))
-    return kept
-
-
-def _columns(pairs):
-    "Sorted pairs as two lists (zip(*rows) would hold one iterator per row and set off GC)."
-    rows = sorted(pairs)
-    return [u for u, _ in rows], [i for _, i in rows]
+        kept.append(lo + rng.choice(d, size=min(n_keep, d), replace=False))
+    return train[np.sort(np.concatenate(kept))]
 
 
 def save_interactions(pairs, path):
     """Write binarized key pairs as sorted 'user<TAB>item' lines."""
-    write_table(path, ("%s", "%s"), _columns(pairs))
+    write_table(path, ("%s", "%s"), _key_rows(sorted(pairs)).T)
 
 
 def load_interactions(path):
     """Read key pairs written by save_interactions."""
     _, (users, items) = read_table(path, (object, object))
     check_rows(path, (users == "") | (items == ""), "empty key")
+    check_unique(path, users + "\t" + items, "pair ({}, {}) repeats an earlier line",
+                 users, items)
     return set(zip(users.tolist(), items.tolist()))
 
 
@@ -286,8 +299,8 @@ def save_dataset(ds: Dataset, directory):
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name in ("train", "valid", "test"):
-        write_table(directory / f"{name}.tsv", ("%d", "%d"), _columns(getattr(ds, name)))
+    for name in _SPLITS:
+        write_table(directory / f"{name}.tsv", ("%d", "%d"), getattr(ds, name).T)
     for name, id_map in (("users", ds.user_map), ("items", ds.item_map)):
         write_table(directory / f"{name}.tsv", ("%d", "%s"),
                     (range(len(id_map)), id_map.backward))
@@ -301,15 +314,15 @@ def load_dataset(directory):
         path = directory / f"{name}.tsv"
         _, (index, keys) = read_table(path, (np.int64, object))
         check_rows(path, index != np.arange(len(index)), "non-contiguous index {}", index)
-        _, first = np.unique(keys, return_index=True)
-        check_rows(path, ~np.isin(index, first), "key {!r} repeats an earlier line", keys)
+        check_unique(path, keys, "key {!r} repeats an earlier line", keys)
         maps.append(IdMap.from_keys(keys.tolist()))
     ds = Dataset(*maps)
-    for name in ("train", "valid", "test"):
+    for name in _SPLITS:
         path = directory / f"{name}.tsv"
         _, (u, i) = read_table(path, (np.int64, np.int64))
         check_rows(path, (u < 0) | (u >= ds.n_users), "user {} out of range", u)
         check_rows(path, (i < 0) | (i >= ds.n_items), "item {} out of range", i)
-        setattr(ds, name, set(zip(u.tolist(), i.tolist())))
+        check_unique(path, u * ds.n_items + i, "pair ({}, {}) repeats an earlier line", u, i)
+        setattr(ds, name, as_pairs(np.stack([u, i], axis=1)))
     ds.validate()
     return ds

@@ -7,6 +7,7 @@ extreme sparsity.
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,11 @@ import scipy.sparse as sp
 
 from .confidence import co_matrix, sppmi_matrix
 from .config import CELL_MEASURES, ExperimentGrid, PipelineSettings
-from .datasets import Dataset, sparsify
+from .datasets import Dataset, as_pairs, sparsify
 from .factorization import AlsConfig, als_fit
 from .graph import build_graph
 from .pairs import sample_pairs
-from .recommend import item_pop_scores, recommend_topk, top_k, train_masks
+from .recommend import _rank_users, item_pop_scores, recommend_topk
 from .tables import write_table
 from .walks import WalkConfig, generate_walks
 
@@ -43,7 +44,7 @@ def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
 
     Args:
         recs: one RankedList per user, covering indices 0..M-1 in order.
-        test: set of (u, i) ground-truth pairs.
+        test: ground-truth (u, i) pairs, as an array or any iterable.
         cutoffs: list of k values.
         config: optional hyperparameter echo stored on the report.
     """
@@ -54,45 +55,35 @@ def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
         if rl is None or rl.user != u:
             raise ValueError(f"missing or misordered ranked list for user {u}")
 
-    test_by_user = {}
-    for u, i in test:
-        test_by_user.setdefault(u, set()).add(i)
-
     m = len(recs)
-    p_sum = {k: 0.0 for k in cutoffs}
-    r_sum = {k: 0.0 for k in cutoffs}
-    f_sum = {k: 0.0 for k in cutoffs}
-    for rl in recs:
-        truth = test_by_user.get(rl.user, frozenset())
-        ranked = rl.item_indices()
-        for k in cutoffs:
-            hits = len(truth.intersection(ranked[:k]))
-            p = hits / k
-            r = hits / len(truth) if truth else 0.0
-            p_sum[k] += p
-            r_sum[k] += r
-            if p + r > 0:
-                f_sum[k] += 2.0 * p * r / (p + r)
+    test = as_pairs(test)
+    ranked = [rl.item_indices() for rl in recs]
+    lengths = np.fromiter(map(len, ranked), dtype=np.int64, count=m)
+    items = np.fromiter(chain.from_iterable(ranked), dtype=np.int64, count=lengths.sum())
+    users = np.repeat(np.arange(m), lengths)
+    rank = np.arange(len(items)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # an item listed twice for a user counts once, at its first rank
+    n = 1 + max(items.max(initial=0), test[:, 1].max(initial=0))
+    codes, first = np.unique(users * n + items, return_index=True)
+    hit = first[np.isin(codes, test[:, 0] * n + test[:, 1])]
+    truth = np.bincount(test[:, 0], minlength=m)[:m]
+
+    precision, recall, f1 = {}, {}, {}
+    for k in cutoffs:
+        hits = np.bincount(users[hit[rank[hit] < k]], minlength=m)
+        p = hits / k
+        r = np.divide(hits, truth, out=np.zeros(m), where=truth > 0)
+        f = np.divide(2.0 * p * r, p + r, out=np.zeros(m), where=p + r > 0)
+        # summed in user order, as a running total is, so report bytes do not move
+        precision[k], recall[k], f1[k] = (float(np.cumsum(x)[-1] / m) for x in (p, r, f))
 
     return MetricsReport(
         cutoffs=cutoffs,
-        precision={k: p_sum[k] / m for k in cutoffs},
-        recall={k: r_sum[k] / m for k in cutoffs},
-        f1={k: f_sum[k] / m for k in cutoffs},
+        precision=precision,
+        recall=recall,
+        f1=f1,
         user_count=m,
         config=dict(config) if config else {},
-    )
-
-
-def _binary_train_matrix(train, m, n):
-    "The raw interaction matrix as a sparse float matrix (MF baseline target)."
-    if train:
-        rows, cols = zip(*sorted(train))
-    else:
-        rows, cols = (), ()
-    return sp.csr_matrix(
-        (np.ones(len(rows)), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(m, n),
     )
 
 
@@ -113,14 +104,14 @@ def run_cell(dataset: Dataset, st: PipelineSettings, _caches=None) -> MetricsRep
     if tkey not in caches["train"]:
         caches["train"][tkey] = sparsify(dataset.train, st.keep_fraction, st.seed)
     train = caches["train"][tkey]
-    masks = train_masks(train) if st.mask_train else {}
+    mask = train if st.mask_train else None
 
     if st.measure == "itempop":
         pop = item_pop_scores(train, n)
-        recs = [top_k(u, pop, st.k_items, masks.get(u, frozenset())) for u in range(m)]
+        recs = _rank_users(m, n, st.k_items, mask, lambda lo, hi: np.tile(pop, (hi - lo, 1)))
     else:
         if st.measure == "mf":
-            s = _binary_train_matrix(train, m, n)
+            s = sp.csr_matrix((np.ones(len(train)), (train[:, 0], train[:, 1])), shape=(m, n))
         else:
             ckey = (st.keep_fraction, st.seed, st.beta, st.gamma)
             if ckey not in caches["corpus"]:
@@ -134,7 +125,7 @@ def run_cell(dataset: Dataset, st: PipelineSettings, _caches=None) -> MetricsRep
             s = co_matrix(stats) if st.measure == "co" else sppmi_matrix(stats, st.shift_k)
         cfg = AlsConfig(st.factors, st.lam, st.sweeps, st.seed, st.init_scale)
         model = als_fit(s, cfg)
-        recs = recommend_topk(model, st.k_items, masks)
+        recs = recommend_topk(model, st.k_items, mask)
 
     return evaluate(recs, dataset.test, st.cutoffs, config=st.echo())
 

@@ -5,6 +5,8 @@ from typing import Literal
 
 import numpy as np
 
+from .datasets import as_pairs
+
 __all__ = ["Vertex", "BipartiteGraph", "build_graph", "neighbors"]
 
 Kind = Literal["user", "item"]
@@ -20,24 +22,26 @@ class Vertex:
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Adjacency over the union vertex set of users and items.
+    """Adjacency over the union vertex set of users and items, as one CSR.
 
-    An edge (u, i) exists iff the pair is a training interaction.  Lists
-    are sorted and duplicate-free; isolated vertices are retained.
+    Vertices have global codes: users 0..n_users-1, then items
+    n_users..n_users+n_items-1.  The neighbours of code v are
+    indices[indptr[v]:indptr[v + 1]], sorted and duplicate-free; an edge
+    (u, i) exists iff the pair is a training interaction.  Isolated
+    vertices have empty rows.
     """
 
-    user_adj: list  # per-user sorted np.ndarray of item indices
-    item_adj: list  # per-item sorted np.ndarray of user indices
+    indptr: np.ndarray  # (n_users + n_items + 1,) int64 row offsets
+    indices: np.ndarray  # (2 * n_edges,) int64 neighbour codes
     n_users: int
     n_items: int
 
     @property
     def n_edges(self):
-        return int(sum(len(a) for a in self.user_adj))
+        return len(self.indices) // 2
 
     def degree(self, v: Vertex):
-        adj = self.user_adj if v.kind == "user" else self.item_adj
-        return len(adj[v.index])
+        return len(neighbors(self, v))
 
 
 def build_graph(train, n_users, n_items) -> BipartiteGraph:
@@ -46,24 +50,24 @@ def build_graph(train, n_users, n_items) -> BipartiteGraph:
     Degree-0 vertices are kept so every index in [0, n_users) x [0, n_items)
     remains addressable.  Raises ValueError on out-of-range indices.
     """
-    user_lists = [[] for _ in range(n_users)]
-    item_lists = [[] for _ in range(n_items)]
-    for u, i in train:
-        if not (0 <= u < n_users and 0 <= i < n_items):
-            raise ValueError(f"interaction ({u}, {i}) out of range {n_users}x{n_items}")
-        user_lists[u].append(i)
-        item_lists[i].append(u)
-    user_adj = [np.unique(np.asarray(l, dtype=np.int64)) for l in user_lists]
-    item_adj = [np.unique(np.asarray(l, dtype=np.int64)) for l in item_lists]
-    return BipartiteGraph(user_adj, item_adj, n_users, n_items)
+    train = as_pairs(train)
+    u, i = train.T
+    bad = (u < 0) | (u >= n_users) | (i < 0) | (i >= n_items)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"interaction ({u[j]}, {i[j]}) out of range {n_users}x{n_items}")
+    m = n_users
+    arcs = as_pairs(np.concatenate([train + (0, m), train[:, ::-1] + (m, 0)]))
+    indptr = np.searchsorted(arcs[:, 0], np.arange(m + n_items + 1))
+    return BipartiteGraph(indptr, arcs[:, 1].copy(), n_users, n_items)
 
 
 def neighbors(g: BipartiteGraph, v: Vertex):
     """Opposite-kind neighbors of v, sorted by index."""
-    if v.kind == "user":
-        if not 0 <= v.index < g.n_users:
-            raise ValueError(f"user index {v.index} out of range")
-        return [Vertex("item", int(i)) for i in g.user_adj[v.index]]
-    if not 0 <= v.index < g.n_items:
-        raise ValueError(f"item index {v.index} out of range")
-    return [Vertex("user", int(u)) for u in g.item_adj[v.index]]
+    size, code, kind = ((g.n_users, v.index, "item") if v.kind == "user"
+                        else (g.n_items, g.n_users + v.index, "user"))
+    if not 0 <= v.index < size:
+        raise ValueError(f"{v.kind} index {v.index} out of range")
+    offset = g.n_users if kind == "item" else 0
+    row = g.indices[g.indptr[code]:g.indptr[code + 1]]
+    return [Vertex(kind, j - offset) for j in row.tolist()]

@@ -1,15 +1,15 @@
 """Top-K ranking from score vectors, with train masking and the popularity baseline."""
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .blas import one_thread
+from .datasets import as_pairs
 from .factorization import FactorModel
 from .tables import check_rows, read_table, write_table
 
-__all__ = ["RankedList", "top_k", "item_pop_scores", "train_masks", "recommend_topk",
+__all__ = ["RankedList", "top_k", "item_pop_scores", "recommend_topk",
            "save_recommendations", "load_recommendations"]
 
 
@@ -41,14 +41,11 @@ def top_k(user, scores, k_items, mask=frozenset()) -> RankedList:
     if k_items < 1:
         raise ValueError("k_items must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
-    if mask:
-        cols = np.fromiter(mask, np.int64, len(mask))
-        _check_mask(user, cols, len(scores))
-        keep = np.ones(len(scores), dtype=bool)
-        keep[cols] = False
-        valid = np.flatnonzero(keep)
-    else:
-        valid = np.arange(len(scores))
+    cols = np.fromiter(mask, np.int64)
+    _check_mask(user, cols, len(scores))
+    keep = np.ones(len(scores), dtype=bool)
+    keep[cols] = False
+    valid = np.flatnonzero(keep)
     neg = -scores[valid]
     k = min(int(k_items), len(neg))
     if k == 0:
@@ -63,18 +60,10 @@ def top_k(user, scores, k_items, mask=frozenset()) -> RankedList:
 
 def item_pop_scores(train, n_items):
     """Training popularity per item: score(i) = number of users who bought i."""
-    counts = np.zeros(n_items, dtype=np.float64)
-    for _, i in train:
-        counts[i] += 1.0
-    return counts
-
-
-def train_masks(train):
-    """Per-user sets of training items, keyed by user: the masks recommend_topk takes."""
-    masks = {}
-    for u, i in train:
-        masks.setdefault(u, set()).add(i)
-    return masks
+    items = as_pairs(train)[:, 1]
+    if np.any((items < 0) | (items >= n_items)):
+        raise ValueError(f"a training item is not in [0, {n_items})")
+    return np.bincount(items, minlength=n_items).astype(np.float64)
 
 
 def _check_mask(users, cols, n_items):
@@ -89,8 +78,9 @@ def _check_mask(users, cols, n_items):
                          f"item {cols[j]} not in [0, {n_items})")
 
 
-def _rank_rows(first_user, scores, k, masks):
-    """top_k(first_user + r, scores[r], k, masks[r]) for every row r of a block.
+def _rank_rows(first_user, scores, k, mask):
+    """top_k(first_user + r, scores[r], k, items of user first_user + r in mask)
+    for every row r of a block; mask is a sorted (n, 2) pair array.
 
     scores is overwritten.  Negated scores of masked items become NaN, so a
     row-wise partition puts them last with the real NaNs.  A row's
@@ -101,20 +91,19 @@ def _rank_rows(first_user, scores, k, masks):
     """
     neg = np.asarray(scores, dtype=np.float64)
     np.negative(neg, out=neg)
-    rows = np.repeat(np.arange(len(masks)), [len(mk) for mk in masks])
-    cols = np.fromiter(chain.from_iterable(masks), np.int64, len(rows))
+    lo, hi = np.searchsorted(mask[:, 0], [first_user, first_user + len(neg)])
+    rows, cols = (mask[lo:hi] - (first_user, 0)).T
     _check_mask(first_user + rows, cols, neg.shape[1])
     neg[rows, cols] = np.nan
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
     cand = neg <= kth
-    for u in np.flatnonzero(np.isnan(kth[:, 0])).tolist():
-        cand[u] = True
-        cand[u, list(masks[u])] = False
+    cand[np.isnan(kth[:, 0])] = True
+    cand[rows, cols] = False
     r, c = np.divmod(np.flatnonzero(cand), neg.shape[1])
     v = neg[r, c]
     order = np.lexsort((c, v, r))
     r, c, v = r[order], c[order], v[order]
-    counts = np.bincount(r, minlength=len(masks))
+    counts = np.bincount(r, minlength=len(neg))
     starts = np.cumsum(counts) - counts
     keep = np.arange(len(r)) < (starts + k)[r]
     items = list(zip(c[keep].tolist(), np.negative(v[keep]).tolist()))
@@ -123,7 +112,27 @@ def _rank_rows(first_user, scores, k, masks):
             for u, (a, b) in enumerate(zip([0, *ends], ends))]
 
 
-def recommend_topk(model: FactorModel, k_items, masks=None, chunk=1024):
+def _rank_users(n_users, n_items, k_items, mask, block_scores, chunk=1024):
+    """Ranked lists of users 0..n_users-1, chunk users at a time.
+
+    block_scores(lo, hi) returns the (hi - lo, n_items) score rows of users
+    lo..hi-1, which the ranking overwrites.  mask is any iterable of
+    (u, i) pairs to exclude, or None.
+    """
+    if k_items < 1:
+        raise ValueError("k_items must be >= 1")
+    k = min(int(k_items), n_items)
+    if k == 0:
+        return [RankedList(u, []) for u in range(n_users)]
+    mask = as_pairs(() if mask is None else mask)
+    out = []
+    for lo in range(0, n_users, chunk):
+        hi = min(lo + chunk, n_users)
+        out += _rank_rows(lo, block_scores(lo, hi), k, mask)
+    return out
+
+
+def recommend_topk(model: FactorModel, k_items, mask=None, chunk=1024):
     """Ranked lists for every user from a factor model.
 
     Each block of chunk users is scored with one product on one BLAS
@@ -133,26 +142,17 @@ def recommend_topk(model: FactorModel, k_items, masks=None, chunk=1024):
     Args:
         model: fitted factors.
         k_items: per-user list length, >= 1.
-        masks: optional dict of per-user sets of item indices to exclude,
-            keyed by user; missing entries mean no mask.  Each index must
-            be in [0, n_items), or ValueError names the user and index.
+        mask: optional (u, i) pairs to exclude, such as the training
+            pairs, as an array or any iterable.  Each item must be in
+            [0, n_items), or ValueError names the user and item.
     Returns:
         List of RankedList, one per user in index order.
     """
-    if k_items < 1:
-        raise ValueError("k_items must be >= 1")
-    m, n = model.n_users, model.n_items
-    k = min(int(k_items), n)
-    if k == 0:
-        return [RankedList(u, []) for u in range(m)]
-    masks = masks or {}
-    out = []
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
+    def block_scores(lo, hi):
         with one_thread():
-            scores = model.X[lo:hi] @ model.Y.T
-        out += _rank_rows(lo, scores, k, [masks.get(u, ()) for u in range(lo, hi)])
-    return out
+            return model.X[lo:hi] @ model.Y.T
+
+    return _rank_users(model.n_users, model.n_items, k_items, mask, block_scores, chunk)
 
 
 def save_recommendations(recs, path):

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["format_header", "parse_header", "write_table", "read_table", "check_rows",
-           "write_matrix", "read_matrix"]
+           "check_unique", "write_matrix", "read_matrix"]
 
 
 def format_header(fields):
@@ -87,6 +87,13 @@ def check_rows(path, bad, message, *columns, first_line=1):
                          + message.format(*(c[r] for c in columns)))
 
 
+def check_unique(path, keys, message, *columns, first_line=1):
+    "check_rows on the first row whose entry of keys repeats an earlier row's."
+    first = np.zeros(len(keys), dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    check_rows(path, ~first, message, *columns, first_line=first_line)
+
+
 def write_matrix(path, matrix, fmt, header):
     """Write a sparse matrix's stored entries as (u, i, value) rows sorted by (u, i).
 
@@ -113,7 +120,6 @@ def read_matrix(path, dtype, header_keys):
                first_line=2)
     matrix = sp.coo_matrix((v, (u, i)), shape=(m, n)).tocsr()
     if matrix.nnz < len(v):  # tocsr summed repeated entries
-        first = np.zeros(len(v), dtype=bool)
-        first[np.unique(u * n + i, return_index=True)[1]] = True
-        check_rows(path, ~first, "entry ({}, {}) repeats an earlier line", u, i, first_line=2)
+        check_unique(path, u * n + i, "entry ({}, {}) repeats an earlier line", u, i,
+                     first_line=2)
     return header, matrix

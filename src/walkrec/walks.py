@@ -50,9 +50,8 @@ class WalkCorpus:
         """Check kind alternation along every walk, and edges when g is given."""
         m = self.n_users
         if g is not None:
-            indptr, indices = _adjacency(g)
-            v = len(indptr) - 1
-            edges = np.repeat(np.arange(v), np.diff(indptr)) * v + indices
+            v = len(g.indptr) - 1
+            edges = np.repeat(np.arange(v), np.diff(g.indptr)) * v + g.indices
         for block in self.blocks():
             is_user = block < m
             if not np.all(is_user[:, 1:] != is_user[:, :-1]):
@@ -62,18 +61,6 @@ class WalkCorpus:
                 bad = np.flatnonzero(~np.isin(a * v + b, edges))
                 if bad.size:
                     raise ValueError(f"walk step ({a[bad[0]]}, {b[bad[0]]}) is not an edge")
-
-
-def _adjacency(g: BipartiteGraph):
-    "Global-code CSR adjacency: users 0..m-1, then items m..m+n-1; rows sorted."
-    m = g.n_users
-    deg = np.fromiter(map(len, chain(g.user_adj, g.item_adj)), dtype=np.int64,
-                      count=m + g.n_items)
-    indptr = np.zeros(len(deg) + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.concatenate([np.empty(0, dtype=np.int64),
-                              *(row + m for row in g.user_adj), *g.item_adj])
-    return indptr, indices
 
 
 def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
@@ -87,15 +74,14 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
     together, one array step per position.  Rows are in (start code, walk
     index) order.  Start codes and walk indices must be below 2**32.
     """
-    indptr, indices = _adjacency(g)
-    deg = np.diff(indptr)
+    deg = np.diff(g.indptr)
     starts = np.flatnonzero(deg)
     walks = np.empty((len(starts) * cfg.beta, cfg.gamma), dtype=np.int64)
     walks[:, 0] = cur = np.repeat(starts, cfg.beta)
     streams = Pcg64Streams(cfg.seed, cur, np.tile(np.arange(cfg.beta), len(starts)))
     for t in range(1, cfg.gamma):
         # float product then truncation, exactly as int(r * len(row)) per walk
-        cur = indices[indptr[cur] + (streams.random() * deg[cur]).astype(np.int64)]
+        cur = g.indices[g.indptr[cur] + (streams.random() * deg[cur]).astype(np.int64)]
         walks[:, t] = cur
     return WalkCorpus(walks, g.n_users, g.n_items)
 

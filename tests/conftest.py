@@ -30,13 +30,11 @@ def corpus_from_tokens(token_lines, n_users, n_items):
 def oracle_walk(g, seed, code, b, gamma):
     """Walk b from global code `code` by the scalar loop: one stream keyed by
     (seed, code, b), successor row[int(r[t] * len(row))] at every step."""
-    m = g.n_users
-    nbrs = [row + m for row in g.user_adj] + list(g.item_adj)
     r = np.random.default_rng((seed, code, b)).random(gamma - 1)
     walk = [code]
     cur = code
     for t in range(gamma - 1):
-        row = nbrs[cur]
+        row = g.indices[g.indptr[cur]:g.indptr[cur + 1]]
         cur = int(row[int(r[t] * len(row))])
         walk.append(cur)
     return walk

@@ -6,10 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from walkrec.datasets import (IngestFormat, RawInteraction, binarize,
-                              filter_min_interactions, ingest, load_dataset,
+from walkrec.datasets import (Dataset, IdMap, IngestFormat, RawInteraction, as_pairs,
+                              binarize, filter_min_interactions, ingest, load_dataset,
                               load_interactions, save_dataset,
                               save_interactions, sparsify, split)
+
+
+def _shared_rows(a, b):
+    "Rows of pair array a that are also rows of pair array b."
+    return a[(a[:, None, :] == b[None, :, :]).all(axis=2).any(axis=1)]
 
 
 class TestIngest:
@@ -106,6 +111,55 @@ class TestFilterMinInteractions:
         assert all(d >= 2 for d in u_deg.values())
         assert all(d >= 2 for d in i_deg.values())
 
+    def test_matches_scalar_peeling_oracle(self):
+        # oracle: drop every pair with an endpoint below the threshold,
+        # recount, repeat until nothing changes
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            pairs = {(f"u{rng.integers(9)}", f"i{rng.integers(9)}")
+                     for _ in range(int(rng.integers(0, 70)))}
+            min_count = int(rng.integers(1, 5))
+            want = set(pairs)
+            while True:
+                u_deg, i_deg = {}, {}
+                for u, i in want:
+                    u_deg[u] = u_deg.get(u, 0) + 1
+                    i_deg[i] = i_deg.get(i, 0) + 1
+                kept = {(u, i) for u, i in want
+                        if u_deg[u] >= min_count and i_deg[i] >= min_count}
+                if kept == want:
+                    break
+                want = kept
+            assert filter_min_interactions(pairs, min_count) == want
+
+
+class TestAsPairs:
+    def test_sorts_and_drops_repeats(self):
+        got = as_pairs([(3, 1), (0, 2), (3, 1), (0, -1)])
+        assert got.dtype == np.int64 and got.tolist() == [[0, -1], [0, 2], [3, 1]]
+
+    def test_empty_input_has_two_columns(self):
+        for empty in (set(), [], np.empty(0, dtype=np.int64)):
+            assert as_pairs(empty).shape == (0, 2)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="pairs"):
+            as_pairs([(0, 1, 2)])
+
+    def test_dataset_holds_sorted_arrays(self):
+        ds = Dataset(IdMap.from_keys("ab"), IdMap.from_keys("xyz"),
+                     train={(1, 2), (0, 0), (1, 0)}, test=[(0, 1)])
+        assert ds.train.tolist() == [[0, 0], [1, 0], [1, 2]]
+        assert ds.valid.shape == (0, 2) and ds.test.tolist() == [[0, 1]]
+        ds.validate()
+
+    def test_validate_names_overlap_and_range(self):
+        maps = IdMap.from_keys("ab"), IdMap.from_keys("xy")
+        with pytest.raises(ValueError, match="disjoint"):
+            Dataset(*maps, train={(0, 0)}, test={(0, 0)}).validate()
+        with pytest.raises(ValueError, match=r"valid contains out-of-range pair \(0, 2\)"):
+            Dataset(*maps, train={(0, 0)}, valid={(0, 2)}).validate()
+
 
 def _pairs(n):
     return {(f"u{j % 7:02d}", f"i{j:03d}") for j in range(n)}
@@ -119,7 +173,8 @@ class TestSplit:
     def test_determinism(self):
         a = split(_pairs(10), (0.8, 0.1, 0.1), seed=7)
         b = split(_pairs(10), (0.8, 0.1, 0.1), seed=7)
-        assert a.train == b.train and a.valid == b.valid and a.test == b.test
+        for name in ("train", "valid", "test"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.user_map.backward == b.user_map.backward
 
     def test_floor_arithmetic_oracle(self):
@@ -140,9 +195,9 @@ class TestSplit:
             }
             ds = split(pairs, (0.6, 0.2, 0.2), seed=int(rng.integers(100)))
             assert len(ds.train) + len(ds.valid) + len(ds.test) == len(pairs)
-            assert not ds.train & ds.valid
-            assert not ds.train & ds.test
-            assert not ds.valid & ds.test
+            assert len(_shared_rows(ds.train, ds.valid)) == 0
+            assert len(_shared_rows(ds.train, ds.test)) == 0
+            assert len(_shared_rows(ds.valid, ds.test)) == 0
 
     def test_maps_cover_full_pair_set(self):
         # a user can land entirely in test and must still be indexed
@@ -164,7 +219,7 @@ class TestSplit:
 class TestSparsify:
     def test_keep_all_is_identity(self):
         train = {(0, 1), (0, 2), (3, 4)}
-        assert sparsify(train, 1.0, seed=9) == train
+        assert sparsify(train, 1.0, seed=9).tolist() == [[0, 1], [0, 2], [3, 4]]
 
     def test_exact_count_per_user(self):
         train = {(0, j) for j in range(10)}
@@ -189,15 +244,44 @@ class TestSparsify:
             }
             keep = float(rng.uniform(0.05, 1.0))
             kept = sparsify(train, keep, seed=int(rng.integers(100)))
-            assert kept <= train
-            assert {u for u, _ in kept} == {u for u, _ in train}
+            rows = as_pairs(train)
+            assert np.array_equal(_shared_rows(kept, rows), kept)
+            assert np.array_equal(np.unique(kept[:, 0]), np.unique(rows[:, 0]))
 
     def test_determinism_and_seed_sensitivity(self):
         train = {(0, j) for j in range(30)}
         a = sparsify(train, 0.3, seed=2)
-        assert a == sparsify(train, 0.3, seed=2)
+        assert np.array_equal(a, sparsify(train, 0.3, seed=2))
         b = sparsify(train, 0.3, seed=3)
         assert len(b) == len(a)
+
+    @staticmethod
+    def draw_oracle(train, keep, seed):
+        """User u keeps items[default_rng((seed, u)).choice(d, ceil(d * keep))] of
+        its d sorted items: the draws the acceptance suite's sparsity results
+        were measured with."""
+        want = []
+        for u in sorted({u for u, _ in train.tolist()}):
+            items = sorted(i for uu, i in train.tolist() if uu == u)
+            d = len(items)
+            n_keep = max(1, math.ceil(d * keep - 1e-12))
+            pick = np.random.default_rng((seed, u)).choice(d, n_keep, replace=False)
+            want += sorted([u, items[j]] for j in pick)
+        return want
+
+    def test_matches_per_user_draw_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            m, n = int(rng.integers(1, 15)), int(rng.integers(1, 40))
+            flat = rng.choice(m * n, size=int(rng.integers(1, m * n + 1)), replace=False)
+            train = np.stack([flat // n, flat % n], axis=1)
+            seed = int(rng.integers(2**40))
+            for keep in (0.05, 0.2, 0.5, 0.6, 0.9, 1.0):
+                assert sparsify(train, keep, seed).tolist() == self.draw_oracle(train, keep, seed)
+        # 25 * 0.28 is a hair above 7 in floating point; the user keeps 7
+        train = np.array([(3, j) for j in range(25)] + [(5, 1), (5, 4)])
+        assert sparsify(train, 0.28, 9).tolist() == self.draw_oracle(train, 0.28, 9)
+        assert len(self.draw_oracle(train, 0.28, 9)) == 7 + 1
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
@@ -229,9 +313,9 @@ class TestPersistence:
         ds = split(_pairs(25), (0.8, 0.1, 0.1), seed=2)
         save_dataset(ds, tmp_path / "ds")
         back = load_dataset(tmp_path / "ds")
-        assert back.train == ds.train
-        assert back.valid == ds.valid
-        assert back.test == ds.test
+        assert np.array_equal(back.train, ds.train)
+        assert np.array_equal(back.valid, ds.valid)
+        assert np.array_equal(back.test, ds.test)
         assert back.user_map.backward == ds.user_map.backward
         assert back.item_map.backward == ds.item_map.backward
 

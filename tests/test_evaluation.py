@@ -6,16 +6,35 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from walkrec.datasets import split
+import walkrec.evaluation
+from walkrec.datasets import sparsify, split
 from walkrec.evaluation import (ExperimentGrid, PipelineSettings, evaluate,
                                 run_cell, run_experiment, write_report_json,
                                 write_report_tsv)
-from walkrec.recommend import RankedList
+from walkrec.recommend import RankedList, top_k
 from walkrec.synthetic import generate_synthetic
 
 
 def ranked(user, items):
     return RankedList(user, [(i, float(10 - r)) for r, i in enumerate(items)])
+
+
+def brute_force_means(recs, test, k):
+    """Per-user P@k, R@k, F1@k by set intersection, summed as a running total
+    in user order and divided by the user count."""
+    test_by_user = {}
+    for u, i in test:
+        test_by_user.setdefault(u, set()).add(i)
+    p_sum = r_sum = f_sum = 0.0
+    for rl in recs:
+        truth = test_by_user.get(rl.user, set())
+        hits = len(truth & set(rl.item_indices()[:k]))
+        p = hits / k
+        r = hits / len(truth) if truth else 0.0
+        p_sum += p
+        r_sum += r
+        f_sum += 2.0 * p * r / (p + r) if p + r > 0 else 0.0
+    return p_sum / len(recs), r_sum / len(recs), f_sum / len(recs)
 
 
 class TestEvaluate:
@@ -56,6 +75,9 @@ class TestEvaluate:
             recs.append(ranked(u, [int(i) for i in items]))
         for k in (1, 3, 5, 8):
             rep = evaluate(recs, test, cutoffs=[k])
+            want = brute_force_means(recs, test, k)
+            assert np.allclose((rep.precision[k], rep.recall[k], rep.f1[k]), want,
+                               rtol=0, atol=1e-12)
             for u in range(n_users):
                 truth = test_by_user.get(u, set())
                 hits_k = len(truth & set(recs[u].item_indices()[:k]))
@@ -64,6 +86,28 @@ class TestEvaluate:
                 assert p * k == pytest.approx(round(p * k), abs=1e-9)
                 if truth:
                     assert r * len(truth) == pytest.approx(round(r * len(truth)), abs=1e-9)
+
+    def test_means_equal_brute_force_on_random_lists(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n_users, n_items = int(rng.integers(1, 15)), int(rng.integers(1, 25))
+            # some users hold no test items; some lists run shorter than k, and
+            # a list that names an item twice counts it once
+            test = {(int(rng.integers(n_users)), int(rng.integers(n_items)))
+                    for _ in range(int(rng.integers(0, 3 * n_users)))}
+            recs = [ranked(u, rng.choice(n_items, size=int(rng.integers(0, n_items + 1)),
+                                         replace=bool(u % 3 == 0)).tolist())
+                    for u in range(n_users)]
+            cutoffs = sorted({int(k) for k in rng.integers(1, n_items + 3, size=3)})
+            rep = evaluate(recs, np.array(sorted(test), dtype=np.int64).reshape(-1, 2),
+                           cutoffs)
+            assert rep == evaluate(recs, test, cutoffs)
+            for k in cutoffs:
+                got = (rep.precision[k], rep.recall[k], rep.f1[k])
+                want = brute_force_means(recs, test, k)
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+                # summed in user order, so equal to the running total bit for bit
+                assert got == want and all(type(v) is float for v in got)
 
     def test_f1_is_harmonic_mean(self):
         recs = [ranked(0, [0, 1, 2, 3])]
@@ -113,6 +157,29 @@ class TestRunCell:
             rep = run_cell(ds, replace(FAST, measure=measure))
             assert rep.user_count == ds.n_users
             assert rep.config["measure"] == measure
+
+    def test_itempop_lists_equal_per_user_top_k(self, monkeypatch):
+        lists = []
+
+        def keep_lists(recs, *args, **kwargs):
+            lists.append(recs)
+            return evaluate(recs, *args, **kwargs)
+
+        monkeypatch.setattr(walkrec.evaluation, "evaluate", keep_lists)
+        ds = small_dataset()
+        for keep, mask_train, k in ((1.0, True, 5), (0.5, True, 10), (0.5, False, 3),
+                                    (1.0, True, ds.n_items + 4)):
+            st = replace(FAST, measure="itempop", keep_fraction=keep, mask_train=mask_train,
+                         k_items=k, seed=3)
+            run_cell(ds, st)
+            train = sparsify(ds.train, keep, st.seed).tolist()
+            pop = np.zeros(ds.n_items)
+            for _, i in train:
+                pop[i] += 1.0
+            for u, rl in enumerate(lists.pop()):
+                mask_u = {i for uu, i in train if uu == u} if mask_train else set()
+                want = top_k(u, pop, k, mask_u)
+                assert rl.user == u and rl.items == want.items
 
     def test_unknown_measure_rejected(self):
         ds = small_dataset()

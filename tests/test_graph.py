@@ -9,22 +9,33 @@ from walkrec.graph import Vertex, build_graph, neighbors
 TOY_EDGES = {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)}
 
 
+def _rows(g):
+    "Each global code's neighbour codes, read off the CSR."
+    return [g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
+            for v in range(g.n_users + g.n_items)]
+
+
+def _degrees(g):
+    "User degrees, then item degrees."
+    deg = np.diff(g.indptr).tolist()
+    return deg[:g.n_users], deg[g.n_users:]
+
+
 class TestBuildGraph:
     def test_empty_edge_set_keeps_isolated_vertices(self):
         g = build_graph(set(), 2, 2)
         assert g.n_users == 2 and g.n_items == 2
-        assert all(len(a) == 0 for a in g.user_adj)
-        assert all(len(a) == 0 for a in g.item_adj)
+        assert _rows(g) == [[], [], [], []]
+        assert g.indices.shape == (0,) and g.n_edges == 0
 
     def test_toy_degrees(self):
         g = build_graph(TOY_EDGES, 3, 4)
-        assert [len(a) for a in g.user_adj] == [2, 2, 2]
-        assert [len(a) for a in g.item_adj] == [1, 2, 2, 1]
+        assert _degrees(g) == ([2, 2, 2], [1, 2, 2, 1])
+        assert [g.degree(Vertex("item", i)) for i in range(4)] == [1, 2, 2, 1]
 
     def test_single_edge(self):
         g = build_graph({(0, 0)}, 1, 1)
-        assert g.user_adj[0].tolist() == [0]
-        assert g.item_adj[0].tolist() == [0]
+        assert _rows(g) == [[1], [0]]  # user 0 is code 0, item 0 is code 1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -34,7 +45,7 @@ class TestBuildGraph:
 
     def test_duplicates_collapse(self):
         g = build_graph([(0, 0), (0, 0)], 1, 1)
-        assert g.user_adj[0].tolist() == [0]
+        assert _rows(g) == [[1], [0]]
 
     def test_degree_sums_equal_edge_count(self):
         rng = np.random.default_rng(3)
@@ -45,9 +56,29 @@ class TestBuildGraph:
                 for _ in range(int(rng.integers(0, 30)))
             }
             g = build_graph(edges, m, n)
-            assert sum(len(a) for a in g.user_adj) == len(edges)
-            assert sum(len(a) for a in g.item_adj) == len(edges)
+            user_deg, item_deg = _degrees(g)
+            assert sum(user_deg) == len(edges)
+            assert sum(item_deg) == len(edges)
             assert g.n_edges == len(edges)
+
+    def test_matches_scalar_loop_oracle(self):
+        # oracle: append each edge to both endpoints' lists, then sort and
+        # deduplicate every list; users are codes 0..m-1, items m..m+n-1
+        rng = np.random.default_rng(29)
+        for trial in range(60):
+            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            size = 0 if trial % 10 == 0 else int(rng.integers(1, 3 * m * n))
+            edges = [(int(rng.integers(m)), int(rng.integers(n))) for _ in range(size)]
+            nbrs = [[] for _ in range(m + n)]
+            for u, i in edges:  # repeated edges included
+                nbrs[u].append(m + i)
+                nbrs[m + i].append(u)
+            want = [sorted(set(row)) for row in nbrs]
+            for given in (edges, set(edges), np.array(edges, dtype=np.int64).reshape(-1, 2)):
+                g = build_graph(given, m, n)
+                assert _rows(g) == want
+                assert g.indptr.dtype == g.indices.dtype == np.int64
+                assert g.n_edges == len(set(edges))
 
 
 class TestNeighbors:

@@ -58,8 +58,7 @@ def test_walks_with_a_wide_seed_match_scalar_oracle():
     g = build_graph(edges, m, n)
     cfg = WalkConfig(beta=3, gamma=12, seed=2**40 + 1)
     corpus = generate_walks(g, cfg)
-    starts = [u for u in range(m) if len(g.user_adj[u])]
-    starts += [m + i for i in range(n) if len(g.item_adj[i])]
+    starts = np.flatnonzero(np.diff(g.indptr)).tolist()  # codes with a neighbour
     for row in range(len(corpus.walks)):
         code, b = starts[row // cfg.beta], row % cfg.beta
         assert corpus.walks[row].tolist() == oracle_walk(g, cfg.seed, code, b, cfg.gamma)

@@ -5,8 +5,7 @@ import pytest
 
 from walkrec.factorization import FactorModel
 from walkrec.recommend import (item_pop_scores, load_recommendations,
-                               recommend_topk, save_recommendations, top_k,
-                               train_masks)
+                               recommend_topk, save_recommendations, top_k)
 
 TOY_EDGES = {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)}
 
@@ -80,16 +79,20 @@ class TestRecommendTopk:
     def test_matches_per_user_top_k(self):
         rng = np.random.default_rng(4)
         model = FactorModel(rng.normal(size=(6, 3)), rng.normal(size=(8, 3)))
-        masks = {0: {1, 2}, 3: {7}}
-        recs = recommend_topk(model, 4, masks)
+        mask = np.array([[0, 1], [0, 2], [3, 7]])
+        recs = recommend_topk(model, 4, mask)
         assert [rl.user for rl in recs] == list(range(6))
         for u in range(6):
-            expect = top_k(u, model.X[u] @ model.Y.T, 4, masks.get(u, frozenset()))
+            expect = top_k(u, model.X[u] @ model.Y.T, 4, mask[mask[:, 0] == u, 1])
             assert recs[u].item_indices() == expect.item_indices()
 
-    def test_train_masks_group_items_by_user(self):
-        assert train_masks({(0, 1), (0, 2), (3, 7)}) == {0: {1, 2}, 3: {7}}
-        assert train_masks(set()) == {}
+    def test_mask_may_be_any_iterable_of_pairs(self):
+        rng = np.random.default_rng(4)
+        model = FactorModel(rng.normal(size=(6, 3)), rng.normal(size=(8, 3)))
+        want = recommend_topk(model, 4, np.array([[0, 1], [0, 2], [3, 7]]))
+        for mask in ({(3, 7), (0, 2), (0, 1)}, [(3, 7), (0, 1), (0, 2), (0, 1)]):
+            got = recommend_topk(model, 4, mask)
+            assert [rl.items for rl in got] == [rl.items for rl in want]
 
     def test_chunking_does_not_change_output(self):
         rng = np.random.default_rng(5)
@@ -119,8 +122,9 @@ class TestRecommendTopk:
                 elif kind >= 2:
                     size = int(rng.integers(0, n + 1)) if kind == 2 else max(n - k + 1, 0)
                     masks[u] = set(rng.choice(n, size=min(size, n), replace=False).tolist())
+            mask = [(u, i) for u, items in masks.items() for i in items]
             with np.errstate(invalid="ignore"):  # 0 * inf in the products
-                recs = recommend_topk(model, k, masks, chunk=int(rng.integers(1, 5)))
+                recs = recommend_topk(model, k, mask, chunk=int(rng.integers(1, 5)))
                 rows = [X[u] @ Y.T for u in range(m)]
             assert [rl.user for rl in recs] == list(range(m))
             for u in range(m):
@@ -139,7 +143,7 @@ class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         model = FactorModel(rng.normal(size=(4, 2)), rng.normal(size=(6, 2)))
-        recs = recommend_topk(model, 3, {1: {0, 1, 2, 3, 4, 5}})  # user 1 fully masked
+        recs = recommend_topk(model, 3, [(1, i) for i in range(6)])  # user 1 fully masked
         p = tmp_path / "recs.tsv"
         save_recommendations(recs, p)
         back = load_recommendations(p, 4)
@@ -178,4 +182,4 @@ def test_mask_index_outside_catalog_is_rejected(bad):
     rng = np.random.default_rng(2)
     model = FactorModel(rng.normal(size=(8, 2)), rng.normal(size=(6, 2)))
     with pytest.raises(ValueError, match=rf"mask of user 5: item {bad} not in \[0, 6\)"):
-        recommend_topk(model, 3, {0: {2}, 5: {0, bad}}, chunk=4)
+        recommend_topk(model, 3, [(0, 2), (5, 0), (5, bad)], chunk=4)

@@ -56,6 +56,10 @@ MALFORMED = [
     ("users.tsv", "0\ta\n2\tb\n", 2),  # non-contiguous map index
     ("users.tsv", "0\ta\n1\ta\n", 2),  # repeated key
     ("items.tsv", "0\tx\n1\ty\tz\n", 2),  # extra field
+    ("train.tsv", "0\t0\n0\t0\n1\t1\n", 2),  # repeated pair
+    ("valid.tsv", "1\t0\n0\t1\n1\t0\n", 3),  # repeated pair, not adjacent
+    ("interactions.tsv", "a\tx\na\tx\nb\ty\n", 2),  # repeated pair
+    ("interactions.tsv", "a\tx\nb\ty\na\tx\n", 3),  # repeated pair, not adjacent
 ]
 
 LOADERS = {
@@ -131,7 +135,7 @@ def test_dataset_with_empty_split_round_trips(tmp_path):
     save_dataset(small_dataset(), tmp_path / "a")
     assert (tmp_path / "a" / "test.tsv").read_bytes() == b""
     back = load_dataset(tmp_path / "a")
-    assert back.test == set() and back.valid == {(0, 1)}
+    assert back.test.shape == (0, 2) and back.valid.tolist() == [[0, 1]]
     save_dataset(back, tmp_path / "b")
     for name in ("train", "valid", "test", "users", "items"):
         assert ((tmp_path / "a" / f"{name}.tsv").read_bytes()

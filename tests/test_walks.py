@@ -118,8 +118,7 @@ class TestArrayCorpus:
         g = build_graph(edges, m, n)
         cfg = WalkConfig(beta=3, gamma=15, seed=11)
         corpus = generate_walks(g, cfg)
-        starts = [u for u in range(m) if len(g.user_adj[u])]
-        starts += [m + i for i in range(n) if len(g.item_adj[i])]
+        starts = np.flatnonzero(np.diff(g.indptr)).tolist()  # codes with a neighbour
         assert corpus.walks.shape == (cfg.beta * len(starts), cfg.gamma)
         for row in rng.choice(len(corpus.walks), size=12, replace=False):
             code, b = starts[row // cfg.beta], int(row % cfg.beta)
