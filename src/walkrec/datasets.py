@@ -79,11 +79,17 @@ _SPLITS = ("train", "valid", "test")
 
 
 def as_pairs(pairs):
-    """Any iterable of (u, i) index pairs as a sorted, duplicate-free (n, 2) int64 array."""
-    rows = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    """Any iterable of (u, i) index pairs as a sorted, duplicate-free (n, 2) int64 array.
+
+    The result is always a new array, also when the input already has that form.
+    """
+    rows = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
     rows = rows.reshape(-1, 2) if rows.size == 0 else rows
     if rows.ndim != 2 or rows.shape[1] != 2:
         raise ValueError(f"expected (u, i) pairs, got an array of shape {rows.shape}")
+    du, di = np.diff(rows[:, 0]), np.diff(rows[:, 1])
+    if np.all((du > 0) | ((du == 0) & (di > 0))):  # rows strictly increase already
+        return rows
     rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = np.any(rows[1:] != rows[:-1], axis=1)

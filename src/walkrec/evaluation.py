@@ -57,6 +57,10 @@ def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
 
     m = len(recs)
     test = as_pairs(test)
+    bad = np.flatnonzero((test[:, 0] < 0) | (test[:, 0] >= m) | (test[:, 1] < 0))
+    if bad.size:
+        u, i = test[bad[0]]
+        raise ValueError(f"test pair ({u}, {i}) has a user outside [0, {m}) or a negative item")
     ranked = [rl.item_indices() for rl in recs]
     lengths = np.fromiter(map(len, ranked), dtype=np.int64, count=m)
     items = np.fromiter(chain.from_iterable(ranked), dtype=np.int64, count=lengths.sum())

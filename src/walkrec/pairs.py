@@ -4,6 +4,15 @@ Every user position j in a walk is paired with the item vertices at
 offsets j-sigma, j-sigma+2, ..., j+sigma that fall inside the walk.  With
 an odd window the stride-2 offsets land exactly on item positions (kinds
 alternate), so each sampled pair is user-item by construction.
+
+The pairs are counted per odd distance d rather than per offset: of the
+two vertices at positions p and p+d exactly one is a user, the smaller
+code, so (min, max - n_users) is the pair whichever end is the centre.
+Each pair is packed into one integer, u * n_items + i, so sorting the
+codes of a chunk of walks orders them as the rows of a CSR matrix; the
+chunk's runs of equal codes are its distinct pairs and their counts, and
+merging them into the running sorted (code, count) table bounds memory
+by one chunk's codes plus the distinct pairs.
 """
 
 from dataclasses import dataclass
@@ -15,6 +24,9 @@ from .tables import read_matrix, write_matrix
 from .walks import WalkCorpus
 
 __all__ = ["PairCorpusStats", "sample_pairs", "merge", "save_stats", "load_stats"]
+
+# walks counted per sort; bounds the codes held at once (fixed, not a setting)
+_CHUNK_ROWS = 16384
 
 
 @dataclass
@@ -68,13 +80,18 @@ class PairCorpusStats:
 def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     """Extract the windowed (u, i) pair multiset and aggregate its counts.
 
-    For each offset delta the user centres are one strided slice of the
-    (walks, positions) array and their partners the same slice shifted by
-    delta; each offset adds one sparse count matrix, so the pairs of all
-    offsets are never held at once.
+    Each odd distance d <= sigma is one pass over the positions p and p+d
+    of every walk: as kinds alternate, exactly one end is the user, so
+    u = min and i = max - n_users, and the offsets +d and -d around a user
+    centre are both counted by it.  Pairs are packed as u * n_items + i
+    (int32 when every code fits, else int64) and counted _CHUNK_ROWS walks
+    at a time: each chunk's codes are sorted in place, run-length counted
+    and merged into the running sorted (code, count) arrays, which are the
+    CSR matrix's rows in order, so the matrix is built without a sparse
+    conversion or sum.
 
     Args:
-        corpus: alternating walk corpus.
+        corpus: alternating walk corpus with codes in [0, n_users + n_items).
         sigma: window size; must be an odd integer >= 1 (even offsets would
             pair users with users).
     """
@@ -85,22 +102,66 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
         raise ValueError("sigma must be odd: even offsets land on same-kind vertices")
 
     m, n = corpus.n_users, corpus.n_items
-    pair = sp.csr_matrix((m, n), dtype=np.int64)
+    dtype = np.int32 if m * n < 2**31 else np.int64
+    keys, counts = np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
     for walks in corpus.blocks():
-        is_user = walks < m
-        if not np.all(is_user[:, 1:] != is_user[:, :-1]):
-            raise ValueError("corpus violates user/item alternation")
-        length = walks.shape[1]
-        for delta in range(-sigma, sigma + 1, 2):
-            lo, hi = max(0, -delta), length - max(0, delta)
-            if lo >= hi:
-                continue
-            centre = is_user[:, lo:hi]
-            u = walks[:, lo:hi][centre]
-            i = walks[:, lo + delta:hi + delta][centre] - m
-            pair += sp.csr_matrix((np.ones(len(u), dtype=np.int64), (u, i)), shape=(m, n))
-    pair.sum_duplicates()
+        _check_codes(walks, m, n)
+        distances = range(1, min(sigma, walks.shape[1] - 1) + 1, 2)
+        if not distances:
+            continue
+        for lo in range(0, len(walks), _CHUNK_ROWS):
+            # a chunk's codes live only inside _count_chunk: one chunk's at a time
+            runs = _count_chunk(walks[lo:lo + _CHUNK_ROWS], distances, m, n, dtype)
+            keys, counts = _merge_runs(keys, counts, *runs)
+    indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * n)
+    pair = sp.csr_matrix((counts, keys % n, indptr), shape=(m, n))
     return PairCorpusStats.from_pair_count(pair)
+
+
+def _check_codes(walks, m, n):
+    "Raise ValueError unless every code is in [0, m + n) and kinds alternate along every walk."
+    if walks.size and (walks.min() < 0 or walks.max() >= m + n):
+        raise ValueError(f"walk code outside [0, {m + n})")
+    is_user = walks < m
+    if not np.all(is_user[:, 1:] != is_user[:, :-1]):
+        raise ValueError("corpus violates user/item alternation")
+
+
+def _pair_codes(walks, distances, m, n, dtype):
+    "u * n + i for the vertices at positions p and p + d of every walk, each d in turn, flat."
+    walks = walks.astype(dtype)  # codes below m + n <= m * n + 1 fit the packed dtype too
+    codes = np.empty(sum(walks[:, d:].size for d in distances), dtype=dtype)
+    user = np.empty_like(walks[:, 1:])
+    lo = 0
+    for d in distances:
+        a, b = walks[:, :-d], walks[:, d:]
+        code, u = codes[lo:lo + a.size].reshape(a.shape), user[:, :a.shape[1]]
+        lo += a.size
+        np.maximum(a, b, out=code)
+        code -= m
+        np.minimum(a, b, out=u)
+        u *= n
+        code += u  # no partial sum exceeds the final code
+    return codes
+
+
+def _count_chunk(walks, distances, m, n, dtype):
+    "The distinct pair codes of a block of walks, sorted, and their multiplicities."
+    codes = _pair_codes(walks, distances, m, n, dtype)
+    codes.sort()
+    first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[first], np.diff(first, append=len(codes))
+
+
+def _merge_runs(keys, counts, new_keys, new_counts):
+    "Add a sorted, duplicate-free (key, count) table to another; adds to counts in place."
+    pos = np.searchsorted(keys, new_keys)
+    seen = pos < len(keys)
+    seen[seen] = keys[pos[seen]] == new_keys[seen]
+    counts[pos[seen]] += new_counts[seen]
+    fresh = ~seen
+    return (np.insert(keys, pos[fresh], new_keys[fresh]),
+            np.insert(counts, pos[fresh], new_counts[fresh]))
 
 
 def merge(a: PairCorpusStats, b: PairCorpusStats) -> PairCorpusStats:

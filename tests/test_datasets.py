@@ -138,6 +138,16 @@ class TestAsPairs:
         got = as_pairs([(3, 1), (0, 2), (3, 1), (0, -1)])
         assert got.dtype == np.int64 and got.tolist() == [[0, -1], [0, 2], [3, 1]]
 
+    def test_sorted_repeated_and_shuffled_arrays_match_set_order(self):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            rows = rng.integers(-2, 4, size=(int(rng.integers(0, 12)), 2))
+            ordered = np.array(sorted(set(map(tuple, rows.tolist()))), dtype=np.int64)
+            for given in (rows, ordered, np.repeat(ordered, 2, axis=0)):
+                got = as_pairs(given)
+                assert got.tolist() == ordered.tolist()
+                assert got is not given and not np.shares_memory(got, given)
+
     def test_empty_input_has_two_columns(self):
         for empty in (set(), [], np.empty(0, dtype=np.int64)):
             assert as_pairs(empty).shape == (0, 2)

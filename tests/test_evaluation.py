@@ -130,6 +130,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([ranked(0, [1])], set(), cutoffs=[0])
 
+    def test_negative_test_user_or_item_rejected(self):
+        for pair in ((-1, 0), (0, -2)):
+            with pytest.raises(ValueError, match=rf"test pair \({pair[0]}, {pair[1]}\)"):
+                evaluate([ranked(0, [1])], {pair}, cutoffs=[5])
+
+    def test_test_user_without_ranked_list_rejected(self):
+        with pytest.raises(ValueError, match=r"test pair \(5, 0\) has a user outside \[0, 1\)"):
+            evaluate([ranked(0, [1])], {(0, 1), (5, 0)}, cutoffs=[5])
+
 
 def small_dataset(seed=0):
     pairs = generate_synthetic(n_users=40, n_items=30, n_groups=4,

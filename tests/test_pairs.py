@@ -1,8 +1,11 @@
 """Windowed pair extraction vs. brute-force enumeration, merge algebra, stats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import walkrec.pairs as pairs_module
 from walkrec.graph import build_graph
 from walkrec.pairs import PairCorpusStats, load_stats, merge, sample_pairs, save_stats
 from walkrec.walks import WalkConfig, WalkCorpus, generate_walks
@@ -183,3 +186,83 @@ class TestMixedLengths:
         assert np.array_equal(listed.user_count, split.user_count)
         assert np.array_equal(listed.item_count, split.item_count)
         assert counts_dict(listed) == dict(oracle_pair_multiset(WalkCorpus(mixed, 3, 3), 3))
+
+
+class TestSortedRunCounter:
+    @pytest.mark.parametrize("chunk", [1, 3, pairs_module._CHUNK_ROWS])
+    def test_chunked_merge_matches_enumeration(self, monkeypatch, chunk):
+        monkeypatch.setattr(pairs_module, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(20)
+        for _ in range(15):
+            corpus, _ = random_corpus(rng, beta=3)
+            sigma = int(rng.choice([1, 3, 5, 7]))
+            stats = sample_pairs(corpus, sigma)
+            stats.validate()
+            assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, sigma))
+
+    def test_codes_beyond_int32_are_packed_in_int64(self):
+        m = n = 50_000  # u * n + i reaches 2.5e9 > 2**31 - 1
+        corpus = WalkCorpus(np.array([[m - 1, m + n - 1, 0, m + n - 2, m - 2],
+                                      [m + 7, m - 3, m + n - 1, 12_345, m + 40_000]]), m, n)
+        stats = sample_pairs(corpus, 3)
+        stats.validate()
+        assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, 3))
+        assert stats.pair_count[m - 1, n - 1] == 1 and stats.pair_count[m - 3, 40_000] == 1
+
+    @pytest.mark.parametrize("sigma", [5, 7, 11])
+    def test_window_at_least_walk_length(self, sigma):
+        rng = np.random.default_rng(22)
+        corpus, _ = random_corpus(rng, gamma=5)
+        stats = sample_pairs(corpus, sigma)
+        assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, sigma))
+        assert counts_dict(stats) == counts_dict(sample_pairs(corpus, 3))
+
+    def test_list_corpus_with_mixed_lengths(self, monkeypatch):
+        monkeypatch.setattr(pairs_module, "_CHUNK_ROWS", 2)
+        rng = np.random.default_rng(24)
+        full, _ = random_corpus(rng, beta=3, gamma=9)
+        walks = [w[:int(rng.integers(1, len(w) + 1))] for w in full.walks]
+        corpus = WalkCorpus(walks, full.n_users, full.n_items)
+        assert len({len(w) for w in corpus.walks}) > 3 and min(map(len, corpus.walks)) == 1
+        for sigma in (1, 3, 5):
+            stats = sample_pairs(corpus, sigma)
+            stats.validate()
+            assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, sigma))
+
+    @pytest.mark.parametrize("pos, code", [(0, -1), (1, -3), (1, 5), (0, 9)])
+    def test_code_outside_vertex_range_rejected(self, pos, code):
+        for corpus in (corpus_from_tokens(["u0 i1 u1 i0"], 2, 3),
+                       WalkCorpus(np.array([[0, 3, 1, 2]]), 2, 3)):
+            corpus.walks[0][pos] = code
+            with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
+                sample_pairs(corpus, 3)
+
+    def test_canonical_int64_matrix_saves_hand_counted_file(self, tmp_path):
+        # u0-i1 twice at distance 1, u0-i0 at distances 1 and 3; i1 u1 i1
+        # gives u1-i1 from both sides; u1 i0 once
+        corpus = corpus_from_tokens(["u0 i1 u0 i0", "i1 u1 i1", "u1 i0"], 2, 2)
+        stats = sample_pairs(corpus, 3)
+        assert stats.pair_count.has_canonical_format
+        assert stats.pair_count.data.dtype == np.int64
+        save_stats(stats, tmp_path / "stats.tsv")
+        assert (tmp_path / "stats.tsv").read_text() == (
+            "# users=2 items=2 total=7\n0\t0\t2\n0\t1\t2\n1\t0\t1\n1\t1\t2\n")
+
+
+def test_traced_peak_is_bounded_by_the_corpus_size():
+    # Walks on a 3,000 x 3,000 graph of user degree 5: 47,856 walks of 80
+    # codes, 30.6 MB.  Traced peaks measured on this corpus: 27.5 MB (0.90x)
+    # for the sorted-run counter, 92.3 MB (3.0x) for the per-offset COO/CSR
+    # build with sparse sums that it replaced; a dense M x N int64 counter
+    # alone would hold 72 MB (2.35x).
+    rng = np.random.default_rng(0)
+    m = n = 3_000
+    edges = np.stack([np.repeat(np.arange(m), 5), rng.integers(0, n, 5 * m)], axis=1)
+    corpus = generate_walks(build_graph(edges, m, n), WalkConfig(beta=8, gamma=80, seed=0))
+    tracemalloc.start()
+    try:
+        sample_pairs(corpus, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * corpus.walks.nbytes
