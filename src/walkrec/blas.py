@@ -1,13 +1,13 @@
 """Run a block of dense linear algebra on one OpenBLAS thread.
 
-ALS's dense problems at K=100 (a KxK Cholesky solve, thin Gram and score
-products) are too small for a second BLAS thread to pay for its
-synchronization, and the thread count decides how a product is split,
-so it changes the last bits of the result.  one_thread() pins every
-OpenBLAS mapped into this process to one thread for the length of a
-block (``with one_thread():``, or ``@one_thread()`` on a function) and
-restores each library's count afterwards, so callers keep whatever count
-they chose.
+ALS's dense problems at K=100 (a KxK Cholesky factor and its inverse,
+thin Gram, half-sweep and score products) are too small for a second
+BLAS thread to pay for its synchronization, and the thread count
+decides how a product is split, so it changes the last bits of the
+result.  one_thread() pins every OpenBLAS mapped into this process to
+one thread for the length of a block (``with one_thread():``, or
+``@one_thread()`` on a function) and restores each library's count
+afterwards, so callers keep whatever count they chose.
 """
 
 import contextlib

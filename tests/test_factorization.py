@@ -226,3 +226,75 @@ class TestLossTrace:
             cfg = AlsConfig(factors=4, lam=0.3, sweeps=sweeps, seed=2)
             model = als_fit(s, cfg)
             assert model.loss_trace[-1] == pytest.approx(loss(s, model, cfg.lam), rel=1e-12)
+
+
+def svd_optimum(dense, k, lam):
+    """Global optimum of the objective from a dense SVD (Levy & Goldberg 2014):
+    each of the top k singular values sigma contributes 2 lam sigma - lam^2 when
+    sigma > lam (the factor pair sqrt(sigma - lam) u, sqrt(sigma - lam) v) and
+    sigma^2 otherwise; the rest contribute sigma^2.  Returns (f*, X, Y)."""
+    u, sig, vt = np.linalg.svd(dense)
+    head = sig[:k]
+    fstar = float(np.sum(np.where(head > lam, 2 * lam * head - lam ** 2, head ** 2))
+                  + np.sum(sig[k:] ** 2))
+    w = np.sqrt(np.maximum(head - lam, 0.0))
+    x = np.zeros((dense.shape[0], k))
+    y = np.zeros((dense.shape[1], k))
+    x[:, :len(head)] = u[:, :len(head)] * w
+    y[:, :len(head)] = vt[:len(head)].T * w
+    return fstar, x, y
+
+
+class TestGlobalOptimumOracle:
+    """The objective's global optimum is known in closed form, so ALS can be
+    checked against it: no sweep goes below it, and 200 sweeps reach it."""
+
+    def test_als_reaches_closed_form_optimum(self):
+        rng = np.random.default_rng(51)
+        for _ in range(30):
+            m, n = int(rng.integers(2, 31)), int(rng.integers(2, 31))
+            s = random_sparse(rng, m, n, nnz=int(rng.integers(1, m * n + 1)))
+            k = int(rng.integers(1, min(m, n) + 3))
+            lam = float(rng.uniform(0.05, 1.0))
+            fstar, x, y = svd_optimum(s.toarray(), k, lam)
+            assert loss(s, FactorModel(x, y), lam) == pytest.approx(fstar, rel=1e-9)
+            cfg = AlsConfig(factors=k, lam=lam, sweeps=200, seed=int(rng.integers(100)))
+            trace = als_fit(s, cfg).loss_trace
+            assert min(trace) >= fstar - 1e-9 * max(1.0, fstar)
+            assert trace[-1] - fstar <= 1e-6 * fstar
+
+
+class TestIllConditionedHalfSweep:
+    """A Gram matrix of condition ~1e13 to ~1e15: the inverse-Cholesky-factor
+    solve keeps the normal-equation residual where a Cholesky solve with
+    refinement has it; an explicit inverse of the system would not."""
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-6])
+    def test_residual_at_cholesky_precision(self, lam):
+        rng = np.random.default_rng(21)
+        low_rank = rng.normal(size=(200, 5)) @ rng.normal(size=(5, 100))
+        other = low_rank * 1e3 + 1e-3 * rng.normal(size=(200, 100))
+        s = random_sparse(rng, 300, 200, nnz=3000)
+        a = other.T @ other + lam * np.eye(100)
+        assert np.linalg.cond(a) > 1e13
+        b = s @ other
+        z = _half_sweep(s, other, lam)
+        assert np.max(np.abs(z @ a - b)) / np.max(np.abs(b)) <= 1e-7
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("x_shape, y_shape", [((4, 2), (4, 2)),
+                                                  ((3, 2), (5, 2)),
+                                                  ((3, 2), (4, 3))])
+    def test_loss_rejects_factor_shapes(self, x_shape, y_shape):
+        model = FactorModel(np.zeros(x_shape), np.zeros(y_shape))
+        with pytest.raises(ValueError) as err:
+            loss(sp.csr_matrix((3, 4)), model, 0.25)
+        for shape in ((3, 4), x_shape, y_shape):
+            assert str(shape) in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_als_fit_rejects_non_finite_confidence(self, bad):
+        dense = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, bad], [bad, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"\(1, 2\)"):
+            als_fit(sp.csr_matrix(dense), AlsConfig(factors=2, sweeps=1))
