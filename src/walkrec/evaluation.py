@@ -7,7 +7,6 @@ extreme sparsity.
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from .datasets import Dataset, as_pairs, sparsify
 from .factorization import AlsConfig, als_fit
 from .graph import build_graph
 from .pairs import sample_pairs
-from .recommend import _rank_users, item_pop_scores, recommend_topk
+from .recommend import Rankings, _rank_users, item_pop_scores, recommend_topk
 from .tables import write_table
 from .walks import WalkConfig, generate_walks
 
@@ -43,7 +42,8 @@ def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
     """Average precision@k, recall@k, F1@k over every user.
 
     Args:
-        recs: one RankedList per user, covering indices 0..M-1 in order.
+        recs: the Rankings of users 0..M-1, or one RankedList per user in
+            order; a negative ranked item raises ValueError naming its user.
         test: ground-truth (u, i) pairs, as an array or any iterable.
         cutoffs: list of k values.
         config: optional hyperparameter echo stored on the report.
@@ -51,21 +51,14 @@ def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
     cutoffs = tuple(int(k) for k in cutoffs)
     if not cutoffs or any(k < 1 for k in cutoffs):
         raise ValueError("cutoffs must be positive integers")
-    for u, rl in enumerate(recs):
-        if rl is None or rl.user != u:
-            raise ValueError(f"missing or misordered ranked list for user {u}")
-
+    recs = Rankings.of(recs)
     m = len(recs)
     test = as_pairs(test)
     bad = np.flatnonzero((test[:, 0] < 0) | (test[:, 0] >= m) | (test[:, 1] < 0))
     if bad.size:
         u, i = test[bad[0]]
         raise ValueError(f"test pair ({u}, {i}) has a user outside [0, {m}) or a negative item")
-    ranked = [rl.item_indices() for rl in recs]
-    lengths = np.fromiter(map(len, ranked), dtype=np.int64, count=m)
-    items = np.fromiter(chain.from_iterable(ranked), dtype=np.int64, count=lengths.sum())
-    users = np.repeat(np.arange(m), lengths)
-    rank = np.arange(len(items)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    users, rank, items = recs.users(), recs.ranks(), recs.items
     # an item listed twice for a user counts once, at its first rank
     n = 1 + max(items.max(initial=0), test[:, 1].max(initial=0))
     codes, first = np.unique(users * n + items, return_index=True)
@@ -74,7 +67,7 @@ def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
 
     precision, recall, f1 = {}, {}, {}
     for k in cutoffs:
-        hits = np.bincount(users[hit[rank[hit] < k]], minlength=m)
+        hits = np.bincount(users[hit[rank[hit] <= k]], minlength=m)
         p = hits / k
         r = np.divide(hits, truth, out=np.zeros(m), where=truth > 0)
         f = np.divide(2.0 * p * r, p + r, out=np.zeros(m), where=p + r > 0)
@@ -112,7 +105,7 @@ def run_cell(dataset: Dataset, st: PipelineSettings, _caches=None) -> MetricsRep
 
     if st.measure == "itempop":
         pop = item_pop_scores(train, n)
-        recs = _rank_users(m, n, st.k_items, mask, lambda lo, hi: np.tile(pop, (hi - lo, 1)))
+        recs = _rank_users(m, st.k_items, mask, lambda lo, hi: np.tile(pop, (hi - lo, 1)))
     else:
         if st.measure == "mf":
             s = sp.csr_matrix((np.ones(len(train)), (train[:, 0], train[:, 1])), shape=(m, n))

@@ -1,23 +1,12 @@
 """User-item bipartite graph over training interactions."""
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .datasets import as_pairs
 
-__all__ = ["Vertex", "BipartiteGraph", "build_graph", "neighbors"]
-
-Kind = Literal["user", "item"]
-
-
-@dataclass(frozen=True)
-class Vertex:
-    """A user or item vertex, indexed densely within its kind."""
-
-    kind: Kind
-    index: int
+__all__ = ["BipartiteGraph", "build_graph"]
 
 
 @dataclass(frozen=True)
@@ -40,9 +29,6 @@ class BipartiteGraph:
     def n_edges(self):
         return len(self.indices) // 2
 
-    def degree(self, v: Vertex):
-        return len(neighbors(self, v))
-
 
 def build_graph(train, n_users, n_items) -> BipartiteGraph:
     """Build the bipartite adjacency from (u, i) index pairs.
@@ -61,13 +47,3 @@ def build_graph(train, n_users, n_items) -> BipartiteGraph:
     indptr = np.searchsorted(arcs[:, 0], np.arange(m + n_items + 1))
     return BipartiteGraph(indptr, arcs[:, 1].copy(), n_users, n_items)
 
-
-def neighbors(g: BipartiteGraph, v: Vertex):
-    """Opposite-kind neighbors of v, sorted by index."""
-    size, code, kind = ((g.n_users, v.index, "item") if v.kind == "user"
-                        else (g.n_items, g.n_users + v.index, "user"))
-    if not 0 <= v.index < size:
-        raise ValueError(f"{v.kind} index {v.index} out of range")
-    offset = g.n_users if kind == "item" else 0
-    row = g.indices[g.indptr[code]:g.indptr[code + 1]]
-    return [Vertex(kind, j - offset) for j in row.tolist()]

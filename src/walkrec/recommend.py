@@ -9,16 +9,16 @@ from .datasets import as_pairs
 from .factorization import FactorModel
 from .tables import check_rows, read_table, write_table
 
-__all__ = ["RankedList", "top_k", "item_pop_scores", "recommend_topk",
+__all__ = ["RankedList", "Rankings", "top_k", "item_pop_scores", "recommend_topk",
            "save_recommendations", "load_recommendations"]
 
 
 @dataclass
 class RankedList:
-    """Ranked (item, score) pairs for one user, best first.
+    """One user's ranked (item, score) pairs, best first: a view rankings[u].
 
-    Scores are non-increasing; ties are broken by ascending item index, so
-    the list is deterministic across runs and platforms.
+    Scores are non-increasing, NaN last; ties are broken by ascending item
+    index, so the list is deterministic across runs and platforms.
     """
 
     user: int
@@ -26,6 +26,62 @@ class RankedList:
 
     def item_indices(self):
         return [i for i, _ in self.items]
+
+
+@dataclass(frozen=True, eq=False)
+class Rankings:
+    """The ranked lists of users 0..M-1 as flat arrays in user-then-rank order.
+
+    User u's items and scores, best first, are items[indptr[u]:indptr[u + 1]]
+    and the same slice of scores; rankings[u] is that list as a RankedList,
+    and iterating yields every user's in order.
+    """
+
+    indptr: np.ndarray  # (M + 1,) int64 list offsets
+    items: np.ndarray  # int64 item indices
+    scores: np.ndarray  # float64
+
+    @classmethod
+    def of(cls, recs):
+        """A Rankings, or one RankedList per user 0..M-1 in order, as Rankings.
+
+        Raises ValueError on a missing or misordered list, or a negative item.
+        """
+        if not isinstance(recs, Rankings):
+            for u, rl in enumerate(recs):
+                if rl is None or rl.user != u:
+                    raise ValueError(f"missing or misordered ranked list for user {u}")
+            flat = [pair for rl in recs for pair in rl.items]
+            recs = cls(_offsets([len(rl.items) for rl in recs]),
+                       np.array([i for i, _ in flat], dtype=np.int64),
+                       np.array([s for _, s in flat], dtype=np.float64))
+        bad = np.flatnonzero(recs.items < 0)
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"ranked list of user {recs.users()[j]}: "
+                             f"item {recs.items[j]} is negative")
+        return recs
+
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def __getitem__(self, u):
+        u = range(len(self))[u]
+        a, b = self.indptr[u], self.indptr[u + 1]
+        return RankedList(u, list(zip(self.items[a:b].tolist(), self.scores[a:b].tolist())))
+
+    def users(self):
+        "The user of each entry."
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def ranks(self):
+        "The 1-based rank of each entry within its user's list."
+        return np.arange(len(self.items)) - np.repeat(self.indptr[:-1], np.diff(self.indptr)) + 1
+
+
+def _offsets(lengths):
+    "The (len(lengths) + 1,) int64 offsets of consecutive lists of the given lengths."
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
 
 
 def top_k(user, scores, k_items, mask=frozenset()) -> RankedList:
@@ -38,24 +94,11 @@ def top_k(user, scores, k_items, mask=frozenset()) -> RankedList:
         mask: item indices excluded from ranking (e.g. training items);
             each must be in [0, n_items), or ValueError names it.
     """
-    if k_items < 1:
-        raise ValueError("k_items must be >= 1")
-    scores = np.asarray(scores, dtype=np.float64)
+    row = np.array(scores, dtype=np.float64, ndmin=2)  # a copy: the ranking overwrites it
     cols = np.fromiter(mask, np.int64)
-    _check_mask(user, cols, len(scores))
-    keep = np.ones(len(scores), dtype=bool)
-    keep[cols] = False
-    valid = np.flatnonzero(keep)
-    neg = -scores[valid]
-    k = min(int(k_items), len(neg))
-    if k == 0:
-        return RankedList(user, [])
-    # candidates: every item not below the k-th best score (NaNs too, which
-    # the sort puts last); the stable sort keeps ties in ascending item order
-    kth = np.partition(neg, k - 1)[k - 1]
-    cand = np.flatnonzero(~(neg > kth))
-    chosen = valid[cand[np.argsort(neg[cand], kind="stable")[:k]]]
-    return RankedList(user, [(int(i), float(scores[i])) for i in chosen])
+    _, items, ranked = _rank_rows(user, row, k_items,
+                                  as_pairs(np.column_stack((np.full_like(cols, user), cols))))
+    return RankedList(user, list(zip(items.tolist(), ranked.tolist())))
 
 
 def item_pop_scores(train, n_items):
@@ -66,34 +109,32 @@ def item_pop_scores(train, n_items):
     return np.bincount(items, minlength=n_items).astype(np.float64)
 
 
-def _check_mask(users, cols, n_items):
-    """Raise ValueError naming the first entry of cols outside [0, n_items).
+def _rank_rows(first_user, scores, k_items, mask):
+    """(lengths, items, scores) of the top k_items of users first_user + r from
+    their score rows scores[r], rows and then ranks in order.
 
-    users is the one user of every entry, or each entry's user.
+    mask is a sorted (n, 2) pair array; a masked item of these users outside
+    [0, n_items) raises ValueError naming both.  scores is overwritten.
+    Negated scores of masked items become NaN, so a row-wise partition puts
+    them last with the real NaNs.  A row's candidates are its items at or
+    above its k-th best score, or all its unmasked items when that k-th best
+    is NaN.  One lexsort orders every candidate by (row, -score with NaN
+    last, item), and each row keeps its first k.
     """
-    bad = np.flatnonzero((cols < 0) | (cols >= n_items))
-    if bad.size:
-        j = bad[0]
-        raise ValueError(f"mask of user {np.broadcast_to(users, cols.shape)[j]}: "
-                         f"item {cols[j]} not in [0, {n_items})")
-
-
-def _rank_rows(first_user, scores, k, mask):
-    """top_k(first_user + r, scores[r], k, items of user first_user + r in mask)
-    for every row r of a block; mask is a sorted (n, 2) pair array.
-
-    scores is overwritten.  Negated scores of masked items become NaN, so a
-    row-wise partition puts them last with the real NaNs.  A row's
-    candidates are its items at or above its k-th best score, or all its
-    unmasked items when that k-th best is NaN.  One lexsort orders every
-    candidate by (row, -score with NaN last, item), as top_k's stable sort
-    orders one row, and each row keeps its first k.
-    """
+    if k_items < 1:
+        raise ValueError("k_items must be >= 1")
     neg = np.asarray(scores, dtype=np.float64)
     np.negative(neg, out=neg)
     lo, hi = np.searchsorted(mask[:, 0], [first_user, first_user + len(neg)])
     rows, cols = (mask[lo:hi] - (first_user, 0)).T
-    _check_mask(first_user + rows, cols, neg.shape[1])
+    bad = np.flatnonzero((cols < 0) | (cols >= neg.shape[1]))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"mask of user {first_user + rows[j]}: "
+                         f"item {cols[j]} not in [0, {neg.shape[1]})")
+    k = min(int(k_items), neg.shape[1])
+    if k == 0:
+        return np.zeros(len(neg), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     neg[rows, cols] = np.nan
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
     cand = neg <= kth
@@ -106,30 +147,21 @@ def _rank_rows(first_user, scores, k, mask):
     counts = np.bincount(r, minlength=len(neg))
     starts = np.cumsum(counts) - counts
     keep = np.arange(len(r)) < (starts + k)[r]
-    items = list(zip(c[keep].tolist(), np.negative(v[keep]).tolist()))
-    ends = np.cumsum(np.minimum(counts, k)).tolist()
-    return [RankedList(first_user + u, items[a:b])
-            for u, (a, b) in enumerate(zip([0, *ends], ends))]
+    return np.minimum(counts, k), c[keep], np.negative(v[keep])
 
 
-def _rank_users(n_users, n_items, k_items, mask, block_scores, chunk=1024):
-    """Ranked lists of users 0..n_users-1, chunk users at a time.
+def _rank_users(n_users, k_items, mask, block_scores, chunk=1024):
+    """Rankings of users 0..n_users-1, chunk users at a time.
 
     block_scores(lo, hi) returns the (hi - lo, n_items) score rows of users
     lo..hi-1, which the ranking overwrites.  mask is any iterable of
     (u, i) pairs to exclude, or None.
     """
-    if k_items < 1:
-        raise ValueError("k_items must be >= 1")
-    k = min(int(k_items), n_items)
-    if k == 0:
-        return [RankedList(u, []) for u in range(n_users)]
     mask = as_pairs(() if mask is None else mask)
-    out = []
-    for lo in range(0, n_users, chunk):
-        hi = min(lo + chunk, n_users)
-        out += _rank_rows(lo, block_scores(lo, hi), k, mask)
-    return out
+    blocks = [_rank_rows(lo, block_scores(lo, min(lo + chunk, n_users)), k_items, mask)
+              for lo in range(0, max(n_users, 1), chunk)]  # one block even for no users
+    lengths, items, scores = map(np.concatenate, zip(*blocks))
+    return Rankings(_offsets(lengths), items, scores)
 
 
 def recommend_topk(model: FactorModel, k_items, mask=None, chunk=1024):
@@ -146,39 +178,37 @@ def recommend_topk(model: FactorModel, k_items, mask=None, chunk=1024):
             pairs, as an array or any iterable.  Each item must be in
             [0, n_items), or ValueError names the user and item.
     Returns:
-        List of RankedList, one per user in index order.
+        Rankings of users 0..n_users-1.
     """
     def block_scores(lo, hi):
         with one_thread():
             return model.X[lo:hi] @ model.Y.T
 
-    return _rank_users(model.n_users, model.n_items, k_items, mask, block_scores, chunk)
+    return _rank_users(model.n_users, k_items, mask, block_scores, chunk)
 
 
 def save_recommendations(recs, path):
-    """Write 'u<TAB>rank<TAB>i<TAB>score' lines; rank is 1-based."""
-    lengths = np.array([len(rl.items) for rl in recs], dtype=np.int64)
-    users = np.repeat([rl.user for rl in recs], lengths)
-    ranks = np.arange(len(users)) - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
-    items = [i for rl in recs for i, _ in rl.items]
-    scores = [s for rl in recs for _, s in rl.items]
-    write_table(path, ("%d", "%d", "%d", "%.17g"), (users, ranks, items, scores))
+    """Write 'u<TAB>rank<TAB>i<TAB>score' lines; rank is 1-based.
+
+    recs is a Rankings, or one RankedList per user 0..M-1 in order.
+    """
+    recs = Rankings.of(recs)
+    write_table(path, ("%d", "%d", "%d", "%.17g"),
+                (recs.users(), recs.ranks(), recs.items, recs.scores))
 
 
 def load_recommendations(path, n_users):
-    """Read ranked lists written by save_recommendations.
+    """Read the Rankings of users 0..n_users-1 written by save_recommendations.
 
-    Users with no lines come back as empty RankedLists, so the result
-    always covers users 0..n_users-1.  Each user's ranks run 1, 2, ...
-    in file order.
+    Users with no lines get empty lists.  Each user's ranks must run
+    1, 2, ... in file order, and items must not be negative.
     """
     _, (users, ranks, items, scores) = read_table(path, (np.int64,) * 3 + (np.float64,))
     check_rows(path, (users < 0) | (users >= n_users), "user {} out of range", users)
+    check_rows(path, items < 0, "item {} is negative", items)
     order = np.argsort(users, kind="stable")
-    counts = np.bincount(users, minlength=n_users)
+    recs = Rankings(_offsets(np.bincount(users, minlength=n_users)), items[order], scores[order])
     expected = np.empty_like(ranks)
-    expected[order] = np.arange(len(users)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    expected[order] = recs.ranks()
     check_rows(path, ranks != expected, "ranks out of order")
-    pairs = list(zip(items[order].tolist(), scores[order].tolist()))
-    ends = np.cumsum(counts).tolist()
-    return [RankedList(u, pairs[a:b]) for u, (a, b) in enumerate(zip([0, *ends], ends))]
+    return recs

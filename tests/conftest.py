@@ -40,6 +40,16 @@ def oracle_walk(g, seed, code, b, gamma):
     return walk
 
 
+def oracle_top_k(scores, k_items, mask=()):
+    """The k_items best unmasked (item, score) pairs of one score row, by
+    Python's sorted() keyed by (NaN last, -score, item)."""
+    masked = set(mask)
+    valid = [i for i in range(len(scores)) if i not in masked]
+    order = sorted(valid, key=lambda i: (math.isnan(scores[i]),
+                                         0.0 if math.isnan(scores[i]) else -scores[i], i))
+    return [(i, float(scores[i])) for i in order[:k_items]]
+
+
 def oracle_pair_multiset(corpus, sigma):
     """Brute-force pair enumeration: loop every walk, every user position,
     every stride-2 offset in [j - sigma, j + sigma] except j itself."""

@@ -11,7 +11,8 @@ from walkrec.datasets import sparsify, split
 from walkrec.evaluation import (ExperimentGrid, PipelineSettings, evaluate,
                                 run_cell, run_experiment, write_report_json,
                                 write_report_tsv)
-from walkrec.recommend import RankedList, top_k
+from conftest import oracle_top_k
+from walkrec.recommend import RankedList, Rankings
 from walkrec.synthetic import generate_synthetic
 
 
@@ -139,6 +140,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"test pair \(5, 0\) has a user outside \[0, 1\)"):
             evaluate([ranked(0, [1])], {(0, 1), (5, 0)}, cutoffs=[5])
 
+    def test_negative_ranked_item_rejected(self):
+        # packed as user * n + item, item -1 of user 1 would hit test pair (0, n - 1)
+        lists = [RankedList(0, [(0, 1.0)]), RankedList(1, [(-1, 1.0)])]
+        arrays = Rankings(np.array([0, 1, 2]), np.array([0, -1]), np.array([1.0, 1.0]))
+        for recs in (lists, arrays):
+            with pytest.raises(ValueError, match="ranked list of user 1: item -1 is negative"):
+                evaluate(recs, {(0, 4)}, [1])
+
 
 def small_dataset(seed=0):
     pairs = generate_synthetic(n_users=40, n_items=30, n_groups=4,
@@ -187,8 +196,7 @@ class TestRunCell:
                 pop[i] += 1.0
             for u, rl in enumerate(lists.pop()):
                 mask_u = {i for uu, i in train if uu == u} if mask_train else set()
-                want = top_k(u, pop, k, mask_u)
-                assert rl.user == u and rl.items == want.items
+                assert rl.user == u and rl.items == oracle_top_k(pop, k, mask_u)
 
     def test_unknown_measure_rejected(self):
         ds = small_dataset()

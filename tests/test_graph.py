@@ -1,9 +1,9 @@
-"""Bipartite graph construction and neighbor queries."""
+"""Bipartite graph construction and its CSR rows."""
 
 import numpy as np
 import pytest
 
-from walkrec.graph import Vertex, build_graph, neighbors
+from walkrec.graph import build_graph
 
 # toy graph used across the suite: three users, four items, chain-like overlap
 TOY_EDGES = {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)}
@@ -31,7 +31,6 @@ class TestBuildGraph:
     def test_toy_degrees(self):
         g = build_graph(TOY_EDGES, 3, 4)
         assert _degrees(g) == ([2, 2, 2], [1, 2, 2, 1])
-        assert [g.degree(Vertex("item", i)) for i in range(4)] == [1, 2, 2, 1]
 
     def test_single_edge(self):
         g = build_graph({(0, 0)}, 1, 1)
@@ -81,37 +80,30 @@ class TestBuildGraph:
                 assert g.n_edges == len(set(edges))
 
 
-class TestNeighbors:
-    def test_toy_user_neighbors_sorted(self):
+class TestCsrRows:
+    def test_toy_rows_sorted(self):
         g = build_graph(TOY_EDGES, 3, 4)
-        assert neighbors(g, Vertex("user", 0)) == [Vertex("item", 0), Vertex("item", 1)]
+        rows = _rows(g)
+        assert rows[0] == [3, 4]  # user 0 -> items 0, 1
+        assert rows[3 + 2] == [1, 2]  # item 2 -> users 1, 2
 
-    def test_toy_item_neighbors(self):
-        g = build_graph(TOY_EDGES, 3, 4)
-        assert neighbors(g, Vertex("item", 2)) == [Vertex("user", 1), Vertex("user", 2)]
-
-    def test_isolated_vertex_has_no_neighbors(self):
+    def test_isolated_vertex_has_empty_row(self):
         g = build_graph({(0, 0)}, 2, 2)
-        assert neighbors(g, Vertex("user", 1)) == []
-        assert neighbors(g, Vertex("item", 1)) == []
+        rows = _rows(g)
+        assert rows[1] == [] and rows[2 + 1] == []
 
-    def test_out_of_range_vertex(self):
-        g = build_graph(TOY_EDGES, 3, 4)
-        with pytest.raises(ValueError):
-            neighbors(g, Vertex("user", 3))
-        with pytest.raises(ValueError):
-            neighbors(g, Vertex("item", 4))
-
-    def test_symmetry_and_bipartiteness(self):
+    def test_rows_sorted_arcs_symmetric_degrees_are_row_lengths(self):
         rng = np.random.default_rng(9)
-        m, n = 6, 7
-        edges = {(int(rng.integers(m)), int(rng.integers(n))) for _ in range(25)}
-        g = build_graph(edges, m, n)
-        for u in range(m):
-            for v in neighbors(g, Vertex("user", u)):
-                assert v.kind == "item"
-                assert Vertex("user", u) in neighbors(g, v)
-        for i in range(n):
-            for v in neighbors(g, Vertex("item", i)):
-                assert v.kind == "user"
-                assert Vertex("item", i) in neighbors(g, v)
+        for _ in range(10):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            edges = {(int(rng.integers(m)), int(rng.integers(n)))
+                     for _ in range(int(rng.integers(0, 25)))}
+            g = build_graph(edges, m, n)
+            rows = _rows(g)
+            assert all(np.all(np.diff(row) > 0) for row in rows)
+            arcs = {(v, w) for v, row in enumerate(rows) for w in row}
+            assert arcs == {(w, v) for v, w in arcs}
+            assert arcs == {(u, m + i) for u, i in edges} | {(m + i, u) for u, i in edges}
+            assert np.diff(g.indptr).tolist() == (
+                [sum(u == v for u, _ in edges) for v in range(m)]
+                + [sum(i == j for _, i in edges) for j in range(n)])

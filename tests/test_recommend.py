@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_top_k
 from walkrec.factorization import FactorModel
-from walkrec.recommend import (item_pop_scores, load_recommendations,
+from walkrec.recommend import (RankedList, Rankings, item_pop_scores, load_recommendations,
                                recommend_topk, save_recommendations, top_k)
 
 TOY_EDGES = {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)}
@@ -83,8 +84,8 @@ class TestRecommendTopk:
         recs = recommend_topk(model, 4, mask)
         assert [rl.user for rl in recs] == list(range(6))
         for u in range(6):
-            expect = top_k(u, model.X[u] @ model.Y.T, 4, mask[mask[:, 0] == u, 1])
-            assert recs[u].item_indices() == expect.item_indices()
+            expect = oracle_top_k(model.X[u] @ model.Y.T, 4, mask[mask[:, 0] == u, 1])
+            assert recs[u].item_indices() == [i for i, _ in expect]
 
     def test_mask_may_be_any_iterable_of_pairs(self):
         rng = np.random.default_rng(4)
@@ -128,10 +129,10 @@ class TestRecommendTopk:
                 rows = [X[u] @ Y.T for u in range(m)]
             assert [rl.user for rl in recs] == list(range(m))
             for u in range(m):
-                want = top_k(u, rows[u], k, masks.get(u, frozenset()))
-                assert recs[u].item_indices() == want.item_indices()
+                want = oracle_top_k(rows[u], k, masks.get(u, ()))
+                assert recs[u].item_indices() == [i for i, _ in want]
                 assert np.array_equal([v for _, v in recs[u].items],
-                                      [v for _, v in want.items], equal_nan=True)
+                                      [v for _, v in want], equal_nan=True)
 
     def test_k_must_be_positive(self):
         model = FactorModel(np.ones((2, 1)), np.ones((3, 1)))
@@ -154,6 +155,41 @@ class TestPersistence:
             for (_, va), (_, vb) in zip(a.items, b.items):
                 assert va == vb
 
+    def test_rankings_round_trip_byte_for_byte(self, tmp_path):
+        recs = Rankings(np.array([0, 2, 2, 4]), np.array([4, 0, 1, 3]),
+                        np.array([0.5, 1 / 3, -0.0, np.nan]))  # user 1 is empty
+        p = tmp_path / "recs.tsv"
+        save_recommendations(recs, p)
+        first = p.read_bytes()
+        back = load_recommendations(p, 3)
+        save_recommendations(back, p)
+        assert p.read_bytes() == first
+        for name in ("indptr", "items", "scores"):
+            a, b = getattr(recs, name), getattr(back, name)
+            assert np.array_equal(a, b, equal_nan=True) and b.dtype.kind == a.dtype.kind
+
+    def test_of_ranked_lists_equals_recommend_topk_arrays(self):
+        rng = np.random.default_rng(7)
+        model = FactorModel(rng.normal(size=(5, 2)), rng.normal(size=(6, 2)))
+        recs = recommend_topk(model, 4, [(1, i) for i in range(6)] + [(3, 2), (3, 5)])
+        back = Rankings.of([RankedList(u, rl.items) for u, rl in enumerate(recs)])
+        for name in ("indptr", "items", "scores"):
+            a, b = getattr(recs, name), getattr(back, name)
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert np.diff(back.indptr).tolist() == [4, 0, 4, 4, 4]
+
+    def test_of_rejects_missing_list_and_negative_item(self):
+        with pytest.raises(ValueError, match="missing or misordered ranked list for user 1"):
+            Rankings.of([RankedList(0, []), RankedList(2, [])])
+        with pytest.raises(ValueError, match="ranked list of user 1: item -1 is negative"):
+            Rankings.of([RankedList(0, [(0, 1.0)]), RankedList(1, [(2, 1.0), (-1, 0.5)])])
+
+    def test_negative_item_rejected_on_load(self, tmp_path):
+        p = tmp_path / "recs.tsv"
+        p.write_text("0\t1\t2\t0.9\n0\t2\t-3\t0.5\n")
+        with pytest.raises(ValueError, match=r"recs\.tsv: line 2: item -3 is negative"):
+            load_recommendations(p, 1)
+
     def test_rank_order_enforced_on_load(self, tmp_path):
         p = tmp_path / "recs.tsv"
         p.write_text("0\t2\t1\t0.5\n")
@@ -167,11 +203,13 @@ class TestTopKReference:
         for _ in range(50):
             n = int(rng.integers(1, 40))
             scores = rng.integers(0, 4, size=n).astype(np.float64)  # many ties
+            scores[rng.random(n) < 0.1] = np.nan
             mask = {int(i) for i in rng.choice(n, size=int(rng.integers(0, n)), replace=False)}
             k = int(rng.integers(1, n + 3))
-            valid = [i for i in range(n) if i not in mask]
-            want = sorted(valid, key=lambda i: -scores[i])[:k]  # sorted() is stable
-            assert top_k(0, scores, k, frozenset(mask)).item_indices() == want
+            got = top_k(0, scores, k, frozenset(mask)).items
+            want = oracle_top_k(scores, k, mask)
+            assert [i for i, _ in got] == [i for i, _ in want]
+            assert np.array_equal([v for _, v in got], [v for _, v in want], equal_nan=True)
 
 
 @pytest.mark.parametrize("bad", [-1, 6, 7])
