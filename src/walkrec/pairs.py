@@ -91,7 +91,7 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     conversion or sum.
 
     Args:
-        corpus: alternating walk corpus with codes in [0, n_users + n_items).
+        corpus: walk corpus; corpus.validate() checks it first.
         sigma: window size; must be an odd integer >= 1 (even offsets would
             pair users with users).
     """
@@ -101,30 +101,18 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     if sigma % 2 == 0:
         raise ValueError("sigma must be odd: even offsets land on same-kind vertices")
 
-    m, n = corpus.n_users, corpus.n_items
+    corpus.validate()
+    m, n, walks = corpus.n_users, corpus.n_items, corpus.walks
     dtype = np.int32 if m * n < 2**31 else np.int64
     keys, counts = np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
-    for walks in corpus.blocks():
-        _check_codes(walks, m, n)
-        distances = range(1, min(sigma, walks.shape[1] - 1) + 1, 2)
-        if not distances:
-            continue
-        for lo in range(0, len(walks), _CHUNK_ROWS):
-            # a chunk's codes live only inside _count_chunk: one chunk's at a time
-            runs = _count_chunk(walks[lo:lo + _CHUNK_ROWS], distances, m, n, dtype)
-            keys, counts = _merge_runs(keys, counts, *runs)
+    distances = range(1, min(sigma, walks.shape[1] - 1) + 1, 2)
+    for lo in range(0, len(walks) if distances else 0, _CHUNK_ROWS):
+        # a chunk's codes live only inside _count_chunk: one chunk's at a time
+        runs = _count_chunk(walks[lo:lo + _CHUNK_ROWS], distances, m, n, dtype)
+        keys, counts = _merge_runs(keys, counts, *runs)
     indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * n)
     pair = sp.csr_matrix((counts, keys % n, indptr), shape=(m, n))
     return PairCorpusStats.from_pair_count(pair)
-
-
-def _check_codes(walks, m, n):
-    "Raise ValueError unless every code is in [0, m + n) and kinds alternate along every walk."
-    if walks.size and (walks.min() < 0 or walks.max() >= m + n):
-        raise ValueError(f"walk code outside [0, {m + n})")
-    is_user = walks < m
-    if not np.all(is_user[:, 1:] != is_user[:, :-1]):
-        raise ValueError("corpus violates user/item alternation")
 
 
 def _pair_codes(walks, distances, m, n, dtype):

@@ -1,7 +1,6 @@
 """Truncated uniform random walks over the bipartite graph."""
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +13,7 @@ from .tables import format_header, parse_header
 __all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
 
 _SAVE_ROWS = 8192  # walks rendered per write, bounding the token buffer
+_SP, _NL, _U, _I = b" \nui"
 
 
 @dataclass(frozen=True)
@@ -25,42 +25,54 @@ class WalkConfig(Knobs):
     seed: int = knob(0, min=0)
 
 
+class WalkRowError(ValueError):
+    "A WalkCorpus.validate failure: ``problem`` at walk ``row``."
+
+    def __init__(self, row, problem):
+        super().__init__(f"walk row {row}: {problem}")
+        self.row, self.problem = int(row), problem
+
+
 @dataclass
 class WalkCorpus:
     """Vertex sequences encoded globally: code < n_users is a user, else an item.
 
-    ``walks`` is a (W, gamma) int64 array, one walk per row, as made by
-    generate_walks and load_walks.  A hand-built corpus may instead pass a
-    list of 1-D int64 arrays of mixed lengths; ``blocks`` groups those by
-    length so array code sees only rectangular blocks.
+    ``walks`` is a (W, gamma) int64 array, one walk per row.  A list of
+    equal-length walks is stacked into one, an empty list into (0, 0).
     """
 
     walks: np.ndarray
     n_users: int
     n_items: int
 
-    def blocks(self):
-        """The walks as 2-D arrays, one per distinct walk length."""
-        if isinstance(self.walks, np.ndarray) and self.walks.ndim == 2:
-            return [self.walks]
-        lengths = sorted({len(w) for w in self.walks})
-        return [np.stack([w for w in self.walks if len(w) == k]) for k in lengths]
+    def __post_init__(self):
+        if isinstance(self.walks, list):
+            lengths = [len(w) for w in self.walks] or [0]
+            for r in np.flatnonzero(np.array(lengths) != lengths[0])[:1]:  # the first, if any
+                raise ValueError(f"walk {r} has {lengths[r]} vertices, walk 0 has {lengths[0]}")
+            self.walks = np.array(self.walks, dtype=np.int64).reshape(len(self.walks), lengths[0])
+        self.walks = np.asarray(self.walks, dtype=np.int64)
 
     def validate(self, g: BipartiteGraph | None = None):
-        """Check kind alternation along every walk, and edges when g is given."""
-        m = self.n_users
+        """Check codes in [0, n_users + n_items), user/item alternation along every walk
+        and, when g is given, that every step is an edge of g.  Raises WalkRowError, a
+        ValueError naming the first offending walk row."""
+        w, v = self.walks, self.n_users + self.n_items
+        # the first fault, if any; a negative code viewed as uint64 is >= 2**63
+        for f in np.flatnonzero(w.view(np.uint64) >= v)[:1]:
+            raise WalkRowError(f // w.shape[1], f"code {w.flat[f]} outside [0, {v})")
+        if w.size == 0 < len(w):
+            raise WalkRowError(0, "walk has no vertices")
+        kind = w < self.n_users
+        for f in np.flatnonzero(kind[:, 1:] == kind[:, :-1])[:1]:
+            r, p = divmod(f, w.shape[1] - 1)
+            raise WalkRowError(r, f"breaks user/item alternation: positions {p} and {p + 1} "
+                                  "do not alternate")
         if g is not None:
-            v = len(g.indptr) - 1
-            edges = np.repeat(np.arange(v), np.diff(g.indptr)) * v + g.indices
-        for block in self.blocks():
-            is_user = block < m
-            if not np.all(is_user[:, 1:] != is_user[:, :-1]):
-                raise ValueError("walk does not alternate user/item vertices")
-            if g is not None:
-                a, b = block[:, :-1].ravel(), block[:, 1:].ravel()
-                bad = np.flatnonzero(~np.isin(a * v + b, edges))
-                if bad.size:
-                    raise ValueError(f"walk step ({a[bad[0]]}, {b[bad[0]]}) is not an edge")
+            base = max(v, len(g.indptr) - 1)
+            edges = np.repeat(np.arange(len(g.indptr) - 1), np.diff(g.indptr)) * base + g.indices
+            for r, p in np.argwhere(~np.isin(w[:, :-1] * base + w[:, 1:], edges))[:1]:
+                raise WalkRowError(r, f"walk step ({w[r, p]}, {w[r, p + 1]}) is not an edge")
 
 
 def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
@@ -86,74 +98,71 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
     return WalkCorpus(walks, g.n_users, g.n_items)
 
 
-def _token_names(m, n):
-    "Token of every global code: 'u<idx>' for users, then 'i<idx>' for items."
-    return np.array([f"u{v}" for v in range(m)] + [f"i{j}" for j in range(n)], dtype=object)
-
-
 def save_walks(corpus: WalkCorpus, path):
-    """One walk per line, space-separated 'u<idx>' / 'i<idx>' tokens.
-
-    The header line carries the user, item and walk counts.
+    """One walk per line of space-separated 'u<idx>' / 'i<idx>' tokens, under a header
+    of the user, item and walk counts.  An invalid corpus raises before the file is made.
     """
-    names = _token_names(corpus.n_users, corpus.n_items)
+    corpus.validate()
+    m, n = corpus.n_users, corpus.n_items
+    names = np.array([f"u{v}" for v in range(m)] + [f"i{j}" for j in range(n)], dtype=object)
     spaced, ended = names + " ", names + "\n"
     with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write(format_header({"users": corpus.n_users, "items": corpus.n_items,
-                               "walks": len(corpus.walks)}))
+        f.write(format_header({"users": m, "items": n, "walks": len(corpus.walks)}))
         for lo in range(0, len(corpus.walks), _SAVE_ROWS):
             part = corpus.walks[lo:lo + _SAVE_ROWS]
-            flat = np.concatenate(part)
-            ends = np.cumsum(np.fromiter(map(len, part), dtype=np.int64, count=len(part))) - 1
-            out = spaced[flat]
-            out[ends] = ended[flat[ends]]
-            f.write("".join(out.tolist()))
-
-
-def _parse_token(tok, m, n, path, lineno):
-    "Code of a token that is not in canonical form, or the error it deserves."
-    idx = int(tok[1:])
-    if tok[0] == "u":
-        if not 0 <= idx < m:
-            raise ValueError(f"{path}: line {lineno}: user {idx} out of range")
-        return idx
-    if tok[0] == "i":
-        if not 0 <= idx < n:
-            raise ValueError(f"{path}: line {lineno}: item {idx} out of range")
-        return m + idx
-    raise ValueError(f"{path}: line {lineno}: bad token {tok!r}")
+            out = spaced[part]
+            out[:, -1] = ended[part[:, -1]]
+            f.write("".join(out.ravel().tolist()))
 
 
 def load_walks(path) -> WalkCorpus:
-    """Read a corpus written by save_walks.
-
-    Blank lines are skipped.  Raises ValueError naming the file and line
-    for an out-of-range or malformed token, and for a walk whose length
-    differs from the first walk's, as a truncated file leaves it.  A file
-    cut at a line boundary fails the header's walk count, when the header
-    has one.
+    """Read a corpus written by save_walks, accepting exactly the body it writes:
+    lines of 'u<idx>'/'i<idx>' tokens (idx in canonical ASCII decimal: no sign, no
+    leading zero, at most 18 digits) joined by single spaces, each ended by '\\n',
+    all of one length.  Parsed as one byte array; an error raises ValueError naming
+    the file and line, or the file alone for a header walk count that differs.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
-        fields = parse_header(f.readline(), path, {"users": int, "items": int})
-        m, n = fields["users"], fields["items"]
-        lines = list(map(str.split, f.read().split("\n")))
-    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-    toks = list(chain.from_iterable(lines))
-    lookup = {name: code for code, name in enumerate(_token_names(m, n).tolist())}
-    codes = np.fromiter(map(lookup.get, toks, repeat(-1)), dtype=np.int64, count=len(toks))
-    line_of = np.repeat(np.arange(len(lines)) + 2, lengths)
-    for j in np.flatnonzero(codes < 0).tolist():
-        codes[j] = _parse_token(toks[j], m, n, path, int(line_of[j]))
+    data = Path(path).read_bytes()
+    head = data[:data.find(b"\n")] if b"\n" in data else data
+    fields = parse_header(head.decode("utf-8", "replace"), path, {"users": int, "items": int})
+    m, n = fields["users"], fields["items"]
+    body = np.frombuffer(data, dtype=np.uint8)[len(head) + 1:]
+    unended = body.size > 0 and body[-1] != _NL
+    if unended:  # parse the last line as if ended, then name it
+        body = np.append(body, np.uint8(_NL))
+    ends = np.flatnonzero((body == _SP) | (body == _NL))  # tokens end at separators
+    starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
+    width, lines = ends - starts, np.flatnonzero(body[ends] == _NL)  # a line's last token
+    digit, kind = body - np.uint8(ord("0")), body[starts]  # a non-digit byte wraps to >= 10
 
-    filled = np.flatnonzero(lengths)
-    gamma = int(lengths[filled[0]]) if filled.size else 0
-    short = filled[lengths[filled] != gamma]
-    if short.size:
-        j = int(short[0])
-        raise ValueError(f"{path}: line {j + 2}: walk has {lengths[j]} vertices, "
-                         f"expected {gamma} as on line {filled[0] + 2}")
-    if fields.get("walks", str(len(filled))) != str(len(filled)):
-        raise ValueError(f"{path}: header says walks={fields['walks']}, "
-                         f"file has {len(filled)} walks")
-    return WalkCorpus(codes.reshape(len(filled), gamma), m, n)
+    def fail(t, problem):
+        raise ValueError(f"{path}: line {np.searchsorted(lines, t) + 2}: {problem}")
+
+    bad = ((kind != _U) & (kind != _I)) | (width < 2) | (width > 19)
+    bad |= (digit[np.minimum(starts + 1, ends)] == 0) & (width > 2)  # a leading zero
+    idx = np.zeros(len(starts), dtype=np.int64)
+    for j in range(1, min(int(width.max(initial=0)), 19)):  # Horner's rule over digit positions
+        d = digit.take(starts + j, mode="clip")
+        bad |= (width > j) & (d >= 10)
+        idx = np.where(width > j, idx * 10 + d, idx)
+    for t in np.flatnonzero(bad)[:1]:  # the first, if any, as for every check here
+        tok = body[starts[t]:min(ends[t], starts[t] + 24)].tobytes()
+        fail(t, f"bad token {tok.decode('utf-8', 'replace')!r}")
+    is_user = kind == _U
+    for t in np.flatnonzero(idx >= np.where(is_user, m, n))[:1]:
+        fail(t, f"{'user' if is_user[t] else 'item'} {idx[t]} out of range")
+    per_line = np.diff(lines, prepend=-1)
+    gamma = int(per_line[0]) if len(lines) else 0
+    for k in np.flatnonzero(per_line != gamma)[:1]:
+        fail(lines[k], f"walk has {per_line[k]} vertices, expected {gamma} as on line 2")
+    if unended:
+        fail(len(idx) - 1, "missing final newline")
+    if (said := fields.get("walks", str(len(lines)))) != str(len(lines)):
+        raise ValueError(f"{path}: header says walks={said}, file has {len(lines)} walks")
+    idx[~is_user] += m
+    corpus = WalkCorpus(idx.reshape(len(lines), gamma), m, n)
+    try:
+        corpus.validate()
+    except WalkRowError as exc:
+        raise ValueError(f"{path}: line {exc.row + 2}: {exc.problem}") from None
+    return corpus

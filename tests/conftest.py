@@ -16,7 +16,7 @@ from walkrec.walks import WalkCorpus
 
 
 def corpus_from_tokens(token_lines, n_users, n_items):
-    """Build a WalkCorpus from lines like 'u0 i1 u2 i1'."""
+    """Build a WalkCorpus from equal-length lines like 'u0 i1 u2 i1'."""
     walks = []
     for line in token_lines:
         seq = []
@@ -38,6 +38,34 @@ def oracle_walk(g, seed, code, b, gamma):
         cur = int(row[int(r[t] * len(row))])
         walk.append(cur)
     return walk
+
+
+def oracle_expected_pairs(edges, n_users, n_items, beta, gamma, sigma):
+    """Expected pair counts of sample_pairs(generate_walks(...), sigma), with no
+    walk sampled: a dense (n_users, n_items) array.
+
+    P is the row-normalised transition matrix of the bipartite graph and
+    p_j = p_0 P^j the expected number of walks at each vertex at step j,
+    starting from beta walks at every non-isolated vertex.  A vertex pair
+    at positions j and j + d contributes (p_j)_x (P^d)_{x,y}, so
+    E[count(u, i)] = sum over j and odd d <= sigma with j + d < gamma of
+    (p_j)_u (P^d)_{u,i} + (p_j)_i (P^d)_{i,u}.
+    """
+    m, v = n_users, n_users + n_items
+    adj = np.zeros((v, v))
+    for u, i in edges:
+        adj[u, m + i] = adj[m + i, u] = 1.0
+    deg = adj.sum(axis=1)
+    step = np.divide(adj, deg[:, None], out=np.zeros_like(adj), where=deg[:, None] > 0)
+    powers = {d: np.linalg.matrix_power(step, d) for d in range(1, sigma + 1, 2)}
+    occupancy = beta * (deg > 0).astype(float)
+    expected = np.zeros((v, v))  # [x, y]: walks at x at step j and at y at step j + d
+    for j in range(gamma):
+        for d, reach in powers.items():
+            if j + d < gamma:
+                expected += occupancy[:, None] * reach
+        occupancy = occupancy @ step
+    return expected[:m, m:] + expected[m:, :m].T
 
 
 def oracle_top_k(scores, k_items, mask=()):

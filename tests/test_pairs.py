@@ -116,7 +116,7 @@ class TestMerge:
         assert out.total == x.total
 
     def test_doubling(self):
-        corpus = corpus_from_tokens(["u1 i2 u2 i1", "u0 i0"], 3, 3)
+        corpus = corpus_from_tokens(["u1 i2 u2 i1", "u0 i0 u0 i0"], 3, 3)
         x = sample_pairs(corpus, 3)
         out = merge(x, x)
         out.validate()
@@ -171,23 +171,6 @@ class TestPersistence:
             load_stats(p)
 
 
-class TestMixedLengths:
-    def test_list_corpus_matches_per_length_arrays(self):
-        g = build_graph({(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)}, 3, 3)
-        short = generate_walks(g, WalkConfig(beta=3, gamma=6, seed=1))
-        long = generate_walks(g, WalkConfig(beta=2, gamma=9, seed=2))
-        mixed = [w for pair in zip(short.walks, long.walks) for w in pair]
-        mixed += list(short.walks[len(long.walks):])
-        listed = sample_pairs(WalkCorpus(mixed, 3, 3), 3)
-        split = merge(sample_pairs(short, 3), sample_pairs(long, 3))
-        listed.validate()
-        assert counts_dict(listed) == counts_dict(split)
-        assert listed.total == split.total
-        assert np.array_equal(listed.user_count, split.user_count)
-        assert np.array_equal(listed.item_count, split.item_count)
-        assert counts_dict(listed) == dict(oracle_pair_multiset(WalkCorpus(mixed, 3, 3), 3))
-
-
 class TestSortedRunCounter:
     @pytest.mark.parametrize("chunk", [1, 3, pairs_module._CHUNK_ROWS])
     def test_chunked_merge_matches_enumeration(self, monkeypatch, chunk):
@@ -217,18 +200,6 @@ class TestSortedRunCounter:
         assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, sigma))
         assert counts_dict(stats) == counts_dict(sample_pairs(corpus, 3))
 
-    def test_list_corpus_with_mixed_lengths(self, monkeypatch):
-        monkeypatch.setattr(pairs_module, "_CHUNK_ROWS", 2)
-        rng = np.random.default_rng(24)
-        full, _ = random_corpus(rng, beta=3, gamma=9)
-        walks = [w[:int(rng.integers(1, len(w) + 1))] for w in full.walks]
-        corpus = WalkCorpus(walks, full.n_users, full.n_items)
-        assert len({len(w) for w in corpus.walks}) > 3 and min(map(len, corpus.walks)) == 1
-        for sigma in (1, 3, 5):
-            stats = sample_pairs(corpus, sigma)
-            stats.validate()
-            assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, sigma))
-
     @pytest.mark.parametrize("pos, code", [(0, -1), (1, -3), (1, 5), (0, 9)])
     def test_code_outside_vertex_range_rejected(self, pos, code):
         for corpus in (corpus_from_tokens(["u0 i1 u1 i0"], 2, 3),
@@ -238,15 +209,16 @@ class TestSortedRunCounter:
                 sample_pairs(corpus, 3)
 
     def test_canonical_int64_matrix_saves_hand_counted_file(self, tmp_path):
-        # u0-i1 twice at distance 1, u0-i0 at distances 1 and 3; i1 u1 i1
-        # gives u1-i1 from both sides; u1 i0 once
-        corpus = corpus_from_tokens(["u0 i1 u0 i0", "i1 u1 i1", "u1 i0"], 2, 2)
+        # u0 i1 u0 i0: u0-i1 twice at distance 1, u0-i0 at distances 1 and 3;
+        # i1 u1 i1 u0: u1-i1 from both sides, u0-i1 at distances 1 and 3;
+        # u1 i0 u1 i1: u1-i0 from both sides, u1-i1 at distances 1 and 3
+        corpus = corpus_from_tokens(["u0 i1 u0 i0", "i1 u1 i1 u0", "u1 i0 u1 i1"], 2, 2)
         stats = sample_pairs(corpus, 3)
         assert stats.pair_count.has_canonical_format
         assert stats.pair_count.data.dtype == np.int64
         save_stats(stats, tmp_path / "stats.tsv")
         assert (tmp_path / "stats.tsv").read_text() == (
-            "# users=2 items=2 total=7\n0\t0\t2\n0\t1\t2\n1\t0\t1\n1\t1\t2\n")
+            "# users=2 items=2 total=12\n0\t0\t2\n0\t1\t4\n1\t0\t2\n1\t1\t4\n")
 
 
 def test_traced_peak_is_bounded_by_the_corpus_size():

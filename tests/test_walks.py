@@ -1,13 +1,15 @@
 """Random walk corpus generation: forced paths, counts, determinism, uniformity."""
 
+import re
+
 import numpy as np
 import pytest
 
 from walkrec.graph import build_graph
 from walkrec.pairs import sample_pairs
-from walkrec.walks import WalkConfig, generate_walks, load_walks, save_walks
+from walkrec.walks import WalkConfig, WalkCorpus, generate_walks, load_walks, save_walks
 
-from conftest import corpus_from_tokens, oracle_walk
+from conftest import corpus_from_tokens, oracle_expected_pairs, oracle_walk
 
 TOY_EDGES = {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)}
 
@@ -142,7 +144,7 @@ class TestArrayCorpus:
 
     def test_validate_rejects_non_edge_step(self):
         g = build_graph({(0, 0), (1, 1)}, 2, 2)
-        corpus = corpus_from_tokens(["u0 i0 u0", "u1 i1 u0 i0"], 2, 2)
+        corpus = corpus_from_tokens(["u0 i0 u0 i0", "u1 i1 u0 i0"], 2, 2)
         with pytest.raises(ValueError, match=r"walk step \(3, 0\) is not an edge"):
             corpus.validate(g)
 
@@ -186,3 +188,130 @@ class TestTruncatedCorpus:
         p.write_text("# users=2 items=2\nu0 x0\n")
         with pytest.raises(ValueError, match="line 2: bad token 'x0'"):
             load_walks(p)
+
+
+class TestCorpusForm:
+    def test_list_of_equal_walks_is_stacked(self):
+        corpus = WalkCorpus([[0, 2], np.array([1, 3])], 2, 2)
+        assert corpus.walks.dtype == np.int64 and corpus.walks.tolist() == [[0, 2], [1, 3]]
+        assert WalkCorpus([], 2, 2).walks.shape == (0, 0)
+
+    def test_ragged_list_names_the_first_differing_walk(self):
+        with pytest.raises(ValueError, match="walk 2 has 3 vertices, walk 0 has 2"):
+            WalkCorpus([[0, 2], [1, 3], [0, 2, 0], [1]], 2, 2)
+
+    def test_validate_names_the_walk_row(self):
+        corpus = WalkCorpus(np.array([[0, 2, 1], [1, 3, 1], [1, 1, 2]]), 2, 2)
+        with pytest.raises(ValueError, match=r"walk row 2: breaks user/item alternation: "
+                                             r"positions 0 and 1"):
+            corpus.validate()
+        corpus.walks[1, 2] = 4
+        with pytest.raises(ValueError, match=r"walk row 1: code 4 outside \[0, 4\)"):
+            corpus.validate()
+
+
+HEADER = "# users=2 items=11 walks=2\n"
+
+
+class TestStrictReader:
+    @pytest.mark.parametrize("token", ["ux", "u", "u+1", "u01", "i00", "i1_0", "i\u0663",
+                                       "x0", "i-1", "u1234567890123456789"])
+    def test_bad_token_names_file_and_line(self, tmp_path, token):
+        p = tmp_path / "walks.txt"
+        p.write_text(f"{HEADER}i1 {token}\nu0 i1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"walks\.txt: line 2: bad token"):
+            load_walks(p)
+
+    @pytest.mark.parametrize("body, line", [
+        ("u0 i1\n\nu1 i0\n", 3),  # blank line
+        ("u0 i1\nu1  i0\n", 3),  # double space
+        ("u0 i1\nu1\ti0\n", 3),  # tab
+        ("u0 i1\r\nu1 i0\r\n", 2),  # CRLF
+        ("u0 i1\nu1 i0 \n", 3),  # trailing space
+        (" u0 i1\nu1 i0\n", 2),  # leading space
+        ("u0 i1\nu1 i0", 3),  # missing final newline
+    ])
+    def test_layout_errors_name_the_line(self, tmp_path, body, line):
+        p = tmp_path / "walks.txt"
+        p.write_text(HEADER + body, newline="")
+        with pytest.raises(ValueError, match=rf"walks\.txt: line {line}: "):
+            load_walks(p)
+
+    def test_broken_alternation_names_the_line(self, tmp_path):
+        p = tmp_path / "walks.txt"
+        p.write_text(HEADER + "u0 i1\ni1 i0\n")
+        with pytest.raises(ValueError, match=r"walks\.txt: line 3: breaks user/item alternation"):
+            load_walks(p)
+
+    @pytest.mark.parametrize("walks", [[[0, -1, 1, -3]], [[0, 4, 1, 2]], [[0, 1, 2, 3]]])
+    def test_invalid_corpus_is_not_saved(self, tmp_path, walks):
+        p = tmp_path / "walks.txt"
+        with pytest.raises(ValueError, match="walk row 0: "):
+            save_walks(WalkCorpus(np.array(walks), 2, 2), p)
+        assert not p.exists()
+
+
+def random_corpus(rng, m, n, w, gamma):
+    "An alternating corpus whose walks start at random kinds, with the top ids drawn."
+    user_first = rng.random(w) < 0.5
+    is_user = (np.arange(gamma) % 2 == 0) == user_first[:, None]
+    walks = np.where(is_user, rng.integers(m, size=(w, gamma)),
+                     m + rng.integers(n, size=(w, gamma)))
+    if w and gamma > 1:
+        walks[0, :2] = (m - 1, m + n - 1) if user_first[0] else (m + n - 1, m - 1)
+    return WalkCorpus(walks, m, n)
+
+
+class TestOneGrammar:
+    @pytest.mark.parametrize("m, n, w, gamma", [(3, 10**6 + 1, 40, 7), (40, 30, 300, 12),
+                                                (5, 4, 30, 1), (1, 1, 3, 4), (2, 2, 0, 0)])
+    def test_save_then_load_round_trips(self, tmp_path, m, n, w, gamma):
+        corpus = random_corpus(np.random.default_rng(m + w), m, n, w, gamma)
+        p, q = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_walks(corpus, p)
+        back = load_walks(p)
+        assert (back.n_users, back.n_items) == (m, n)
+        assert back.walks.dtype == np.int64 and np.array_equal(back.walks, corpus.walks)
+        save_walks(back, q)
+        assert q.read_bytes() == p.read_bytes()
+
+    def test_every_single_byte_mutation_fails_loudly_or_round_trips(self, tmp_path):
+        p, q = tmp_path / "walks.txt", tmp_path / "again.txt"
+        save_walks(corpus_from_tokens(["u0 i1 u12 i10", "i3 u1 i0 u10"], 13, 11), p)
+        valid = p.read_bytes()
+        named = rf"^{re.escape(str(p))}: (line \d+: |header says walks=)"
+        outcomes = set()
+        for pos in range(len(valid)):
+            for byte in b" \n\tui0x+_-\r":
+                mutated = valid[:pos] + bytes([byte]) + valid[pos + 1:]
+                if mutated == valid:
+                    continue
+                p.write_bytes(mutated)
+                try:
+                    corpus = load_walks(p)
+                except ValueError as exc:
+                    assert re.match(named, str(exc)), (mutated, str(exc))
+                    outcomes.add("raised")
+                    continue
+                save_walks(corpus, q)
+                assert q.read_bytes().split(b"\n", 1)[1] == mutated.split(b"\n", 1)[1], mutated
+                outcomes.add("loaded")
+        assert outcomes == {"raised", "loaded"}
+
+
+class TestExpectedPairOracle:
+    def test_sampled_pairs_converge_to_the_expected_counts(self):
+        rng = np.random.default_rng(0)
+        m, n, gamma, sigma = 12, 15, 9, 3
+        edges = {(int(rng.integers(m)), int(rng.integers(n))) for _ in range(30)}
+        g = build_graph(edges, m, n)
+        errors = []
+        for beta in (10, 100, 1000):
+            expected = oracle_expected_pairs(edges, m, n, beta, gamma, sigma)
+            stats = sample_pairs(generate_walks(g, WalkConfig(beta, gamma, seed=0)), sigma)
+            sampled = stats.pair_count.toarray()
+            assert stats.total == pytest.approx(expected.sum(), rel=1e-12)
+            assert np.all(expected[sampled > 0] > 1e-12)  # support inside the expected support
+            errors.append(np.abs(sampled - expected).sum() / expected.sum())
+        # sampling error shrinks about as 1 / sqrt(beta): tenfold over 100x beta
+        assert errors[0] > errors[1] > errors[2] and errors[2] < errors[0] / 4
