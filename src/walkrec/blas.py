@@ -61,8 +61,9 @@ def one_thread():
     """Every loaded OpenBLAS runs one thread inside the block.
 
     Each library's previous count is restored on exit, also when the body
-    raises; nested blocks restore the outer block's count.  Not meant for
-    blocks that overlap in concurrent threads: the count is process-wide.
+    raises; nested blocks restore the outer block's count.  The count is
+    process-wide, so a parallel region pins it once, on the calling thread,
+    around all its blocks; worker threads never enter one_thread().
     """
     libs = libraries()
     saved = [get() for get, _ in libs]

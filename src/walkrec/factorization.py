@@ -20,9 +20,12 @@ from scipy.linalg import cholesky, solve_triangular
 
 from .blas import one_thread
 from .knobs import Knobs, knob
+from .parallel import map_blocks, spans
 
 __all__ = ["AlsConfig", "FactorModel", "init_factors", "als_fit", "loss", "predict",
            "save_model", "load_model"]
+
+_BLOCK_ROWS = 512  # fewest rows of a parallel block: smaller cuts change GEMMs' last bits
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,15 @@ def init_factors(n_users, n_items, cfg: AlsConfig) -> FactorModel:
     return FactorModel(x, y)
 
 
-def _half_sweep(mat: sp.csr_matrix, other: np.ndarray, lam: float,
+def _row_blocks(mat):
+    """mat cut into max(1, rows // _BLOCK_ROWS) near-equal row blocks, as a tuple;
+    (mat,) itself when that is one block.  Fixed by the shape alone, so the
+    products over the blocks do not depend on the thread count."""
+    parts = max(1, mat.shape[0] // _BLOCK_ROWS)
+    return (mat,) if parts == 1 else tuple(mat[lo:hi] for lo, hi in spans(mat.shape[0], parts))
+
+
+def _half_sweep(mat, other: np.ndarray, lam: float,
                 b: np.ndarray | None = None, gram: np.ndarray | None = None) -> np.ndarray:
     """Solve (other' other + lam I) z_r = other' mat[r] for every row r.
 
@@ -82,18 +93,21 @@ def _half_sweep(mat: sp.csr_matrix, other: np.ndarray, lam: float,
     one K x K triangular inverse, then two products over all rows.  At a
     Gram condition number of 1e15 the normal-equation residual is about
     1e-8 relative, as with a Cholesky solve plus one refinement step;
-    through an explicit A^-1 it is about 1e-3.  b is mat @ other and gram
-    is other' other when the caller has already computed them.
+    through an explicit A^-1 it is about 1e-3.  mat is a sparse matrix or
+    the tuple of its row blocks (_row_blocks), whose rows are solved in
+    parallel.  b is mat @ other and gram is other' other when the caller
+    has already computed them.
     """
     k = other.shape[1]
     if gram is None:
         gram = other.T @ other
-    a = gram + lam * np.eye(k)
-    if b is None:
-        b = mat @ other
-    chol = cholesky(a, lower=True, check_finite=False)
+    chol = cholesky(gram + lam * np.eye(k), lower=True, check_finite=False)
     inv = solve_triangular(chol, np.eye(k), lower=True, check_finite=False)
-    return (b @ inv.T) @ inv
+    blocks = mat if isinstance(mat, tuple) else (mat,)
+    if b is None:
+        return np.vstack(map_blocks(lambda blk: (blk @ other @ inv.T) @ inv, blocks))
+    cuts = np.cumsum([blk.shape[0] for blk in blocks])[:-1]  # b's rows of each block
+    return np.vstack(map_blocks(lambda rows: (rows @ inv.T) @ inv, np.split(b, cuts)))
 
 
 def _objective(s_csr: sp.csr_matrix, y: np.ndarray, stx: np.ndarray,
@@ -135,16 +149,16 @@ def als_fit(s, cfg: AlsConfig = AlsConfig()) -> FactorModel:
     m, n = s_csr.shape
     model = init_factors(m, n, cfg)
     x, y = model.X, model.Y
-    s_csc_t = s_csr.T.tocsr()
+    s_blocks, st_blocks = _row_blocks(s_csr), _row_blocks(s_csr.T.tocsr())
     gy = y.T @ y
 
     for sweep in range(cfg.sweeps):
-        x = _half_sweep(s_csr, y, cfg.lam, gram=gy)
+        x = _half_sweep(s_blocks, y, cfg.lam, gram=gy)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite user factors at sweep {sweep}")
-        stx = s_csc_t @ x
+        stx = np.vstack(map_blocks(lambda blk: blk @ x, st_blocks))
         gx = x.T @ x
-        y = _half_sweep(s_csc_t, x, cfg.lam, stx, gx)
+        y = _half_sweep(st_blocks, x, cfg.lam, stx, gx)
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"non-finite item factors at sweep {sweep}")
         gy = y.T @ y

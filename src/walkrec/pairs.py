@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .parallel import map_blocks, spans, threads
 from .tables import read_matrix, write_matrix
 from .walks import WalkCorpus
 
@@ -115,10 +116,9 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     return PairCorpusStats.from_pair_count(pair)
 
 
-def _pair_codes(walks, distances, m, n, dtype):
-    "u * n + i for the vertices at positions p and p + d of every walk, each d in turn, flat."
-    walks = walks.astype(dtype)  # codes below m + n <= m * n + 1 fit the packed dtype too
-    codes = np.empty(sum(walks[:, d:].size for d in distances), dtype=dtype)
+def _pair_codes(walks, distances, m, n, codes):
+    "Fill codes with u * n + i for the vertices at positions p and p + d of every walk, each d in turn."
+    walks = walks.astype(codes.dtype)  # codes below m + n <= m * n + 1 fit the packed dtype too
     user = np.empty_like(walks[:, 1:])
     lo = 0
     for d in distances:
@@ -130,15 +130,41 @@ def _pair_codes(walks, distances, m, n, dtype):
         np.minimum(a, b, out=u)
         u *= n
         code += u  # no partial sum exceeds the final code
-    return codes
+
+
+def _runs(codes):
+    "The distinct values of sorted codes and their multiplicities."
+    first = np.empty(len(codes), dtype=bool)  # where a run of equal codes starts
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return codes[first], np.diff(np.flatnonzero(first), append=len(first))
 
 
 def _count_chunk(walks, distances, m, n, dtype):
-    "The distinct pair codes of a block of walks, sorted, and their multiplicities."
-    codes = _pair_codes(walks, distances, m, n, dtype)
-    codes.sort()
-    first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    return codes[first], np.diff(first, append=len(codes))
+    """The distinct pair codes of a chunk of walks, sorted, and their multiplicities.
+
+    The chunk is cut into one piece per CPU, and each piece fills and sorts
+    its own slice of the chunk's codes in parallel.  The slices' runs are
+    counted and merged on the calling thread: worker threads allocate
+    little, as memory one thread frees is kept apart from the others'.
+    """
+    pieces = spans(len(walks), threads())
+    ends = np.cumsum([sum((hi - lo) * (walks.shape[1] - d) for d in distances)
+                      for lo, hi in pieces])
+    codes = np.empty(ends[-1], dtype=dtype)
+    slices = np.split(codes, ends[:-1])
+
+    def fill(j):
+        _pair_codes(walks[slice(*pieces[j])], distances, m, n, slices[j])
+        slices[j].sort()
+
+    map_blocks(fill, range(len(pieces)))
+    runs = [_runs(s) for s in slices]
+    del codes, slices  # the largest array here: freed before the merges
+    keys, counts = runs.pop()
+    while runs:
+        keys, counts = _merge_runs(keys, counts, *runs.pop())
+    return keys, counts
 
 
 def _merge_runs(keys, counts, new_keys, new_counts):
@@ -148,8 +174,17 @@ def _merge_runs(keys, counts, new_keys, new_counts):
     seen[seen] = keys[pos[seen]] == new_keys[seen]
     counts[pos[seen]] += new_counts[seen]
     fresh = ~seen
-    return (np.insert(keys, pos[fresh], new_keys[fresh]),
-            np.insert(counts, pos[fresh], new_counts[fresh]))
+    at = pos[fresh]
+    del pos  # freed before the merged table is made, as the other temporaries
+    at += np.arange(len(at))  # the fresh keys' slots in the merged table
+    old = np.ones(len(keys) + len(at), dtype=bool)
+    old[at] = False
+    merged = []
+    for a, b in ((keys, new_keys), (counts, new_counts)):
+        out = np.empty(len(old), dtype=a.dtype)
+        out[old], out[at] = a, b[fresh]
+        merged.append(out)
+    return merged
 
 
 def merge(a: PairCorpusStats, b: PairCorpusStats) -> PairCorpusStats:

@@ -7,6 +7,7 @@ import numpy as np
 from .blas import one_thread
 from .datasets import as_pairs
 from .factorization import FactorModel
+from .parallel import map_blocks
 from .tables import check_rows, read_table, write_table
 
 __all__ = ["RankedList", "Rankings", "top_k", "item_pop_scores", "recommend_topk",
@@ -136,7 +137,9 @@ def _rank_rows(first_user, scores, k_items, mask):
     if k == 0:
         return np.zeros(len(neg), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     neg[rows, cols] = np.nan
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    kth = np.empty((len(neg), 1))
+    for a in range(0, len(neg), 64):  # partitioned copies of 64 rows, not of the whole block
+        kth[a:a + 64] = np.partition(neg[a:a + 64], k - 1, axis=1)[:, k - 1:k]
     cand = neg <= kth
     cand[np.isnan(kth[:, 0])] = True
     cand[rows, cols] = False
@@ -150,26 +153,31 @@ def _rank_rows(first_user, scores, k_items, mask):
     return np.minimum(counts, k), c[keep], np.negative(v[keep])
 
 
-def _rank_users(n_users, k_items, mask, block_scores, chunk=1024):
-    """Rankings of users 0..n_users-1, chunk users at a time.
+def _rank_users(n_users, k_items, mask, block_scores, chunk=512):
+    """Rankings of users 0..n_users-1, chunk users at a time, blocks in parallel.
 
     block_scores(lo, hi) returns the (hi - lo, n_items) score rows of users
-    lo..hi-1, which the ranking overwrites.  mask is any iterable of
-    (u, i) pairs to exclude, or None.
+    lo..hi-1, which the ranking overwrites; it runs in the worker threads.
+    mask is any iterable of (u, i) pairs to exclude, or None.
     """
     mask = as_pairs(() if mask is None else mask)
-    blocks = [_rank_rows(lo, block_scores(lo, min(lo + chunk, n_users)), k_items, mask)
-              for lo in range(0, max(n_users, 1), chunk)]  # one block even for no users
+
+    def rank(lo):
+        return _rank_rows(lo, block_scores(lo, min(lo + chunk, n_users)), k_items, mask)
+
+    blocks = map_blocks(rank, range(0, max(n_users, 1), chunk))  # one block even for no users
     lengths, items, scores = map(np.concatenate, zip(*blocks))
     return Rankings(_offsets(lengths), items, scores)
 
 
-def recommend_topk(model: FactorModel, k_items, mask=None, chunk=1024):
+def recommend_topk(model: FactorModel, k_items, mask=None, chunk=512):
     """Ranked lists for every user from a factor model.
 
-    Each block of chunk users is scored with one product on one BLAS
-    thread, so the scores do not depend on the caller's thread count, and
-    ranked in one pass; the lists equal top_k's on each user's score row.
+    Each block of chunk users is scored with one product and ranked in one
+    pass, blocks in parallel; the lists equal top_k's on each user's score
+    row.  The whole call runs on one BLAS thread, pinned once here (the
+    count is process-wide), so the scores do not depend on the caller's
+    thread count.
 
     Args:
         model: fitted factors.
@@ -180,11 +188,9 @@ def recommend_topk(model: FactorModel, k_items, mask=None, chunk=1024):
     Returns:
         Rankings of users 0..n_users-1.
     """
-    def block_scores(lo, hi):
-        with one_thread():
-            return model.X[lo:hi] @ model.Y.T
-
-    return _rank_users(model.n_users, k_items, mask, block_scores, chunk)
+    with one_thread():
+        return _rank_users(model.n_users, k_items, mask,
+                           lambda lo, hi: model.X[lo:hi] @ model.Y.T, chunk)
 
 
 def save_recommendations(recs, path):

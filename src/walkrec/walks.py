@@ -7,12 +7,14 @@ import numpy as np
 
 from .graph import BipartiteGraph
 from .knobs import Knobs, knob
+from .parallel import map_blocks, spans, threads
 from .pcg64 import Pcg64Streams
 from .tables import format_header, parse_header
 
 __all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
 
 _SAVE_ROWS = 8192  # walks rendered per write, bounding the token buffer
+_WALK_BLOCK = 16384  # walks whose streams advance together; far fewer lose to the GIL
 _SP, _NL, _U, _I = b" \nui"
 
 
@@ -81,20 +83,34 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
     Each successor is drawn uniformly from the current vertex's neighbors.
     Every walk consumes its own random stream, the one
     ``np.random.default_rng((seed, start code, walk index))`` draws, so its
-    vertices do not depend on the other walks.  The streams of all walks are
-    computed together as arrays (Pcg64Streams), and all walks advance
-    together, one array step per position.  Rows are in (start code, walk
-    index) order.  Start codes and walk indices must be below 2**32.
+    vertices do not depend on the other walks, nor on how they are blocked.
+    Rows are in (start code, walk index) order.  The rows are cut into one
+    contiguous part per CPU (one part below _WALK_BLOCK walks), run in
+    parallel.  A part computes the streams of about _WALK_BLOCK walks at a
+    time as arrays (Pcg64Streams) and advances them together, one array
+    step per position, into a time-major buffer copied into the rows once.
+    Start codes and walk indices must be below 2**32.
     """
     deg = np.diff(g.indptr)
     starts = np.flatnonzero(deg)
     walks = np.empty((len(starts) * cfg.beta, cfg.gamma), dtype=np.int64)
-    walks[:, 0] = cur = np.repeat(starts, cfg.beta)
-    streams = Pcg64Streams(cfg.seed, cur, np.tile(np.arange(cfg.beta), len(starts)))
-    for t in range(1, cfg.gamma):
-        # float product then truncation, exactly as int(r * len(row)) per walk
-        cur = g.indices[g.indptr[cur] + (streams.random() * deg[cur]).astype(np.int64)]
-        walks[:, t] = cur
+
+    def walk_part(span):
+        lo, hi = span
+        for a, b in spans(hi - lo, max(1, round((hi - lo) / _WALK_BLOCK))):
+            j = np.arange(lo + a, lo + b)
+            cur = starts[j // cfg.beta]
+            streams = Pcg64Streams(cfg.seed, cur, j % cfg.beta)
+            steps = np.empty((cfg.gamma, len(j)), dtype=np.int64)  # rows are contiguous
+            steps[0] = cur
+            for t in range(1, cfg.gamma):
+                # float product then truncation, exactly as int(r * len(row)) per walk
+                cur = g.indices[g.indptr[cur] + (streams.random() * deg[cur]).astype(np.int64)]
+                steps[t] = cur
+            walks[lo + a:lo + b] = steps.T
+
+    parts = min(threads(), max(1, -(-len(walks) // _WALK_BLOCK)))
+    map_blocks(walk_part, spans(len(walks), parts))
     return WalkCorpus(walks, g.n_users, g.n_items)
 
 
@@ -104,15 +120,36 @@ def save_walks(corpus: WalkCorpus, path):
     """
     corpus.validate()
     m, n = corpus.n_users, corpus.n_items
-    names = np.array([f"u{v}" for v in range(m)] + [f"i{j}" for j in range(n)], dtype=object)
-    spaced, ended = names + " ", names + "\n"
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write(format_header({"users": m, "items": n, "walks": len(corpus.walks)}))
+    with Path(path).open("wb") as f:
+        f.write(format_header({"users": m, "items": n, "walks": len(corpus.walks)}).encode())
         for lo in range(0, len(corpus.walks), _SAVE_ROWS):
-            part = corpus.walks[lo:lo + _SAVE_ROWS]
-            out = spaced[part]
-            out[:, -1] = ended[part[:, -1]]
-            f.write("".join(out.ravel().tolist()))
+            f.write(_render(corpus.walks[lo:lo + _SAVE_ROWS], m))
+
+
+def _render(walks, m):
+    """The lines of a block of walks as bytes, with no table of token names.
+
+    Token t is row t: its letter, its digits right-aligned by repeated
+    division by ten (the inverse of load_walks' Horner pass) after NUL
+    bytes, then its separator.  Dropping the NULs leaves the tokens.
+    """
+    code = walks.ravel()
+    item = code >= m
+    idx = code - m * item
+    top = int(idx.max(initial=0))
+    idx = idx.astype(np.int32 if top < 2**31 else np.int64)  # int32 divides faster
+    width = len(str(top))
+    rows = np.empty((len(idx), width + 2), dtype=np.uint8)
+    rows[:, 0] = np.uint8(_U) - item.view(np.uint8) * np.uint8(_U - _I)
+    for col in range(width, 0, -1):
+        rest, digit = np.divmod(idx, 10)
+        digit += ord("0")
+        if col < width:
+            digit[idx == 0] = 0  # no digit left: a NUL
+        rows[:, col], idx = digit, rest
+    rows[:, -1] = _SP
+    rows[walks.shape[1] - 1::walks.shape[1], -1] = _NL
+    return rows[rows != 0].tobytes()
 
 
 def load_walks(path) -> WalkCorpus:
@@ -130,26 +167,33 @@ def load_walks(path) -> WalkCorpus:
     unended = body.size > 0 and body[-1] != _NL
     if unended:  # parse the last line as if ended, then name it
         body = np.append(body, np.uint8(_NL))
-    ends = np.flatnonzero((body == _SP) | (body == _NL))  # tokens end at separators
-    starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
+    sep = body == _SP
+    sep |= body == _NL
+    # tokens end at separators; byte offsets fit int32 below 2 GiB, halving these arrays
+    ends = np.flatnonzero(sep).astype(np.int32 if body.size < 2**31 else np.int64)
+    del sep
+    starts = np.insert(ends[:-1] + 1, 0, 0)[:len(ends)]
     width, lines = ends - starts, np.flatnonzero(body[ends] == _NL)  # a line's last token
-    digit, kind = body - np.uint8(ord("0")), body[starts]  # a non-digit byte wraps to >= 10
+    kind = body[starts]
 
     def fail(t, problem):
         raise ValueError(f"{path}: line {np.searchsorted(lines, t) + 2}: {problem}")
 
     bad = ((kind != _U) & (kind != _I)) | (width < 2) | (width > 19)
-    bad |= (digit[np.minimum(starts + 1, ends)] == 0) & (width > 2)  # a leading zero
+    bad |= (body[np.minimum(starts + 1, ends)] == ord("0")) & (width > 2)  # a leading zero
+    del ends
     idx = np.zeros(len(starts), dtype=np.int64)
     for j in range(1, min(int(width.max(initial=0)), 19)):  # Horner's rule over digit positions
-        d = digit.take(starts + j, mode="clip")
-        bad |= (width > j) & (d >= 10)
-        idx = np.where(width > j, idx * 10 + d, idx)
+        d = body.take(starts + j, mode="clip") - np.uint8(ord("0"))  # a non-digit wraps to >= 10
+        live = width > j
+        bad |= live & (d >= 10)
+        np.multiply(idx, 10, out=idx, where=live)
+        np.add(idx, d, out=idx, where=live)
     for t in np.flatnonzero(bad)[:1]:  # the first, if any, as for every check here
-        tok = body[starts[t]:min(ends[t], starts[t] + 24)].tobytes()
+        tok = body[starts[t]:starts[t] + min(width[t], 24)].tobytes()
         fail(t, f"bad token {tok.decode('utf-8', 'replace')!r}")
     is_user = kind == _U
-    for t in np.flatnonzero(idx >= np.where(is_user, m, n))[:1]:
+    for t in np.flatnonzero(np.where(is_user, idx >= m, idx >= n))[:1]:
         fail(t, f"{'user' if is_user[t] else 'item'} {idx[t]} out of range")
     per_line = np.diff(lines, prepend=-1)
     gamma = int(per_line[0]) if len(lines) else 0
@@ -159,7 +203,8 @@ def load_walks(path) -> WalkCorpus:
         fail(len(idx) - 1, "missing final newline")
     if (said := fields.get("walks", str(len(lines)))) != str(len(lines)):
         raise ValueError(f"{path}: header says walks={said}, file has {len(lines)} walks")
-    idx[~is_user] += m
+    np.add(idx, m, out=idx, where=~is_user)
+    del data, body, starts, width, kind, bad, is_user  # before the corpus is checked
     corpus = WalkCorpus(idx.reshape(len(lines), gamma), m, n)
     try:
         corpus.validate()

@@ -1,6 +1,7 @@
 """Random walk corpus generation: forced paths, counts, determinism, uniformity."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,23 @@ class TestOneGrammar:
                 assert q.read_bytes().split(b"\n", 1)[1] == mutated.split(b"\n", 1)[1], mutated
                 outcomes.add("loaded")
         assert outcomes == {"raised", "loaded"}
+
+
+class TestReaderMemory:
+    def test_peak_is_a_small_multiple_of_the_result(self, tmp_path):
+        """The reader's temporaries are token-length int32 and byte arrays,
+        freed before the corpus is checked: its traced peak, file bytes
+        included, stays under 5.5 times the int64 result (about 8 times
+        with int64 offsets and every temporary alive at once)."""
+        p = tmp_path / "walks.txt"
+        save_walks(random_corpus(np.random.default_rng(0), 4000, 4000, 2000, 80), p)
+        tracemalloc.start()
+        try:
+            corpus = load_walks(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * corpus.walks.nbytes
 
 
 class TestExpectedPairOracle:
