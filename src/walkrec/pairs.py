@@ -175,7 +175,7 @@ def _merge_runs(keys, counts, new_keys, new_counts):
     counts[pos[seen]] += new_counts[seen]
     fresh = ~seen
     at = pos[fresh]
-    del pos  # freed before the merged table is made, as the other temporaries
+    del pos  # not alive with the merged table, which sets the peak on wide windows
     at += np.arange(len(at))  # the fresh keys' slots in the merged table
     old = np.ones(len(keys) + len(at), dtype=bool)
     old[at] = False

@@ -270,6 +270,9 @@ class TestOneGrammar:
         corpus = random_corpus(np.random.default_rng(m + w), m, n, w, gamma)
         p, q = tmp_path / "a.txt", tmp_path / "b.txt"
         save_walks(corpus, p)
+        names = [" ".join(f"u{v}" if v < m else f"i{v - m}" for v in row) + "\n"
+                 for row in corpus.walks.tolist()]  # the scalar rendering, as the oracle
+        assert p.read_text().split("\n", 1)[1] == "".join(names)
         back = load_walks(p)
         assert (back.n_users, back.n_items) == (m, n)
         assert back.walks.dtype == np.int64 and np.array_equal(back.walks, corpus.walks)
