@@ -105,7 +105,7 @@ def run_cell(dataset: Dataset, st: PipelineSettings, _caches=None) -> MetricsRep
 
     if st.measure == "itempop":
         pop = item_pop_scores(train, n)
-        recs = _rank_users(m, st.k_items, mask, lambda lo, hi: np.tile(pop, (hi - lo, 1)))
+        recs = _rank_users(m, n, st.k_items, mask, lambda lo, hi, out: np.copyto(out, pop))
     else:
         if st.measure == "mf":
             s = sp.csr_matrix((np.ones(len(train)), (train[:, 0], train[:, 1])), shape=(m, n))

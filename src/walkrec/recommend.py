@@ -7,7 +7,7 @@ import numpy as np
 from .blas import one_thread
 from .datasets import as_pairs
 from .factorization import FactorModel
-from .parallel import map_blocks
+from .parallel import map_blocks, spans, threads
 from .tables import check_rows, read_table, write_table
 
 __all__ = ["RankedList", "Rankings", "top_k", "item_pop_scores", "recommend_topk",
@@ -153,19 +153,31 @@ def _rank_rows(first_user, scores, k_items, mask):
     return np.minimum(counts, k), c[keep], np.negative(v[keep])
 
 
-def _rank_users(n_users, k_items, mask, block_scores, chunk=512):
-    """Rankings of users 0..n_users-1, chunk users at a time, blocks in parallel.
+def _rank_users(n_users, n_items, k_items, mask, block_scores, chunk=512):
+    """Rankings of users 0..n_users-1, chunk users at a time.
 
-    block_scores(lo, hi) returns the (hi - lo, n_items) score rows of users
-    lo..hi-1, which the ranking overwrites; it runs in the worker threads.
-    mask is any iterable of (u, i) pairs to exclude, or None.
+    The blocks are cut into one contiguous lane per CPU, run in parallel.
+    Each lane scores its blocks into one (chunk, n_items) buffer made here,
+    on the calling thread: memory a worker thread frees stays in its own
+    malloc arena, so fresh score rows per block would pile up there.
+    block_scores(lo, hi, out) writes the score rows of users lo..hi-1 into
+    out, which the ranking overwrites.  mask is any iterable of (u, i)
+    pairs to exclude, or None.
     """
     mask = as_pairs(() if mask is None else mask)
+    firsts = range(0, max(n_users, 1), chunk)  # one block even for no users
+    lanes = spans(len(firsts), min(threads(), len(firsts)))
+    buffers = [np.empty((min(chunk, n_users), n_items)) for _ in lanes]
 
-    def rank(lo):
-        return _rank_rows(lo, block_scores(lo, min(lo + chunk, n_users)), k_items, mask)
+    def rank_lane(j):
+        ranked = []
+        for lo in firsts[slice(*lanes[j])]:
+            out = buffers[j][:min(lo + chunk, n_users) - lo]
+            block_scores(lo, lo + len(out), out)
+            ranked.append(_rank_rows(lo, out, k_items, mask))
+        return ranked
 
-    blocks = map_blocks(rank, range(0, max(n_users, 1), chunk))  # one block even for no users
+    blocks = [block for lane in map_blocks(rank_lane, range(len(lanes))) for block in lane]
     lengths, items, scores = map(np.concatenate, zip(*blocks))
     return Rankings(_offsets(lengths), items, scores)
 
@@ -189,8 +201,9 @@ def recommend_topk(model: FactorModel, k_items, mask=None, chunk=512):
         Rankings of users 0..n_users-1.
     """
     with one_thread():
-        return _rank_users(model.n_users, k_items, mask,
-                           lambda lo, hi: model.X[lo:hi] @ model.Y.T, chunk)
+        return _rank_users(model.n_users, model.n_items, k_items, mask,
+                           lambda lo, hi, out: np.matmul(model.X[lo:hi], model.Y.T, out=out),
+                           chunk)
 
 
 def save_recommendations(recs, path):
