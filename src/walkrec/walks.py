@@ -88,29 +88,32 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
     contiguous part per CPU (one part below _WALK_BLOCK walks), run in
     parallel.  A part computes the streams of about _WALK_BLOCK walks at a
     time as arrays (Pcg64Streams) and advances them together, one array
-    step per position, into a time-major buffer copied into the rows once.
-    Start codes and walk indices must be below 2**32.
+    step per position, into the part's time-major buffer, copied into the
+    rows once.  Start codes and walk indices must be below 2**32.
     """
     deg = np.diff(g.indptr)
     starts = np.flatnonzero(deg)
     walks = np.empty((len(starts) * cfg.beta, cfg.gamma), dtype=np.int64)
+    parts = [[(lo + a, lo + b) for a, b in spans(hi - lo, max(1, round((hi - lo) / _WALK_BLOCK)))]
+             for lo, hi in spans(len(walks), min(threads(), -(-len(walks) // _WALK_BLOCK) or 1))]
+    # made on this thread: memory a worker thread frees stays in its own malloc arena
+    buffers = [np.empty(cfg.gamma * max(hi - lo for lo, hi in part), dtype=np.int64)
+               for part in parts]
 
-    def walk_part(span):
-        lo, hi = span
-        for a, b in spans(hi - lo, max(1, round((hi - lo) / _WALK_BLOCK))):
-            j = np.arange(lo + a, lo + b)
+    def walk_part(p):
+        for lo, hi in parts[p]:
+            j = np.arange(lo, hi)
             cur = starts[j // cfg.beta]
             streams = Pcg64Streams(cfg.seed, cur, j % cfg.beta)
-            steps = np.empty((cfg.gamma, len(j)), dtype=np.int64)  # rows are contiguous
+            steps = buffers[p][:cfg.gamma * len(j)].reshape(cfg.gamma, len(j))
             steps[0] = cur
             for t in range(1, cfg.gamma):
                 # float product then truncation, exactly as int(r * len(row)) per walk
                 cur = g.indices[g.indptr[cur] + (streams.random() * deg[cur]).astype(np.int64)]
                 steps[t] = cur
-            walks[lo + a:lo + b] = steps.T
+            walks[lo:hi] = steps.T
 
-    parts = min(threads(), max(1, -(-len(walks) // _WALK_BLOCK)))
-    map_blocks(walk_part, spans(len(walks), parts))
+    map_blocks(walk_part, range(len(parts)))
     return WalkCorpus(walks, g.n_users, g.n_items)
 
 
