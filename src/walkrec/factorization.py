@@ -11,6 +11,7 @@ not of A, keeps the residual at Cholesky's precision: an explicit A^-1
 loses digits in proportion to A's condition number.
 """
 
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -207,18 +208,26 @@ def save_model(model: FactorModel, cfg: AlsConfig, path):
 
 
 def load_model(path):
-    """Read a model written by save_model; returns (FactorModel, AlsConfig)."""
-    with np.load(Path(path)) as data:
-        ints = data["meta_ints"]
-        floats = data["meta_floats"]
-        model = FactorModel(data["X"], data["Y"], list(data["loss_trace"]))
-        cfg = AlsConfig(
-            factors=int(ints[2]),
-            lam=float(floats[0]),
-            sweeps=int(ints[3]),
-            seed=int(ints[4]),
-            init_scale=float(floats[1]),
-        )
-    if model.n_users != int(ints[0]) or model.n_items != int(ints[1]):
-        raise ValueError(f"{path}: factor shapes do not match metadata")
-    return model, cfg
+    """Read a model written by save_model; returns (FactorModel, AlsConfig).
+
+    An unreadable archive, a missing array, or factor shapes that differ
+    from the stored users, items and factors raise ValueError naming path.
+    """
+    try:
+        with np.load(Path(path)) as data:
+            X, Y, trace, ints, floats = (data[name] for name in
+                                         ("X", "Y", "loss_trace", "meta_ints", "meta_floats"))
+    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
+            zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: unreadable model archive: {exc}") from None
+    if X.ndim != 2 or Y.ndim != 2 or X.shape != (ints[0], ints[2]) or Y.shape != (ints[1], ints[2]):
+        raise ValueError(f"{path}: factor shapes X {X.shape}, Y {Y.shape} do not match "
+                         f"the stored {ints[0]} users, {ints[1]} items and {ints[2]} factors")
+    cfg = AlsConfig(
+        factors=int(ints[2]),
+        lam=float(floats[0]),
+        sweeps=int(ints[3]),
+        seed=int(ints[4]),
+        init_scale=float(floats[1]),
+    )
+    return FactorModel(X, Y, list(trace)), cfg

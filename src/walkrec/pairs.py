@@ -12,7 +12,9 @@ Each pair is packed into one integer, u * n_items + i, so sorting the
 codes of a chunk of walks orders them as the rows of a CSR matrix; the
 chunk's runs of equal codes are its distinct pairs and their counts, and
 merging them into the running sorted (code, count) table bounds memory
-by one chunk's codes plus the distinct pairs.
+by one chunk's codes plus the distinct pairs.  All of it runs on the
+calling thread: sorting a chunk's pieces on several CPUs saved too
+little to pay for merging them.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .parallel import map_blocks, spans, threads
 from .tables import read_matrix, write_matrix
 from .walks import WalkCorpus
 
@@ -86,10 +87,10 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     u = min and i = max - n_users, and the offsets +d and -d around a user
     centre are both counted by it.  Pairs are packed as u * n_items + i
     (int32 when every code fits, else int64) and counted _CHUNK_ROWS walks
-    at a time: each chunk's codes are sorted in place, run-length counted
-    and merged into the running sorted (code, count) arrays, which are the
-    CSR matrix's rows in order, so the matrix is built without a sparse
-    conversion or sum.
+    at a time on the calling thread: each chunk's codes are sorted in
+    place, run-length counted and merged into the running sorted
+    (code, count) arrays, which are the CSR matrix's rows in order, so the
+    matrix is built without a sparse conversion or sum.
 
     Args:
         corpus: walk corpus; corpus.validate() checks it first.
@@ -137,34 +138,20 @@ def _runs(codes):
     first = np.empty(len(codes), dtype=bool)  # where a run of equal codes starts
     first[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    return codes[first], np.diff(np.flatnonzero(first), append=len(first))
+    keys, counts = codes[first], np.flatnonzero(first)  # the runs' starts, for now
+    # each run's length overwrites its start: a second array of the chunk's
+    # distinct pairs would set the peak on wide windows
+    np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+    counts[-1:] = len(codes) - counts[-1:]
+    return keys, counts
 
 
 def _count_chunk(walks, distances, m, n, dtype):
-    """The distinct pair codes of a chunk of walks, sorted, and their multiplicities.
-
-    The chunk is cut into one piece per CPU, and each piece fills and sorts
-    its own slice of the chunk's codes in parallel.  The slices' runs are
-    counted and merged on the calling thread: worker threads allocate
-    little, as memory one thread frees is kept apart from the others'.
-    """
-    pieces = spans(len(walks), threads())
-    ends = np.cumsum([sum((hi - lo) * (walks.shape[1] - d) for d in distances)
-                      for lo, hi in pieces])
-    codes = np.empty(ends[-1], dtype=dtype)
-    slices = np.split(codes, ends[:-1])
-
-    def fill(j):
-        _pair_codes(walks[slice(*pieces[j])], distances, m, n, slices[j])
-        slices[j].sort()
-
-    map_blocks(fill, range(len(pieces)))
-    runs = [_runs(s) for s in slices]
-    del codes, slices  # the largest array here: freed before the merges
-    keys, counts = runs.pop()
-    while runs:
-        keys, counts = _merge_runs(keys, counts, *runs.pop())
-    return keys, counts
+    "The distinct pair codes of a chunk of walks, sorted, and their multiplicities."
+    codes = np.empty(len(walks) * sum(walks.shape[1] - d for d in distances), dtype=dtype)
+    _pair_codes(walks, distances, m, n, codes)
+    codes.sort()
+    return _runs(codes)
 
 
 def _merge_runs(keys, counts, new_keys, new_counts):

@@ -13,6 +13,8 @@ from .tables import check_rows, read_table, write_table
 __all__ = ["RankedList", "Rankings", "top_k", "item_pop_scores", "recommend_topk",
            "save_recommendations", "load_recommendations"]
 
+_RANK_ROWS = 512  # users scored and ranked per block: smaller blocks move scores' last bits
+
 
 @dataclass
 class RankedList:
@@ -153,11 +155,11 @@ def _rank_rows(first_user, scores, k_items, mask):
     return np.minimum(counts, k), c[keep], np.negative(v[keep])
 
 
-def _rank_users(n_users, n_items, k_items, mask, block_scores, chunk=512):
-    """Rankings of users 0..n_users-1, chunk users at a time.
+def _rank_users(n_users, n_items, k_items, mask, block_scores):
+    """Rankings of users 0..n_users-1, _RANK_ROWS users at a time.
 
     The blocks are cut into one contiguous lane per CPU, run in parallel.
-    Each lane scores its blocks into one (chunk, n_items) buffer made here,
+    Each lane scores its blocks into one (_RANK_ROWS, n_items) buffer made here,
     on the calling thread: memory a worker thread frees stays in its own
     malloc arena, so fresh score rows per block would pile up there.
     block_scores(lo, hi, out) writes the score rows of users lo..hi-1 into
@@ -165,14 +167,14 @@ def _rank_users(n_users, n_items, k_items, mask, block_scores, chunk=512):
     pairs to exclude, or None.
     """
     mask = as_pairs(() if mask is None else mask)
-    firsts = range(0, max(n_users, 1), chunk)  # one block even for no users
+    firsts = range(0, max(n_users, 1), _RANK_ROWS)  # one block even for no users
     lanes = spans(len(firsts), min(threads(), len(firsts)))
-    buffers = [np.empty((min(chunk, n_users), n_items)) for _ in lanes]
+    buffers = [np.empty((min(_RANK_ROWS, n_users), n_items)) for _ in lanes]
 
     def rank_lane(j):
         ranked = []
         for lo in firsts[slice(*lanes[j])]:
-            out = buffers[j][:min(lo + chunk, n_users) - lo]
+            out = buffers[j][:min(lo + _RANK_ROWS, n_users) - lo]
             block_scores(lo, lo + len(out), out)
             ranked.append(_rank_rows(lo, out, k_items, mask))
         return ranked
@@ -182,10 +184,10 @@ def _rank_users(n_users, n_items, k_items, mask, block_scores, chunk=512):
     return Rankings(_offsets(lengths), items, scores)
 
 
-def recommend_topk(model: FactorModel, k_items, mask=None, chunk=512):
+def recommend_topk(model: FactorModel, k_items, mask=None):
     """Ranked lists for every user from a factor model.
 
-    Each block of chunk users is scored with one product and ranked in one
+    Each block of _RANK_ROWS users is scored with one product and ranked in one
     pass, blocks in parallel; the lists equal top_k's on each user's score
     row.  The whole call runs on one BLAS thread, pinned once here (the
     count is process-wide), so the scores do not depend on the caller's
@@ -202,8 +204,7 @@ def recommend_topk(model: FactorModel, k_items, mask=None, chunk=512):
     """
     with one_thread():
         return _rank_users(model.n_users, model.n_items, k_items, mask,
-                           lambda lo, hi, out: np.matmul(model.X[lo:hi], model.Y.T, out=out),
-                           chunk)
+                           lambda lo, hi, out: np.matmul(model.X[lo:hi], model.Y.T, out=out))
 
 
 def save_recommendations(recs, path):

@@ -217,6 +217,37 @@ class TestPersistence:
         assert back.loss_trace == model.loss_trace
         assert back_cfg == cfg
 
+    @pytest.mark.parametrize("keep", [0, 10, 100, -600, -22])
+    def test_truncated_archive_names_the_file(self, tmp_path, keep):
+        p = tmp_path / "model.npz"
+        save_model(FactorModel(np.ones((3, 2)), np.ones((4, 2)), [1.0]), AlsConfig(factors=2), p)
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=r"model\.npz: unreadable model archive"):
+            load_model(p)
+
+    @pytest.mark.parametrize("name", ["X", "Y", "loss_trace", "meta_ints", "meta_floats"])
+    def test_missing_array_names_the_file(self, tmp_path, name):
+        p = tmp_path / "model.npz"
+        save_model(FactorModel(np.ones((3, 2)), np.ones((4, 2)), [1.0]), AlsConfig(factors=2), p)
+        with np.load(p) as data:
+            arrays = {k: data[k] for k in data.files if k != name}
+        np.savez(p, **arrays)
+        with pytest.raises(ValueError, match=rf"model\.npz: unreadable model archive: '{name} "):
+            load_model(p)
+
+    @pytest.mark.parametrize("x_shape, y_shape", [((3, 2), (4, 3)), ((3, 5), (4, 3)),
+                                                  ((3, 2), (4, 2)), ((3, 5), (5, 5))])
+    def test_factor_shapes_must_match_the_stored_metadata(self, tmp_path, x_shape, y_shape):
+        # stored: 3 users, 4 items and 5 factors
+        p = tmp_path / "model.npz"
+        save_model(FactorModel(np.ones(x_shape), np.ones(y_shape), [1.0]), AlsConfig(factors=5), p)
+        with np.load(p) as data:
+            arrays = dict(data)
+        arrays["meta_ints"][:2] = (3, 4)
+        np.savez(p, **arrays)
+        with pytest.raises(ValueError, match=r"model\.npz: factor shapes .* do not match"):
+            load_model(p)
+
 
 class TestLossTrace:
     def test_trace_equals_loss_of_each_sweep(self):

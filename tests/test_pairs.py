@@ -182,6 +182,11 @@ class TestSortedRunCounter:
             stats = sample_pairs(corpus, sigma)
             stats.validate()
             assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, sigma))
+        corpus = corpus_from_tokens(["u0 i0 u0 i0 u0 i0"] * 5, 2, 2)  # a chunk is one run
+        for sigma in (1, 5):
+            stats = sample_pairs(corpus, sigma)
+            stats.validate()
+            assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, sigma))
 
     def test_codes_beyond_int32_are_packed_in_int64(self):
         m = n = 50_000  # u * n + i reaches 2.5e9 > 2**31 - 1

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from walkrec import blas, factorization, pairs, parallel, walks
+from walkrec import blas, factorization, pairs, parallel, recommend, walks
 from walkrec.confidence import sppmi_matrix
 from walkrec.datasets import split
 from walkrec.factorization import AlsConfig, als_fit
@@ -40,7 +40,7 @@ def run_stages(ds, g):
     corpus = generate_walks(g, WalkConfig(3, 20, 5))
     stats = sample_pairs(corpus, 5)
     model = als_fit(sppmi_matrix(stats, 1.0), AlsConfig(factors=8, sweeps=3))
-    recs = recommend_topk(model, 10, ds.train, chunk=37)
+    recs = recommend_topk(model, 10, ds.train)
     return [corpus.walks, stats.pair_count.data, stats.pair_count.indices,
             stats.pair_count.indptr, model.X, model.Y, np.array(model.loss_trace),
             recs.indptr, recs.items, recs.scores]
@@ -51,6 +51,7 @@ def test_stage_bytes_do_not_depend_on_thread_count(bundled, cpus, monkeypatch):
     monkeypatch.setattr(walks, "_WALK_BLOCK", 97)
     monkeypatch.setattr(pairs, "_CHUNK_ROWS", 211)
     monkeypatch.setattr(factorization, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(recommend, "_RANK_ROWS", 37)
     outputs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as they can
@@ -73,6 +74,7 @@ def test_stage_bytes_do_not_depend_on_thread_count(bundled, cpus, monkeypatch):
 def test_blas_thread_counts_restored_after_parallel_stages(bundled, cpus, monkeypatch):
     ds, g = bundled
     monkeypatch.setattr(factorization, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(recommend, "_RANK_ROWS", 50)
     cpus(2)
     saved = [get() for get, _ in blas.libraries()]
     try:
@@ -81,7 +83,7 @@ def test_blas_thread_counts_restored_after_parallel_stages(bundled, cpus, monkey
         s = sppmi_matrix(sample_pairs(generate_walks(g, WalkConfig(2, 10, 0)), 3), 1.0)
         model = als_fit(s, AlsConfig(factors=4, sweeps=2))
         assert [get() for get, _ in blas.libraries()] == [3] * len(saved)
-        recommend_topk(model, 5, chunk=50)
+        recommend_topk(model, 5)
         assert [get() for get, _ in blas.libraries()] == [3] * len(saved)
     finally:
         for (_, put), n in zip(blas.libraries(), saved):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_top_k
+from walkrec import recommend
 from walkrec.factorization import FactorModel
 from walkrec.recommend import (RankedList, Rankings, item_pop_scores, load_recommendations,
                                recommend_topk, save_recommendations, top_k)
@@ -95,14 +96,16 @@ class TestRecommendTopk:
             got = recommend_topk(model, 4, mask)
             assert [rl.items for rl in got] == [rl.items for rl in want]
 
-    def test_chunking_does_not_change_output(self):
+    def test_chunking_does_not_change_output(self, monkeypatch):
         rng = np.random.default_rng(5)
         model = FactorModel(rng.normal(size=(10, 2)), rng.normal(size=(5, 2)))
-        a = recommend_topk(model, 3, None, chunk=2)
-        b = recommend_topk(model, 3, None, chunk=1024)
+        monkeypatch.setattr(recommend, "_RANK_ROWS", 2)
+        a = recommend_topk(model, 3, None)
+        monkeypatch.setattr(recommend, "_RANK_ROWS", 1024)
+        b = recommend_topk(model, 3, None)
         assert [rl.items for rl in a] == [rl.items for rl in b]
 
-    def test_blocks_match_per_user_top_k_with_ties_nans_and_masks(self):
+    def test_blocks_match_per_user_top_k_with_ties_nans_and_masks(self, monkeypatch):
         rng = np.random.default_rng(8)
         for _ in range(40):
             m, n, f = int(rng.integers(1, 12)), int(rng.integers(1, 15)), 3
@@ -124,8 +127,9 @@ class TestRecommendTopk:
                     size = int(rng.integers(0, n + 1)) if kind == 2 else max(n - k + 1, 0)
                     masks[u] = set(rng.choice(n, size=min(size, n), replace=False).tolist())
             mask = [(u, i) for u, items in masks.items() for i in items]
+            monkeypatch.setattr(recommend, "_RANK_ROWS", int(rng.integers(1, 5)))
             with np.errstate(invalid="ignore"):  # 0 * inf in the products
-                recs = recommend_topk(model, k, mask, chunk=int(rng.integers(1, 5)))
+                recs = recommend_topk(model, k, mask)
                 rows = [X[u] @ Y.T for u in range(m)]
             assert [rl.user for rl in recs] == list(range(m))
             for u in range(m):
@@ -213,11 +217,12 @@ class TestTopKReference:
 
 
 @pytest.mark.parametrize("bad", [-1, 6, 7])
-def test_mask_index_outside_catalog_is_rejected(bad):
+def test_mask_index_outside_catalog_is_rejected(bad, monkeypatch):
     # a negative index used to wrap round and silently mask the last items
     with pytest.raises(ValueError, match=rf"mask of user 3: item {bad} not in \[0, 6\)"):
         top_k(3, np.arange(6.0), 3, {1, bad})
     rng = np.random.default_rng(2)
     model = FactorModel(rng.normal(size=(8, 2)), rng.normal(size=(6, 2)))
+    monkeypatch.setattr(recommend, "_RANK_ROWS", 4)
     with pytest.raises(ValueError, match=rf"mask of user 5: item {bad} not in \[0, 6\)"):
-        recommend_topk(model, 3, [(0, 2), (5, 0), (5, bad)], chunk=4)
+        recommend_topk(model, 3, [(0, 2), (5, 0), (5, bad)])
