@@ -63,9 +63,12 @@ def one_thread():
     Each library's previous count is restored on exit, also when the body
     raises; nested blocks restore the outer block's count.  The count is
     process-wide, so a parallel region pins it once, on the calling thread,
-    around all its blocks; worker threads never enter one_thread().
+    around all its blocks; inside a map_blocks block one_thread() does
+    nothing, so worker threads never set or restore a count.
     """
-    libs = libraries()
+    from .parallel import _inside  # imported here, so this module also loads on its own
+
+    libs = () if _inside.get() else libraries()
     saved = [get() for get, _ in libs]
     for _, put in libs:
         put(1)

@@ -12,12 +12,14 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .blas import one_thread
 from .confidence import co_matrix, sppmi_matrix
 from .config import CELL_MEASURES, ExperimentGrid, PipelineSettings
 from .datasets import Dataset, as_pairs, sparsify
 from .factorization import AlsConfig, als_fit
 from .graph import build_graph
 from .pairs import sample_pairs
+from .parallel import map_blocks
 from .recommend import Rankings, _rank_users, item_pop_scores, recommend_topk
 from .tables import write_table
 from .walks import WalkConfig, generate_walks
@@ -84,47 +86,57 @@ def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
     )
 
 
-def run_cell(dataset: Dataset, st: PipelineSettings, _caches=None) -> MetricsReport:
+def run_cell(dataset: Dataset, st: PipelineSettings, _inputs=None) -> MetricsReport:
     """One pipeline pass: sparsify, walk, count, score, factorize, rank, evaluate.
 
-    Evaluation always uses the unsparsified test split.  The optional
-    caches let a grid reuse the per-(keep, seed) training set and corpus
-    and the per-(keep, seed, sigma) pair counts; cached and uncached runs
-    produce identical results.
+    Evaluation always uses the unsparsified test split.  The inputs
+    (_cell_inputs) are built first and the walk corpus and pair counts
+    are freed before the fit.  A grid passes each cell's prebuilt
+    (train, scores) as _inputs; cached and uncached runs produce
+    identical results.
+    """
+    if _inputs is None:  # the cell's corpus and pair counts die with these caches
+        _inputs = _cell_inputs(dataset, st, {"train": {}, "corpus": {}, "stats": {}})
+    train, s = _inputs
+    m, n = dataset.n_users, dataset.n_items
+    mask = train if st.mask_train else None
+    if st.measure == "itempop":
+        recs = _rank_users(m, n, st.k_items, mask, lambda lo, hi, out: np.copyto(out, s))
+    else:
+        model = als_fit(s, AlsConfig(st.factors, st.lam, st.sweeps, st.seed, st.init_scale))
+        recs = recommend_topk(model, st.k_items, mask)
+    return evaluate(recs, dataset.test, st.cutoffs, config=st.echo())
+
+
+def _cell_inputs(dataset: Dataset, st: PipelineSettings, caches):
+    """(train, scores) of one cell: its sparsified training pairs, and the
+    popularity row (itempop), the binary matrix (mf) or the co/PMI confidence.
+
+    caches holds the per-(keep, seed) training set, the per-(keep, seed,
+    beta, gamma) corpus and the per-(keep, seed, beta, gamma, sigma) pair
+    counts, reused by later cells that share those keys.
     """
     if st.measure not in CELL_MEASURES:
         raise ValueError(f"unknown measure {st.measure!r}")
     m, n = dataset.n_users, dataset.n_items
-    caches = _caches if _caches is not None else {"train": {}, "corpus": {}, "stats": {}}
-
     tkey = (st.keep_fraction, st.seed)
     if tkey not in caches["train"]:
         caches["train"][tkey] = sparsify(dataset.train, st.keep_fraction, st.seed)
     train = caches["train"][tkey]
-    mask = train if st.mask_train else None
-
     if st.measure == "itempop":
-        pop = item_pop_scores(train, n)
-        recs = _rank_users(m, n, st.k_items, mask, lambda lo, hi, out: np.copyto(out, pop))
-    else:
-        if st.measure == "mf":
-            s = sp.csr_matrix((np.ones(len(train)), (train[:, 0], train[:, 1])), shape=(m, n))
-        else:
-            ckey = (st.keep_fraction, st.seed, st.beta, st.gamma)
-            if ckey not in caches["corpus"]:
-                g = build_graph(train, m, n)
-                caches["corpus"][ckey] = generate_walks(g, WalkConfig(st.beta, st.gamma, st.seed))
-            corpus = caches["corpus"][ckey]
-            skey = ckey + (st.sigma,)
-            if skey not in caches["stats"]:
-                caches["stats"][skey] = sample_pairs(corpus, st.sigma)
-            stats = caches["stats"][skey]
-            s = co_matrix(stats) if st.measure == "co" else sppmi_matrix(stats, st.shift_k)
-        cfg = AlsConfig(st.factors, st.lam, st.sweeps, st.seed, st.init_scale)
-        model = als_fit(s, cfg)
-        recs = recommend_topk(model, st.k_items, mask)
-
-    return evaluate(recs, dataset.test, st.cutoffs, config=st.echo())
+        return train, item_pop_scores(train, n)
+    if st.measure == "mf":
+        return train, sp.csr_matrix((np.ones(len(train)), (train[:, 0], train[:, 1])),
+                                    shape=(m, n))
+    ckey = (st.keep_fraction, st.seed, st.beta, st.gamma)
+    if ckey not in caches["corpus"]:
+        g = build_graph(train, m, n)
+        caches["corpus"][ckey] = generate_walks(g, WalkConfig(st.beta, st.gamma, st.seed))
+    skey = ckey + (st.sigma,)
+    if skey not in caches["stats"]:
+        caches["stats"][skey] = sample_pairs(caches["corpus"][ckey], st.sigma)
+    stats = caches["stats"][skey]
+    return train, co_matrix(stats) if st.measure == "co" else sppmi_matrix(stats, st.shift_k)
 
 
 def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGrid):
@@ -132,18 +144,23 @@ def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGri
 
     Cells that share (keep_fraction, seed) reuse one walk corpus, so a
     window-size sweep isolates the window effect, and cells additionally
-    sharing sigma reuse the pair counts.
+    sharing sigma reuse the pair counts.  Every cell's inputs are built
+    first, in grid order on the calling thread; the corpora and pair
+    counts are then freed, and the cells are fitted, ranked and evaluated
+    in parallel (map_blocks) on one BLAS thread, pinned once here.  A
+    cell's nested blocks run inline, so its bytes do not depend on the
+    thread count, and the first error in grid order is raised.
     """
+    cells = [replace(base, measure=measure, sigma=int(sigma), keep_fraction=float(keep),
+                     seed=int(seed))
+             for measure in grid.measures for sigma in grid.sigmas
+             for keep in grid.keep_fractions for seed in grid.seeds]
     caches = {"train": {}, "corpus": {}, "stats": {}}
-    rows = []
-    for measure in grid.measures:
-        for sigma in grid.sigmas:
-            for keep in grid.keep_fractions:
-                for seed in grid.seeds:
-                    st = replace(base, measure=measure, sigma=int(sigma),
-                                 keep_fraction=float(keep), seed=int(seed))
-                    rows.append(run_cell(dataset, st, _caches=caches))
-    return rows
+    inputs = [_cell_inputs(dataset, st, caches) for st in cells]
+    del caches  # the last reference to the corpora and pair counts
+    with one_thread():
+        return map_blocks(lambda j: run_cell(dataset, cells[j], _inputs=inputs[j]),
+                          range(len(cells)))
 
 
 def _knob_str(v):

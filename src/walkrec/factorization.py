@@ -105,22 +105,27 @@ def _half_sweep(mat, other: np.ndarray, lam: float,
     chol = cholesky(gram + lam * np.eye(k), lower=True, check_finite=False)
     inv = solve_triangular(chol, np.eye(k), lower=True, check_finite=False)
     blocks = mat if isinstance(mat, tuple) else (mat,)
-    if b is None:
-        return np.vstack(map_blocks(lambda blk: (blk @ other @ inv.T) @ inv, blocks))
-    cuts = np.cumsum([blk.shape[0] for blk in blocks])[:-1]  # b's rows of each block
-    return np.vstack(map_blocks(lambda rows: (rows @ inv.T) @ inv, np.split(b, cuts)))
+    bounds = np.cumsum([0] + [blk.shape[0] for blk in blocks])
+    out = np.empty((bounds[-1], k))  # each block's rows written in place: no stacked copy
+
+    def solve(j):
+        rows = blocks[j] @ other if b is None else b[bounds[j]:bounds[j + 1]]
+        np.matmul(rows @ inv.T, inv, out=out[bounds[j]:bounds[j + 1]])
+
+    map_blocks(solve, range(len(blocks)))
+    return out
 
 
-def _objective(s_csr: sp.csr_matrix, y: np.ndarray, stx: np.ndarray,
+def _objective(s_sq: float, y: np.ndarray, stx: np.ndarray,
                gx: np.ndarray, gy: np.ndarray, lam: float) -> float:
     """Full-matrix squared error plus ridge penalty, without materializing M x N.
 
-    The data term sum over stored (u, i) of s_ui * x_u . y_i equals
-    sum(Y * (S' X)); stx is that S' X.  gx = X'X and gy = Y'Y give the
-    sum of squared predictions, sum(gx * gy), and the ridge term, their
-    traces.
+    s_sq is the sum of the squared stored entries of S, constant over a
+    fit.  The data term sum over stored (u, i) of s_ui * x_u . y_i equals
+    sum(Y * (S' X)); stx is that S' X.  gx = X'X and gy = Y'Y give the sum
+    of squared predictions, sum(gx * gy), and the ridge term, their traces.
     """
-    sq = float(s_csr.data @ s_csr.data) - 2.0 * float(np.vdot(y, stx))
+    sq = s_sq - 2.0 * float(np.vdot(y, stx))
     sq += float(np.sum(gx * gy))
     return sq + lam * (float(np.trace(gx)) + float(np.trace(gy)))
 
@@ -152,6 +157,7 @@ def als_fit(s, cfg: AlsConfig = AlsConfig()) -> FactorModel:
     x, y = model.X, model.Y
     s_blocks, st_blocks = _row_blocks(s_csr), _row_blocks(s_csr.T.tocsr())
     gy = y.T @ y
+    s_sq = float(s_csr.data @ s_csr.data)
 
     for sweep in range(cfg.sweeps):
         x = _half_sweep(s_blocks, y, cfg.lam, gram=gy)
@@ -163,7 +169,7 @@ def als_fit(s, cfg: AlsConfig = AlsConfig()) -> FactorModel:
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"non-finite item factors at sweep {sweep}")
         gy = y.T @ y
-        model.loss_trace.append(_objective(s_csr, y, stx, gx, gy, cfg.lam))
+        model.loss_trace.append(_objective(s_sq, y, stx, gx, gy, cfg.lam))
 
     model.X, model.Y = x, y
     return model
@@ -182,7 +188,7 @@ def loss(s, model: FactorModel, lam: float) -> float:
     if x.shape[0] != m or y.shape[0] != n or x.shape[1] != y.shape[1]:
         raise ValueError(f"factor shapes X {x.shape} and Y {y.shape} do not fit "
                          f"s of shape {s_csr.shape}: need ({m}, K) and ({n}, K)")
-    return _objective(s_csr, y, s_csr.T @ x, x.T @ x, y.T @ y, lam)
+    return _objective(float(s_csr.data @ s_csr.data), y, s_csr.T @ x, x.T @ x, y.T @ y, lam)
 
 
 def predict(model: FactorModel, u: int, i: int) -> float:

@@ -8,6 +8,7 @@ Restrict the cores with ``taskset``; there is no setting.
 """
 
 import contextvars
+import ctypes
 import os
 import threading
 
@@ -31,6 +32,18 @@ def spans(n, parts):
     return [(n * j // parts, n * (j + 1) // parts) for j in range(parts)]
 
 
+def _one_malloc_arena():
+    """Cap glibc malloc at one arena: memory a worker thread frees in an arena
+    of its own is not reused by the other threads, so it would raise the
+    process peak.  Does nothing where there is no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no dlopen(NULL)
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-8, 1)  # M_ARENA_MAX
+
+
 def _run(fn, block):
     _inside.set(True)  # a nested map_blocks runs inline instead of waiting on the pool
     return fn(block)
@@ -51,6 +64,7 @@ def map_blocks(fn, blocks):
     with _lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor  # imported here: not paid at import
+            _one_malloc_arena()
             _pool = ThreadPoolExecutor(n, thread_name_prefix="walkrec")
     futures = [_pool.submit(contextvars.copy_context().run, _run, fn, b) for b in blocks]
     for f in futures:

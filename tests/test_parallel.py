@@ -5,14 +5,18 @@ and a pool that survives fork."""
 import os
 import signal
 import sys
+import threading
 import time
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from walkrec import blas, factorization, pairs, parallel, recommend, walks
+from walkrec import blas, evaluation, factorization, pairs, parallel, recommend, walks
 from walkrec.confidence import sppmi_matrix
 from walkrec.datasets import split
+from walkrec.evaluation import ExperimentGrid, PipelineSettings, run_cell, run_experiment
 from walkrec.factorization import AlsConfig, als_fit
 from walkrec.graph import build_graph
 from walkrec.pairs import sample_pairs
@@ -88,6 +92,101 @@ def test_blas_thread_counts_restored_after_parallel_stages(bundled, cpus, monkey
     finally:
         for (_, put), n in zip(blas.libraries(), saved):
             put(n)
+
+
+def test_one_thread_does_nothing_inside_a_block(cpus, monkeypatch):
+    cpus(2)
+    count, calls = [3], []
+
+    def put(n):
+        calls.append((threading.current_thread() is threading.main_thread(), n))
+        count[0] = n
+
+    monkeypatch.setattr(blas, "libraries", lambda: ((lambda: count[0], put),))
+
+    def block(_):
+        with blas.one_thread():
+            return count[0]
+
+    assert parallel.map_blocks(block, range(4)) == [3] * 4 and calls == []
+    with blas.one_thread():
+        assert parallel.map_blocks(block, range(4)) == [1] * 4
+    assert calls == [(True, 1), (True, 3)]  # set and restored once, on the calling thread
+    assert count[0] == 3
+
+
+GRID_FAST = PipelineSettings(beta=3, gamma=12, factors=6, sweeps=3, k_items=5, cutoffs=(3, 5))
+
+
+def report_rows(rows):
+    return [(r.config, r.precision, r.recall, r.f1, r.user_count) for r in rows]
+
+
+def test_grid_rows_do_not_depend_on_thread_count(bundled, cpus):
+    ds, _ = bundled
+    grid = ExperimentGrid(measures=("pmi", "co", "mf", "itempop"), sigmas=(1, 3),
+                          keep_fractions=(1.0, 0.5), seeds=(0, 1))
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as they can
+    try:
+        for n in (1, 2, 3):
+            cpus(n)
+            outputs.append(report_rows(run_experiment(ds, GRID_FAST, grid)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    order = [(measure, sigma, keep, seed) for measure in grid.measures for sigma in grid.sigmas
+             for keep in grid.keep_fractions for seed in grid.seeds]
+    assert [(c["measure"], c["sigma"], c["keep_fraction"], c["seed"])
+            for c, *_ in outputs[0]] == order
+
+
+def test_grid_raises_the_first_failing_cell_in_grid_order(bundled, cpus, monkeypatch):
+    ds, _ = bundled
+    cpus(2)
+    real_fit = evaluation.als_fit
+
+    def failing_fit(s, cfg):
+        cell = (s.measure, cfg.seed)
+        if cell == ("pmi", 1):
+            time.sleep(0.05)  # later failures finish first
+            raise KeyError(cell)
+        if cell == ("co", 2):
+            raise KeyError(cell)
+        return real_fit(s, cfg)
+
+    monkeypatch.setattr(evaluation, "als_fit", failing_fit)
+    grid = ExperimentGrid(measures=("pmi", "co"), sigmas=(3,), keep_fractions=(1.0,),
+                          seeds=(0, 1, 2))
+    with pytest.raises(KeyError) as err:
+        run_experiment(ds, GRID_FAST, grid)
+    assert err.value.args == (("pmi", 1),)
+
+
+def test_corpora_are_freed_before_the_fit(bundled, cpus, monkeypatch):
+    ds, _ = bundled
+    cpus(2)
+    corpora, live_at_fit = [], []
+    real_walks, real_fit = evaluation.generate_walks, evaluation.als_fit
+
+    def tracked_walks(g, cfg):
+        corpus = real_walks(g, cfg)
+        corpora.append(weakref.ref(corpus))
+        return corpus
+
+    def checked_fit(s, cfg):
+        live_at_fit.append(sum(ref() is not None for ref in corpora))
+        return real_fit(s, cfg)
+
+    monkeypatch.setattr(evaluation, "generate_walks", tracked_walks)
+    monkeypatch.setattr(evaluation, "als_fit", checked_fit)
+    run_cell(ds, GRID_FAST)
+    assert len(corpora) == 1 and live_at_fit == [0]
+    grid = ExperimentGrid(measures=("pmi", "co", "mf"), sigmas=(1, 3), keep_fractions=(1.0,),
+                          seeds=(0, 1))
+    run_experiment(ds, GRID_FAST, grid)
+    assert len(corpora) == 3 and live_at_fit == [0] * 13
 
 
 def test_blocks_see_the_callers_error_state(cpus):
