@@ -13,9 +13,8 @@ from pathlib import Path
 
 from .config import ConfigError, base_settings, config_dict, load_config, override_seed
 from .confidence import co_matrix, load_confidence, save_confidence, sppmi_matrix
-from .datasets import (binarize, filter_min_interactions, ingest, load_dataset,
-                       load_interactions, save_dataset, save_interactions, sparsify,
-                       split)
+from .datasets import (filter_min_interactions, ingest, load_dataset, load_interactions,
+                       save_dataset, save_interactions, sparsify, split)
 from .evaluation import evaluate, run_experiment, write_report_json, write_report_tsv
 from .factorization import als_fit, load_model, save_model
 from .graph import build_graph
@@ -32,13 +31,13 @@ def _work(cfg):
 
 
 def _source_pairs(cfg):
-    "Binarized, filtered key pairs from the configured data source."
+    "Distinct, filtered key pairs from the configured data source."
     data = cfg.data
     if data.synthetic is not None:
         pairs = generate_synthetic(**asdict(data.synthetic))
     elif data.interactions is not None:
         with open(data.interactions, "r", encoding="utf-8") as f:
-            pairs = binarize(ingest(f, data))
+            pairs = ingest(f, data)
     else:
         raise ConfigError("data.interactions or data.synthetic is required")
     return filter_min_interactions(pairs, data.min_count)
@@ -148,7 +147,7 @@ def build_parser():
                         help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="stage", required=True)
     for name, help_text in [
-        ("ingest", "parse, binarize, and filter the raw interaction source"),
+        ("ingest", "read distinct user-item pairs from the source and filter them"),
         ("split", "index and split interactions into train/valid/test"),
         ("walk", "generate the random-walk corpus from the training graph"),
         ("pairs", "extract windowed user-item pair counts from the corpus"),

@@ -1,4 +1,4 @@
-"""Interaction data handling: ingest, binarize, filter, split, sparsify, persist."""
+"""Interaction data handling: ingest, filter, split, sparsify, persist."""
 
 import csv
 import math
@@ -11,13 +11,11 @@ from .knobs import KnobError, Knobs, knob
 from .tables import check_rows, check_unique, read_table, write_table
 
 __all__ = [
-    "RawInteraction",
     "IngestFormat",
     "IdMap",
     "Dataset",
     "as_pairs",
     "ingest",
-    "binarize",
     "filter_min_interactions",
     "split",
     "sparsify",
@@ -29,47 +27,33 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RawInteraction:
-    """One row of an interaction log before binarization."""
-
-    user_key: str
-    item_key: str
-    value: float = 1.0
-    timestamp: int | None = None
-
-
-@dataclass(frozen=True)
 class IngestFormat(Knobs):
     """Column layout of a delimiter-separated interaction file."""
 
     delimiter: str = ","
     user_col: int = knob(0, min=0)
     item_col: int = knob(1, min=0)
-    value_col: int | None = knob(None, min=0)
-    timestamp_col: int | None = knob(None, min=0)
     header: bool = False
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.delimiter) != 1:
-            raise KnobError("delimiter", "must be a single character")
+        if len(self.delimiter) != 1 or self.delimiter in "\r\n":
+            raise KnobError("delimiter", "must be a single character other than a line break")
 
 
 @dataclass(frozen=True)
 class IdMap:
-    """Bijection between external string keys and dense indices [0, n)."""
+    """Dense indices [0, n) for external string keys; backward[i] is the key of i."""
 
-    forward: dict[str, int]
     backward: list[str]
 
     @classmethod
     def from_keys(cls, keys):
         """Build a map assigning indices in the order `keys` are given."""
         backward = list(keys)
-        forward = {k: i for i, k in enumerate(backward)}
-        if len(forward) != len(backward):
+        if len(set(backward)) != len(backward):
             raise ValueError("duplicate keys in IdMap")
-        return cls(forward, backward)
+        return cls(backward)
 
     def __len__(self):
         return len(self.backward)
@@ -135,63 +119,36 @@ class Dataset:
 
 
 def ingest(source, fmt: IngestFormat = IngestFormat()):
-    """Parse delimiter-separated interaction rows into RawInteraction records.
+    """Read the distinct (user_key, item_key) pairs of delimiter-separated rows.
 
     Args:
         source: iterable of text lines (an open file works).
-        fmt: column layout; rows must contain at least the referenced columns.
+        fmt: column layout.  Only the user and item columns are read, so a
+            non-empty row needs max(user_col, item_col) + 1 columns; with
+            fmt.header the first non-empty row is skipped.
     Returns:
-        List of RawInteraction in input order.
+        Set of (user_key, item_key) string pairs.
     Raises:
-        ValueError: malformed row, with the 1-based physical line number.
+        ValueError: malformed row, naming its last physical line (1-based).
     """
-    needed = [fmt.user_col, fmt.item_col]
-    if fmt.value_col is not None:
-        needed.append(fmt.value_col)
-    if fmt.timestamp_col is not None:
-        needed.append(fmt.timestamp_col)
-    min_cols = max(needed) + 1
-
-    out = []
+    min_cols = max(fmt.user_col, fmt.item_col) + 1
+    pairs = set()
     reader = csv.reader(source, delimiter=fmt.delimiter)
-    for lineno, row in enumerate(reader, start=1):
-        if fmt.header and lineno == 1:
-            continue
-        if not row:
-            continue
+    rows = filter(None, reader)  # a blank line is an empty record
+    if fmt.header:
+        next(rows, None)
+    for row in rows:
+        line = reader.line_num  # the last physical line of the record
         if len(row) < min_cols:
-            raise ValueError(
-                f"line {lineno}: expected at least {min_cols} columns, got {len(row)}"
-            )
+            raise ValueError(f"line {line}: expected at least {min_cols} columns, got {len(row)}")
         user_key = row[fmt.user_col].strip()
         item_key = row[fmt.item_col].strip()
         if not user_key:
-            raise ValueError(f"line {lineno}: empty user key")
+            raise ValueError(f"line {line}: empty user key")
         if not item_key:
-            raise ValueError(f"line {lineno}: empty item key")
-        value = 1.0
-        if fmt.value_col is not None:
-            try:
-                value = float(row[fmt.value_col])
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: bad value {row[fmt.value_col]!r}"
-                ) from None
-        timestamp = None
-        if fmt.timestamp_col is not None:
-            cell = row[fmt.timestamp_col].strip()
-            if cell:
-                try:
-                    timestamp = int(cell)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: bad timestamp {cell!r}") from None
-        out.append(RawInteraction(user_key, item_key, value, timestamp))
-    return out
-
-
-def binarize(raws):
-    """Collapse interactions to the set of distinct (user_key, item_key) pairs."""
-    return {(r.user_key, r.item_key) for r in raws}
+            raise ValueError(f"line {line}: empty item key")
+        pairs.add((user_key, item_key))
+    return pairs
 
 
 def _key_rows(pairs):
@@ -284,7 +241,7 @@ def sparsify(train, keep_fraction, seed=0):
 
 
 def save_interactions(pairs, path):
-    """Write binarized key pairs as sorted 'user<TAB>item' lines."""
+    """Write key pairs as sorted 'user<TAB>item' lines."""
     write_table(path, ("%s", "%s"), _key_rows(sorted(pairs)).T)
 
 

@@ -24,9 +24,8 @@ class KnobError(ValueError):
 def knob(default, key=None, *, min=None, gt=None, max=None, odd=False, choices=None):
     """A dataclass field with its YAML key (the field name by default) and bounds.
 
-    Bounds apply to each element of a list or tuple value and are skipped
-    for None.  A float value must also be finite, so NaN and infinities
-    fail whatever the bounds.
+    Bounds apply to each element of a list or tuple value.  A float value
+    must also be finite, so NaN and infinities fail whatever the bounds.
     """
     bounds = {"min": min, "gt": gt, "max": max, "odd": odd, "choices": choices}
     return field(default=default, metadata={"key": key, "bounds": bounds})
@@ -57,7 +56,7 @@ def check(obj):
     for f in fields(obj):
         bounds = f.metadata.get("bounds")
         value = getattr(obj, f.name)
-        if bounds is None or value is None:
+        if bounds is None:
             continue
         for x in value if isinstance(value, (list, tuple)) else (value,):
             reason = _violation(x, **bounds)

@@ -134,7 +134,6 @@ class TestIngestFromFile:
             "data": {
                 "interactions": str(src),
                 "header": True,
-                "value_col": 2,
                 "min_count": 0,
             },
         })

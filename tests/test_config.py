@@ -66,12 +66,12 @@ INVALID = [
     ({"data.interactions": ""}, "data.interactions"),
     ({"data.delimiter": ""}, "data.delimiter"),
     ({"data.delimiter": ",,"}, "data.delimiter"),
+    ({"data.delimiter": "\n"}, "data.delimiter"),
+    ({"data.delimiter": "\r"}, "data.delimiter"),
     ({"data.user_col": -1}, "data.user_col"),
     ({"data.user_col": 1.5}, "data.user_col"),
     ({"data.item_col": -1}, "data.item_col"),
-    ({"data.value_col": -1}, "data.value_col"),
-    ({"data.value_col": "2"}, "data.value_col"),
-    ({"data.timestamp_col": -2}, "data.timestamp_col"),
+    ({"data.value_col": 2}, "data.value_col"),  # unknown: only user and item columns are read
     ({"data.header": "yes"}, "data.header"),
     ({"data.min_count": -1}, "data.min_count"),
     ({"data.min_count": False}, "data.min_count"),
@@ -204,7 +204,7 @@ def test_empty_config_is_all_defaults():
 
 @pytest.mark.parametrize("stage,overrides,key", [
     ("ingest", {"data.delimiter": ",,"}, "data.delimiter"),
-    ("ingest", {"data.value_col": -1}, "data.value_col"),
+    ("ingest", {"data.delimiter": "\n"}, "data.delimiter"),
     ("walk", {"walk.seed": -1}, "walk.seed"),
     ("experiment", {"experiment.sigmas": [2]}, "experiment.sigmas"),
     ("train", {"als.lambda": NAN}, "als.lambda"),
@@ -231,7 +231,7 @@ def test_example_config_resolves_to_literal():
     assert config_dict(load_config(EXAMPLE)) == {
         "data": {
             "interactions": None, "delimiter": ",", "user_col": 0, "item_col": 1,
-            "value_col": None, "timestamp_col": None, "header": False, "min_count": 0,
+            "header": False, "min_count": 0,
             "synthetic": {
                 "users": 500, "items": 500, "groups": 10, "bulk_degree": 4,
                 "heavy_degree": 12, "heavy_fraction": 0.125, "p_in": 0.5,
@@ -320,14 +320,14 @@ def test_unset_knobs_resolve_to_pipeline_settings_defaults(tmp_path):
 
 @pytest.mark.parametrize("build,name", [
     (lambda: IngestFormat(user_col=-1), "user_col"),
-    (lambda: IngestFormat(value_col=-1), "value_col"),
-    (lambda: IngestFormat(timestamp_col=-2), "timestamp_col"),
     (lambda: IngestFormat(delimiter=",,"), "delimiter"),
+    (lambda: IngestFormat(delimiter="\n"), "delimiter"),
+    (lambda: IngestFormat(delimiter="\r"), "delimiter"),
     (lambda: generate_synthetic(n_groups=0), "n_groups"),
     (lambda: generate_synthetic(n_users=5, n_groups=6), "n_groups"),
     (lambda: generate_synthetic(p_out=0.6), "p_in"),
     (lambda: generate_synthetic(heavy_fraction=1.5), "heavy_fraction"),
-], ids=["user_col", "value_col", "timestamp_col", "delimiter", "groups_zero",
+], ids=["user_col", "delimiter", "delimiter_newline", "delimiter_return", "groups_zero",
         "groups_above_users", "p_out_above_p_in", "heavy_fraction"])
 def test_api_rejects_out_of_bounds_naming_the_field(build, name):
     with pytest.raises(ValueError, match=f"^{name} "):

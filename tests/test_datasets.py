@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from walkrec.datasets import (Dataset, IdMap, IngestFormat, RawInteraction, as_pairs,
-                              binarize, filter_min_interactions, ingest, load_dataset,
-                              load_interactions, save_dataset,
+from walkrec.datasets import (Dataset, IdMap, IngestFormat, as_pairs, filter_min_interactions,
+                              ingest, load_dataset, load_interactions, save_dataset,
                               save_interactions, sparsify, split)
 
 
@@ -18,61 +17,50 @@ def _shared_rows(a, b):
 
 
 class TestIngest:
-    FMT = IngestFormat(value_col=2)
-
     def test_direct_parse(self):
-        raws = ingest(io.StringIO("u1,i1,5\nu1,i2,3"), self.FMT)
-        assert raws == [
-            RawInteraction("u1", "i1", 5.0),
-            RawInteraction("u1", "i2", 3.0),
-        ]
+        assert ingest(io.StringIO("u1,i1\nu1,i2")) == {("u1", "i1"), ("u1", "i2")}
 
     def test_empty_stream(self):
-        assert ingest(io.StringIO(""), self.FMT) == []
+        assert ingest(io.StringIO("")) == set()
+
+    def test_repeated_rows_collapse(self):
+        got = ingest(io.StringIO("u1,i1,5\nu1,i1,2\nu2,i1,4\nu1,i1,1\n"))
+        assert got == {("u1", "i1"), ("u2", "i1")}
+
+    def test_extra_column_is_ignored(self):
+        assert ingest(io.StringIO("u1,i1,notanumber")) == {("u1", "i1")}
+
+    def test_columns_read_by_index(self):
+        fmt = IngestFormat(delimiter="\t", user_col=2, item_col=0)
+        assert ingest(io.StringIO("i1\tx\tu1"), fmt) == {("u1", "i1")}
 
     def test_empty_item_key_names_line(self):
         with pytest.raises(ValueError, match="line 1"):
-            ingest(io.StringIO("u1,,4"), self.FMT)
+            ingest(io.StringIO("u1,,4"))
 
     def test_wrong_column_count_names_line(self):
         with pytest.raises(ValueError, match="line 2"):
-            ingest(io.StringIO("u1,i1,4\nu2,i2"), self.FMT)
+            ingest(io.StringIO("u1,i1,4\nu2"))
+
+    def test_error_names_physical_line_after_multiline_field(self):
+        # the quoted field spans lines 1-2, so the short row is line 3
+        with pytest.raises(ValueError, match="^line 3: expected at least 2 columns"):
+            ingest(io.StringIO('u1,"i\n1"\nu2\n'))
+
+    def test_blank_lines_count_toward_line_numbers(self):
+        with pytest.raises(ValueError, match="^line 4: "):
+            ingest(io.StringIO("u1,i1\n\n\nu2\n"))
 
     def test_header_skipped(self):
-        raws = ingest(io.StringIO("user,item\nu1,i1"), IngestFormat(header=True))
-        assert raws == [RawInteraction("u1", "i1")]
+        assert ingest(io.StringIO("user,item\nu1,i1"), IngestFormat(header=True)) == {
+            ("u1", "i1")}
 
-    def test_timestamp_preserved(self):
-        fmt = IngestFormat(value_col=2, timestamp_col=3)
-        raws = ingest(io.StringIO("u1,i1,4,1234"), fmt)
-        assert raws[0].timestamp == 1234
+    def test_header_is_first_non_empty_row(self):
+        got = ingest(io.StringIO("\nuser,item\nu1,i1\n"), IngestFormat(header=True))
+        assert got == {("u1", "i1")}
 
-    def test_default_value_without_value_column(self):
-        raws = ingest(io.StringIO("u1\ti1"), IngestFormat(delimiter="\t"))
-        assert raws[0].value == 1.0
-
-    def test_bad_value_names_line(self):
-        with pytest.raises(ValueError, match="line 1"):
-            ingest(io.StringIO("u1,i1,notanumber"), self.FMT)
-
-
-class TestBinarize:
-    def test_dedup_repeat_purchase(self):
-        raws = [RawInteraction("u1", "i1", 5), RawInteraction("u1", "i1", 2)]
-        assert binarize(raws) == {("u1", "i1")}
-
-    def test_identity_on_distinct_pairs(self):
-        raws = [RawInteraction("u1", "i1", 1), RawInteraction("u2", "i1", 4)]
-        assert binarize(raws) == {("u1", "i1"), ("u2", "i1")}
-
-    def test_never_grows(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            raws = [
-                RawInteraction(f"u{rng.integers(5)}", f"i{rng.integers(5)}")
-                for _ in range(int(rng.integers(0, 40)))
-            ]
-            assert len(binarize(raws)) <= len(raws)
+    def test_header_only_stream(self):
+        assert ingest(io.StringIO("user,item\n"), IngestFormat(header=True)) == set()
 
 
 class TestFilterMinInteractions:
@@ -155,6 +143,12 @@ class TestAsPairs:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="pairs"):
             as_pairs([(0, 1, 2)])
+
+    def test_id_map_keeps_order_and_rejects_duplicates(self):
+        m = IdMap.from_keys(["b", "a"])
+        assert m.backward == ["b", "a"] and len(m) == 2
+        with pytest.raises(ValueError, match="duplicate keys"):
+            IdMap.from_keys(["a", "b", "a"])
 
     def test_dataset_holds_sorted_arrays(self):
         ds = Dataset(IdMap.from_keys("ab"), IdMap.from_keys("xyz"),
