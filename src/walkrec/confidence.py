@@ -62,7 +62,7 @@ def sppmi_matrix(stats: PairCorpusStats, shift_k: float = 1.0) -> ConfidenceMatr
             by log(shift_k) before clamping at zero.
     """
     shift_k = float(shift_k)
-    if shift_k < 1.0:
+    if not shift_k >= 1.0:  # NaN too
         raise ValueError("shift_k must be >= 1")
     if stats.total <= 0:
         raise ValueError("cannot compute PMI over an empty pair corpus")

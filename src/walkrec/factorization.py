@@ -216,8 +216,9 @@ def save_model(model: FactorModel, cfg: AlsConfig, path):
 def load_model(path):
     """Read a model written by save_model; returns (FactorModel, AlsConfig).
 
-    An unreadable archive, a missing array, or factor shapes that differ
-    from the stored users, items and factors raise ValueError naming path.
+    An unreadable archive, a missing array, metadata arrays of the wrong
+    shape, or factor shapes that differ from the stored users, items and
+    factors raise ValueError naming path.
     """
     try:
         with np.load(Path(path)) as data:
@@ -226,6 +227,9 @@ def load_model(path):
     except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
             zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: unreadable model archive: {exc}") from None
+    if ints.shape != (5,) or floats.shape != (2,):
+        raise ValueError(f"{path}: metadata shapes meta_ints {ints.shape}, meta_floats "
+                         f"{floats.shape} are not (5,) and (2,)")
     if X.ndim != 2 or Y.ndim != 2 or X.shape != (ints[0], ints[2]) or Y.shape != (ints[1], ints[2]):
         raise ValueError(f"{path}: factor shapes X {X.shape}, Y {Y.shape} do not match "
                          f"the stored {ints[0]} users, {ints[1]} items and {ints[2]} factors")

@@ -7,6 +7,7 @@ to map YAML keys to fields and to name the key of any error.
 """
 
 import math
+import numbers
 from dataclasses import field, fields
 
 __all__ = ["KnobError", "Knobs", "knob", "key", "check"]
@@ -24,8 +25,9 @@ class KnobError(ValueError):
 def knob(default, key=None, *, min=None, gt=None, max=None, odd=False, choices=None):
     """A dataclass field with its YAML key (the field name by default) and bounds.
 
-    Bounds apply to each element of a list or tuple value.  A float value
-    must also be finite, so NaN and infinities fail whatever the bounds.
+    Bounds apply to each element of a list or tuple value.  Under min, gt,
+    max or odd a value must be a number, not a bool.  A float value must
+    also be finite, so NaN and infinities fail whatever the bounds.
     """
     bounds = {"min": min, "gt": gt, "max": max, "odd": odd, "choices": choices}
     return field(default=default, metadata={"key": key, "bounds": bounds})
@@ -38,6 +40,9 @@ def key(f):
 
 def _violation(x, min, gt, max, odd, choices):
     "The rule x breaks, or None."
+    numeric = odd or any(b is not None for b in (min, gt, max))
+    if numeric and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+        return "must be a number"
     if isinstance(x, float) and not math.isfinite(x):
         return "must be finite"
     if choices is not None:

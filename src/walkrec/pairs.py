@@ -10,11 +10,12 @@ two vertices at positions p and p+d exactly one is a user, the smaller
 code, so (min, max - n_users) is the pair whichever end is the centre.
 Each pair is packed into one integer, u * n_items + i, so sorting the
 codes of a chunk of walks orders them as the rows of a CSR matrix; the
-chunk's runs of equal codes are its distinct pairs and their counts, and
-merging them into the running sorted (code, count) table bounds memory
-by one chunk's codes plus the distinct pairs.  All of it runs on the
-calling thread: sorting a chunk's pieces on several CPUs saved too
-little to pay for merging them.
+chunk's runs of equal codes are its distinct pairs and their counts,
+which make one CSR matrix, added to the running sum.  Memory is bounded
+by the running sum plus one chunk's codes, or plus a second running sum
+while a chunk is added.  All of it runs on the calling thread: sorting
+a chunk's pieces on several CPUs saved too little to pay for merging
+them.
 """
 
 from dataclasses import dataclass
@@ -88,9 +89,8 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     centre are both counted by it.  Pairs are packed as u * n_items + i
     (int32 when every code fits, else int64) and counted _CHUNK_ROWS walks
     at a time on the calling thread: each chunk's codes are sorted in
-    place, run-length counted and merged into the running sorted
-    (code, count) arrays, which are the CSR matrix's rows in order, so the
-    matrix is built without a sparse conversion or sum.
+    place and run-length counted, and the runs, which are the rows of a
+    CSR matrix in order, are added to the running count matrix.
 
     Args:
         corpus: walk corpus; corpus.validate() checks it first.
@@ -106,14 +106,13 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     corpus.validate()
     m, n, walks = corpus.n_users, corpus.n_items, corpus.walks
     dtype = np.int32 if m * n < 2**31 else np.int64
-    keys, counts = np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
+    pair = sp.csr_matrix((m, n), dtype=np.int64)
     distances = range(1, min(sigma, walks.shape[1] - 1) + 1, 2)
     for lo in range(0, len(walks) if distances else 0, _CHUNK_ROWS):
         # a chunk's codes live only inside _count_chunk: one chunk's at a time
-        runs = _count_chunk(walks[lo:lo + _CHUNK_ROWS], distances, m, n, dtype)
-        keys, counts = _merge_runs(keys, counts, *runs)
-    indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * n)
-    pair = sp.csr_matrix((counts, keys % n, indptr), shape=(m, n))
+        keys, counts = _count_chunk(walks[lo:lo + _CHUNK_ROWS], distances, m, n, dtype)
+        indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * n)
+        pair = pair + sp.csr_matrix((counts, keys % n, indptr), shape=(m, n))
     return PairCorpusStats.from_pair_count(pair)
 
 
@@ -152,26 +151,6 @@ def _count_chunk(walks, distances, m, n, dtype):
     _pair_codes(walks, distances, m, n, codes)
     codes.sort()
     return _runs(codes)
-
-
-def _merge_runs(keys, counts, new_keys, new_counts):
-    "Add a sorted, duplicate-free (key, count) table to another; adds to counts in place."
-    pos = np.searchsorted(keys, new_keys)
-    seen = pos < len(keys)
-    seen[seen] = keys[pos[seen]] == new_keys[seen]
-    counts[pos[seen]] += new_counts[seen]
-    fresh = ~seen
-    at = pos[fresh]
-    del pos  # not alive with the merged table, which sets the peak on wide windows
-    at += np.arange(len(at))  # the fresh keys' slots in the merged table
-    old = np.ones(len(keys) + len(at), dtype=bool)
-    old[at] = False
-    merged = []
-    for a, b in ((keys, new_keys), (counts, new_counts)):
-        out = np.empty(len(old), dtype=a.dtype)
-        out[old], out[at] = a, b[fresh]
-        merged.append(out)
-    return merged
 
 
 def merge(a: PairCorpusStats, b: PairCorpusStats) -> PairCorpusStats:

@@ -7,7 +7,7 @@ import numpy as np
 from .blas import one_thread
 from .datasets import as_pairs
 from .factorization import FactorModel
-from .parallel import map_blocks, spans, threads
+from .parallel import map_blocks
 from .tables import check_rows, read_table, write_table
 
 __all__ = ["RankedList", "Rankings", "top_k", "item_pop_scores", "recommend_topk",
@@ -156,30 +156,21 @@ def _rank_rows(first_user, scores, k_items, mask):
 
 
 def _rank_users(n_users, n_items, k_items, mask, block_scores):
-    """Rankings of users 0..n_users-1, _RANK_ROWS users at a time.
+    """Rankings of users 0..n_users-1, _RANK_ROWS users per block, the blocks
+    run in parallel.
 
-    The blocks are cut into one contiguous lane per CPU, run in parallel.
-    Each lane scores its blocks into one (_RANK_ROWS, n_items) buffer made here,
-    on the calling thread: memory a worker thread frees stays in its own
-    malloc arena, so fresh score rows per block would pile up there.
-    block_scores(lo, hi, out) writes the score rows of users lo..hi-1 into
-    out, which the ranking overwrites.  mask is any iterable of (u, i)
-    pairs to exclude, or None.
+    Each block scores into score rows of its own: block_scores(lo, hi, out)
+    writes the score rows of users lo..hi-1 into out, which the ranking
+    overwrites.  mask is any iterable of (u, i) pairs to exclude, or None.
     """
     mask = as_pairs(() if mask is None else mask)
-    firsts = range(0, max(n_users, 1), _RANK_ROWS)  # one block even for no users
-    lanes = spans(len(firsts), min(threads(), len(firsts)))
-    buffers = [np.empty((min(_RANK_ROWS, n_users), n_items)) for _ in lanes]
 
-    def rank_lane(j):
-        ranked = []
-        for lo in firsts[slice(*lanes[j])]:
-            out = buffers[j][:min(lo + _RANK_ROWS, n_users) - lo]
-            block_scores(lo, lo + len(out), out)
-            ranked.append(_rank_rows(lo, out, k_items, mask))
-        return ranked
+    def rank_block(lo):
+        out = np.empty((min(lo + _RANK_ROWS, n_users) - lo, n_items))
+        block_scores(lo, lo + len(out), out)
+        return _rank_rows(lo, out, k_items, mask)
 
-    blocks = [block for lane in map_blocks(rank_lane, range(len(lanes))) for block in lane]
+    blocks = map_blocks(rank_block, range(0, max(n_users, 1), _RANK_ROWS))  # one even for no users
     lengths, items, scores = map(np.concatenate, zip(*blocks))
     return Rankings(_offsets(lengths), items, scores)
 

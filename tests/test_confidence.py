@@ -116,8 +116,9 @@ class TestErrors:
 
     def test_shift_below_one_rejected(self):
         stats = stats_from_multiset(Counter({(0, 0): 2}), 1, 1)
-        with pytest.raises(ValueError, match="shift_k"):
-            sppmi_matrix(stats, 0.5)
+        for shift_k in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="shift_k"):
+                sppmi_matrix(stats, shift_k)
 
 
 class TestPersistence:

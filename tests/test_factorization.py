@@ -248,6 +248,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"model\.npz: factor shapes .* do not match"):
             load_model(p)
 
+    @pytest.mark.parametrize("name, value", [("meta_ints", [3, 4]), ("meta_ints", []),
+                                             ("meta_floats", [0.25]), ("meta_floats", 0.25)],
+                             ids=["ints_short", "ints_empty", "floats_short", "floats_scalar"])
+    def test_metadata_of_the_wrong_shape_names_the_file(self, tmp_path, name, value):
+        p = tmp_path / "model.npz"
+        save_model(FactorModel(np.ones((3, 2)), np.ones((4, 2)), [1.0]), AlsConfig(factors=2), p)
+        with np.load(p) as data:
+            arrays = dict(data)
+        arrays[name] = np.asarray(value, dtype=arrays[name].dtype)
+        np.savez(p, **arrays)
+        with pytest.raises(ValueError, match=r"model\.npz: metadata shapes"):
+            load_model(p)
+
 
 class TestLossTrace:
     def test_trace_equals_loss_of_each_sweep(self):

@@ -174,19 +174,30 @@ class TestPersistence:
 class TestSortedRunCounter:
     @pytest.mark.parametrize("chunk", [1, 3, pairs_module._CHUNK_ROWS])
     def test_chunked_merge_matches_enumeration(self, monkeypatch, chunk):
-        monkeypatch.setattr(pairs_module, "_CHUNK_ROWS", chunk)
+        whole = pairs_module._CHUNK_ROWS  # every walk of these corpora in one chunk
+
+        def counted(corpus, sigma, rows):
+            monkeypatch.setattr(pairs_module, "_CHUNK_ROWS", rows)
+            return sample_pairs(corpus, sigma)
+
+        def check(corpus, sigma):
+            stats = counted(corpus, sigma, chunk)
+            stats.validate()
+            assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, sigma))
+            got, ref = stats.pair_count, counted(corpus, sigma, whole).pair_count
+            for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices),
+                         (got.data, ref.data)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            rows = np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+            assert np.all(np.diff(got.indices)[rows[1:] == rows[:-1]] > 0)  # sorted, no repeats
+
         rng = np.random.default_rng(20)
         for _ in range(15):
-            corpus, _ = random_corpus(rng, beta=3)
-            sigma = int(rng.choice([1, 3, 5, 7]))
-            stats = sample_pairs(corpus, sigma)
-            stats.validate()
-            assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, sigma))
+            corpus, _ = random_corpus(rng, beta=3)  # walks of 11 vertices
+            check(corpus, int(rng.choice([1, 3, 5, 7, 13])))
         corpus = corpus_from_tokens(["u0 i0 u0 i0 u0 i0"] * 5, 2, 2)  # a chunk is one run
         for sigma in (1, 5):
-            stats = sample_pairs(corpus, sigma)
-            stats.validate()
-            assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, sigma))
+            check(corpus, sigma)
 
     def test_codes_beyond_int32_are_packed_in_int64(self):
         m = n = 50_000  # u * n + i reaches 2.5e9 > 2**31 - 1
