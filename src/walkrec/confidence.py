@@ -58,12 +58,12 @@ def sppmi_matrix(stats: PairCorpusStats, shift_k: float = 1.0) -> ConfidenceMatr
 
     Args:
         stats: pair counts with total > 0.
-        shift_k: downshift constant, >= 1; the association score is reduced
-            by log(shift_k) before clamping at zero.
+        shift_k: downshift constant, finite and >= 1; the association score
+            is reduced by log(shift_k) before clamping at zero.
     """
     shift_k = float(shift_k)
-    if not shift_k >= 1.0:  # NaN too
-        raise ValueError("shift_k must be >= 1")
+    if not 1.0 <= shift_k < math.inf:  # NaN too
+        raise ValueError("shift_k must be finite and >= 1")
     if stats.total <= 0:
         raise ValueError("cannot compute PMI over an empty pair corpus")
 

@@ -94,9 +94,9 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
     deg = np.diff(g.indptr)
     starts = np.flatnonzero(deg)
     walks = np.empty((len(starts) * cfg.beta, cfg.gamma), dtype=np.int64)
-    # a small corpus runs on fewer CPUs, each with as many blocks: an odd block out
+    # one CPU per _WALK_BLOCK walks begun, each with as many blocks: an odd block out
     # would run alone at the end
-    lanes = min(threads(), max(1, round(len(walks) / _WALK_BLOCK)))
+    lanes = min(threads(), -(-len(walks) // _WALK_BLOCK) or 1)
     blocks = spans(len(walks), lanes * max(1, round(len(walks) / lanes / _WALK_BLOCK)))
 
     def walk_block(bounds):

@@ -116,7 +116,7 @@ class TestErrors:
 
     def test_shift_below_one_rejected(self):
         stats = stats_from_multiset(Counter({(0, 0): 2}), 1, 1)
-        for shift_k in (0.5, float("nan")):
+        for shift_k in (0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="shift_k"):
                 sppmi_matrix(stats, shift_k)
 

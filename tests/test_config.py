@@ -329,8 +329,10 @@ def test_unset_knobs_resolve_to_pipeline_settings_defaults(tmp_path):
     (lambda: generate_synthetic(heavy_fraction=1.5), "heavy_fraction"),
     (lambda: WalkConfig(beta="3"), "beta"),
     (lambda: WalkConfig(beta=None), "beta"),
+    (lambda: WalkConfig(beta=True), "beta"),
 ], ids=["user_col", "delimiter", "delimiter_newline", "delimiter_return", "groups_zero",
-        "groups_above_users", "p_out_above_p_in", "heavy_fraction", "beta_string", "beta_none"])
+        "groups_above_users", "p_out_above_p_in", "heavy_fraction", "beta_string", "beta_none",
+        "beta_bool"])
 def test_api_rejects_out_of_bounds_naming_the_field(build, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         build()
