@@ -203,9 +203,9 @@ def parse_config(raw) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    """Read and validate a YAML config file."""
+    """Read and validate a YAML config file, parsed by libyaml when PyYAML has it."""
     with Path(path).open("r", encoding="utf-8") as f:
-        raw = yaml.safe_load(f)
+        raw = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     return parse_config(raw)
 
 

@@ -118,7 +118,7 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
 
 def _pair_codes(walks, distances, m, n, codes):
     "Fill codes with u * n + i for the vertices at positions p and p + d of every walk, each d in turn."
-    walks = walks.astype(codes.dtype)  # codes below m + n <= m * n + 1 fit the packed dtype too
+    walks = walks.astype(codes.dtype, copy=False)  # codes below m + n <= m * n + 1 fit it too
     user = np.empty_like(walks[:, 1:])
     lo = 0
     for d in distances:

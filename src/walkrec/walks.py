@@ -13,7 +13,7 @@ from .tables import format_header, parse_header
 
 __all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
 
-_SAVE_ROWS = 8192  # walks rendered per write, bounding the token buffer
+_SAVE_ROWS = 1024  # walks rendered per write; 8,192 faulted in fresh pages every block
 _WALK_BLOCK = 16384  # walks whose streams advance together; far fewer lose to the GIL
 _SP, _NL, _U, _I = b" \nui"
 
@@ -39,8 +39,9 @@ class WalkRowError(ValueError):
 class WalkCorpus:
     """Vertex sequences encoded globally: code < n_users is a user, else an item.
 
-    ``walks`` is a (W, gamma) int64 array, one walk per row.  A list of
-    equal-length walks is stacked into one, an empty list into (0, 0).
+    ``walks`` is a (W, gamma) int32 array, one walk per row, kept as given if int32,
+    else cast once every value fits (WalkRowError names a row that does not).  A list
+    of equal-length walks is stacked into one, an empty list into (0, 0).
     """
 
     walks: np.ndarray
@@ -48,20 +49,26 @@ class WalkCorpus:
     n_items: int
 
     def __post_init__(self):
+        if (v := self.n_users + self.n_items) > 2**31 - 1:
+            raise ValueError(f"{self.n_users} users + {self.n_items} items exceed int32 codes")
         if isinstance(self.walks, list):
             lengths = [len(w) for w in self.walks] or [0]
             for r in np.flatnonzero(np.array(lengths) != lengths[0])[:1]:  # the first, if any
                 raise ValueError(f"walk {r} has {lengths[r]} vertices, walk 0 has {lengths[0]}")
             self.walks = np.array(self.walks, dtype=np.int64).reshape(len(self.walks), lengths[0])
-        self.walks = np.asarray(self.walks, dtype=np.int64)
+        w = np.asarray(self.walks)
+        if w.dtype != np.int32:
+            self.walks = w.astype(np.int32)  # wraps a value beyond int32, caught here
+            for f in np.flatnonzero(self.walks != w)[:1]:
+                raise WalkRowError(f // w.shape[1], f"code {w.flat[f]} outside [0, {v})")
 
     def validate(self, g: BipartiteGraph | None = None):
         """Check codes in [0, n_users + n_items), user/item alternation along every walk
         and, when g is given, that every step is an edge of g.  Raises WalkRowError, a
         ValueError naming the first offending walk row."""
         w, v = self.walks, self.n_users + self.n_items
-        # the first fault, if any; a negative code viewed as uint64 is >= 2**63
-        for f in np.flatnonzero(w.view(np.uint64) >= v)[:1]:
+        # the first fault, if any; a negative code viewed as uint32 is >= 2**31
+        for f in np.flatnonzero(w.view(np.uint32) >= v)[:1]:
             raise WalkRowError(f // w.shape[1], f"code {w.flat[f]} outside [0, {v})")
         if w.size == 0 < len(w):
             raise WalkRowError(0, "walk has no vertices")
@@ -73,7 +80,8 @@ class WalkCorpus:
         if g is not None:
             base = max(v, len(g.indptr) - 1)
             edges = np.repeat(np.arange(len(g.indptr) - 1), np.diff(g.indptr)) * base + g.indices
-            for r, p in np.argwhere(~np.isin(w[:, :-1] * base + w[:, 1:], edges))[:1]:
+            steps = w[:, :-1].astype(np.int64) * base + w[:, 1:]  # int32 would overflow
+            for r, p in np.argwhere(~np.isin(steps, edges))[:1]:
                 raise WalkRowError(r, f"walk step ({w[r, p]}, {w[r, p + 1]}) is not an edge")
 
 
@@ -87,13 +95,13 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
     Rows are in (start code, walk index) order.  The rows are cut into
     near-equal blocks of about _WALK_BLOCK walks, as many for each CPU
     used, run in parallel.  A block computes its walks' streams as arrays (Pcg64Streams)
-    and advances them together, one array step per position, into its own
-    time-major buffer, copied into the rows once.  Start codes and walk
-    indices must be below 2**32.
+    and advances them together, one array step per position, writing step t
+    straight into column t of its own rows of the int32 corpus.  Start codes
+    and walk indices must be below 2**32.
     """
     deg = np.diff(g.indptr)
     starts = np.flatnonzero(deg)
-    walks = np.empty((len(starts) * cfg.beta, cfg.gamma), dtype=np.int64)
+    walks = np.empty((len(starts) * cfg.beta, cfg.gamma), dtype=np.int32)
     # one CPU per _WALK_BLOCK walks begun, each with as many blocks: an odd block out
     # would run alone at the end
     lanes = min(threads(), -(-len(walks) // _WALK_BLOCK) or 1)
@@ -104,13 +112,11 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
         j = np.arange(lo, hi)
         cur = starts[j // cfg.beta]
         streams = Pcg64Streams(cfg.seed, cur, j % cfg.beta)
-        steps = np.empty((cfg.gamma, len(j)), dtype=np.int64)
-        steps[0] = cur
+        walks[lo:hi, 0] = cur
         for t in range(1, cfg.gamma):
             # float product then truncation, exactly as int(r * len(row)) per walk
             cur = g.indices[g.indptr[cur] + (streams.random() * deg[cur]).astype(np.int64)]
-            steps[t] = cur
-        walks[lo:hi] = steps.T
+            walks[lo:hi, t] = cur
 
     map_blocks(walk_block, blocks)
     return WalkCorpus(walks, g.n_users, g.n_items)
@@ -131,35 +137,40 @@ def save_walks(corpus: WalkCorpus, path):
 def _render(walks, m):
     """The lines of a block of walks as bytes, with no table of token names.
 
-    Token t is row t: its letter, its digits right-aligned by repeated
-    division by ten (the inverse of load_walks' Horner pass) after NUL
-    bytes, then its separator.  Dropping the NULs leaves the tokens.
+    Letters, digits and separators go straight to their offsets, laid end to end
+    from the digit counts; digits come by division by ten (the inverse of load_walks'
+    Horner pass), leading column first, so a short token's spare zeros land on its
+    letter or earlier tokens, rewritten later, or on ``width`` spare bytes ahead.
     """
     code = walks.ravel()
     item = code >= m
-    idx = code - m * item
-    top = int(idx.max(initial=0))
-    idx = idx.astype(np.int32 if top < 2**31 else np.int64)  # int32 divides faster
-    width = len(str(top))
-    rows = np.empty((len(idx), width + 2), dtype=np.uint8)
-    rows[:, 0] = np.uint8(_U) - item.view(np.uint8) * np.uint8(_U - _I)
-    for col in range(width, 0, -1):
-        rest, digit = np.divmod(idx, 10)
-        digit += ord("0")
-        if col < width:
-            digit[idx == 0] = 0  # no digit left: a NUL
-        rows[:, col], idx = digit, rest
-    rows[:, -1] = _SP
-    rows[walks.shape[1] - 1::walks.shape[1], -1] = _NL
-    return rows[rows != 0].tobytes()
+    idx = code - item * np.int32(m)
+    width = len(str(idx.max(initial=0)))
+    sep = np.full(len(idx) + 1, 3, dtype=np.int64)  # letter, first digit, separator
+    sep[0] = width - 1  # a separator ahead of the first token, in the spare bytes
+    for k in range(1, width):
+        sep[1:] += idx >= 10**k
+    np.cumsum(sep, out=sep)
+    out = np.empty(sep[-1] + 1, dtype=np.uint8)
+    pos = sep[1:] - width
+    for k in range(width - 1, -1, -1):
+        digit = idx // 10**k
+        idx -= digit * 10**k
+        out[pos] = digit.astype(np.uint8) + np.uint8(ord("0"))
+        pos += 1
+    out[sep[:-1] + 1] = np.uint8(_U) - item.view(np.uint8) * np.uint8(_U - _I)
+    out[sep] = _SP
+    out[sep[walks.shape[1]::walks.shape[1]]] = _NL
+    return out[width:].tobytes()
 
 
 def load_walks(path) -> WalkCorpus:
     """Read a corpus written by save_walks, accepting exactly the body it writes:
     lines of 'u<idx>'/'i<idx>' tokens (idx in canonical ASCII decimal: no sign, no
     leading zero, at most 18 digits) joined by single spaces, each ended by '\\n',
-    all of one length.  Parsed as one byte array; an error raises ValueError naming
-    the file and line, or the file alone for a header walk count that differs.
+    all of one length.  Parsed as one byte array into int32 codes; an error raises
+    ValueError naming the file and line, or the file alone for a header walk count
+    that differs or more users and items than int32 codes hold.
     """
     data = Path(path).read_bytes()
     head = data[:data.find(b"\n")] if b"\n" in data else data
@@ -184,8 +195,8 @@ def load_walks(path) -> WalkCorpus:
     bad = ((kind != _U) & (kind != _I)) | (width < 2) | (width > 19)
     bad |= (body[np.minimum(starts + 1, ends)] == ord("0")) & (width > 2)  # a leading zero
     del ends
-    idx = np.zeros(len(starts), dtype=np.int64)
-    for j in range(1, min(int(width.max(initial=0)), 19)):  # Horner's rule over digit positions
+    idx = np.zeros(len(starts), dtype=np.int32 if width.max(initial=0) <= 10 else np.int64)
+    for j in range(1, min(int(width.max(initial=0)), 19)):  # Horner's rule; 9 digits fit int32
         d = body.take(starts + j, mode="clip") - np.uint8(ord("0"))  # a non-digit wraps to >= 10
         live = width > j
         bad |= live & (d >= 10)
@@ -205,11 +216,15 @@ def load_walks(path) -> WalkCorpus:
         fail(len(idx) - 1, "missing final newline")
     if (said := fields.get("walks", str(len(lines)))) != str(len(lines)):
         raise ValueError(f"{path}: header says walks={said}, file has {len(lines)} walks")
-    np.add(idx, m, out=idx, where=~is_user)
-    del data, body, starts, width, kind, bad, is_user  # before the corpus is checked
-    corpus = WalkCorpus(idx.reshape(len(lines), gamma), m, n)
+    idx = idx.astype(np.int32, copy=False)  # below m or n: fits if m + n does, checked next
+    del data, body, starts, width, kind, bad  # before the corpus is made and checked
     try:
+        corpus = WalkCorpus(idx.reshape(len(lines), gamma), m, n)  # first checks m + n
+        np.add(idx, m, out=idx, where=~is_user)  # item codes, in the corpus's own array
+        del is_user
         corpus.validate()
     except WalkRowError as exc:
         raise ValueError(f"{path}: line {exc.row + 2}: {exc.problem}") from None
+    except ValueError as exc:  # too many users and items for int32 codes
+        raise ValueError(f"{path}: {exc}") from None
     return corpus

@@ -356,6 +356,14 @@ def test_base_settings_takes_every_knob_from_its_section():
     assert st.echo()["lambda"] == 0.5
 
 
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+def test_example_config_parses_alike_with_libyaml_and_pure_python():
+    text = EXAMPLE.read_text(encoding="utf-8")
+    raw = yaml.load(text, Loader=yaml.CSafeLoader)
+    assert raw == yaml.load(text, Loader=yaml.SafeLoader)
+    assert parse_config(raw) == load_config(EXAMPLE)
+
+
 def test_resolved_config_parses_back_to_the_same_config():
     cfg = load_config(EXAMPLE)
     assert parse_config(config_dict(cfg)) == cfg

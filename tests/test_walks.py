@@ -149,6 +149,15 @@ class TestArrayCorpus:
         with pytest.raises(ValueError, match=r"walk step \(3, 0\) is not an edge"):
             corpus.validate(g)
 
+    def test_edge_check_does_not_overflow_int32_codes(self):
+        # a step (a, b) is looked up as a * 80,000 + b, up to 6.4e9: beyond int32
+        m = n = 40_000
+        g = build_graph({(m - 1, n - 1), (m - 2, n - 1)}, m, n)
+        WalkCorpus(np.array([[m - 1, m + n - 1, m - 2, m + n - 1]]), m, n).validate(g)
+        corpus = WalkCorpus(np.array([[m - 1, m + n - 1, m - 2], [m - 2, m + n - 2, m - 1]]), m, n)
+        with pytest.raises(ValueError, match=rf"walk row 1: walk step \({m - 2}, {m + n - 2}\)"):
+            corpus.validate(g)
+
 
 class TestTruncatedCorpus:
     def test_truncated_file_names_the_line(self, tmp_path):
@@ -194,8 +203,23 @@ class TestTruncatedCorpus:
 class TestCorpusForm:
     def test_list_of_equal_walks_is_stacked(self):
         corpus = WalkCorpus([[0, 2], np.array([1, 3])], 2, 2)
-        assert corpus.walks.dtype == np.int64 and corpus.walks.tolist() == [[0, 2], [1, 3]]
+        assert corpus.walks.dtype == np.int32 and corpus.walks.tolist() == [[0, 2], [1, 3]]
         assert WalkCorpus([], 2, 2).walks.shape == (0, 0)
+
+    def test_code_beyond_int32_raises_instead_of_wrapping(self):
+        with pytest.raises(ValueError, match=r"walk row 1: code 4294967297 outside \[0, 4\)"):
+            WalkCorpus(np.array([[0, 2], [1, 2**32 + 1]]), 2, 2)  # would wrap to 1
+        with pytest.raises(ValueError, match=r"walk row 0: code 2147483648 outside"):
+            WalkCorpus([[2**31, 2]], 2, 2)
+
+    def test_vertex_count_beyond_int32_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"2147483647 users \+ 1 items exceed"):
+            WalkCorpus(np.zeros((0, 0), dtype=np.int32), 2**31 - 1, 1)
+        WalkCorpus(np.zeros((0, 0), dtype=np.int32), 2**31 - 2, 1)
+        p = tmp_path / "walks.txt"
+        p.write_text("# users=3000000000 items=1\nu2999999999 i0\n")
+        with pytest.raises(ValueError, match=r"walks\.txt: 3000000000 users \+ 1 items exceed"):
+            load_walks(p)
 
     def test_ragged_list_names_the_first_differing_walk(self):
         with pytest.raises(ValueError, match="walk 2 has 3 vertices, walk 0 has 2"):
@@ -275,7 +299,7 @@ class TestOneGrammar:
         assert p.read_text().split("\n", 1)[1] == "".join(names)
         back = load_walks(p)
         assert (back.n_users, back.n_items) == (m, n)
-        assert back.walks.dtype == np.int64 and np.array_equal(back.walks, corpus.walks)
+        assert back.walks.dtype == np.int32 and np.array_equal(back.walks, corpus.walks)
         save_walks(back, q)
         assert q.read_bytes() == p.read_bytes()
 
@@ -307,8 +331,8 @@ class TestReaderMemory:
     def test_peak_is_a_small_multiple_of_the_result(self, tmp_path):
         """The reader's temporaries are token-length int32 and byte arrays,
         freed before the corpus is checked: its traced peak, file bytes
-        included, stays under 5.5 times the int64 result (about 8 times
-        with int64 offsets and every temporary alive at once)."""
+        included, stays under 44 bytes a vertex (about 64 with int64
+        offsets and every temporary alive at once)."""
         p = tmp_path / "walks.txt"
         save_walks(random_corpus(np.random.default_rng(0), 4000, 4000, 2000, 80), p)
         tracemalloc.start()
@@ -317,7 +341,27 @@ class TestReaderMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * corpus.walks.nbytes
+        assert peak < 44 * corpus.walks.size
+
+
+class TestGeneratorMemory:
+    def test_blocks_write_into_the_corpus(self):
+        """Blocks write their steps straight into the int32 corpus, so the traced
+        peak is the corpus plus each block's streams and indices: measured 4.0 MB
+        over the 15.3 MB corpus on one CPU and 7.6-11.5 MB on two, 80-240 bytes a
+        walk.  A time-major int32 block buffer alone would add 4 * 80 = 320."""
+        rng = np.random.default_rng(0)
+        m = n = 3_000
+        edges = np.stack([np.repeat(np.arange(m), 5), rng.integers(0, n, 5 * m)], axis=1)
+        g = build_graph(edges, m, n)
+        tracemalloc.start()
+        try:
+            corpus = generate_walks(g, WalkConfig(beta=8, gamma=80, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.walks.dtype == np.int32 and len(corpus.walks) == 47_856
+        assert peak < corpus.walks.nbytes + 400 * len(corpus.walks)
 
 
 class TestExpectedPairOracle:
