@@ -77,25 +77,25 @@ def cmd_walk(cfg):
 def cmd_pairs(cfg):
     corpus = load_walks(_work(cfg) / "walks.txt")
     stats = sample_pairs(corpus, cfg.pairs.sigma)
-    out = _work(cfg) / "pair_stats.tsv"
+    out = _work(cfg) / "pair_stats.npz"
     save_stats(stats, out)
     print(f"pairs: {stats.total} pair occurrences, "
           f"{stats.pair_count.nnz} distinct -> {out}")
 
 
 def cmd_confidence(cfg):
-    stats = load_stats(_work(cfg) / "pair_stats.tsv")
+    stats = load_stats(_work(cfg) / "pair_stats.npz")
     if cfg.confidence.measure == "co":
         conf = co_matrix(stats)
     else:
         conf = sppmi_matrix(stats, cfg.confidence.shift_k)
-    out = _work(cfg) / "confidence.tsv"
+    out = _work(cfg) / "confidence.npz"
     save_confidence(conf, out)
     print(f"confidence: {conf.matrix.nnz} entries ({conf.measure}) -> {out}")
 
 
 def cmd_train(cfg):
-    conf = load_confidence(_work(cfg) / "confidence.tsv")
+    conf = load_confidence(_work(cfg) / "confidence.npz")
     model = als_fit(conf, cfg.als)
     out = _work(cfg) / "model.npz"
     save_model(model, cfg.als, out)

@@ -64,36 +64,35 @@ def sppmi_matrix(stats: PairCorpusStats, shift_k: float = 1.0) -> ConfidenceMatr
     shift_k = float(shift_k)
     if not 1.0 <= shift_k < math.inf:  # NaN too
         raise ValueError("shift_k must be finite and >= 1")
-    if stats.total <= 0:
+    total = stats.total
+    if total <= 0:
         raise ValueError("cannot compute PMI over an empty pair corpus")
 
     coo = stats.pair_count.tocoo()
     cnt = coo.data.astype(np.float64)
-    denom = stats.user_count[coo.row].astype(np.float64) * stats.item_count[
-        coo.col
-    ].astype(np.float64)
-    score = np.log(cnt * float(stats.total) / denom) - math.log(shift_k)
+    denom = (stats.user_count[coo.row].astype(np.float64)
+             * stats.item_count[coo.col].astype(np.float64))
+    score = np.log(cnt * float(total) / denom) - math.log(shift_k)
     keep = score > 0.0
-    mat = sp.coo_matrix(
-        (score[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
-    ).tocsr()
+    mat = sp.coo_matrix((score[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape).tocsr()
     out = ConfidenceMatrix(mat, measure="pmi", shift_k=shift_k)
     out.validate()
     return out
 
 
 def save_confidence(conf: ConfidenceMatrix, path):
-    """Write 'u<TAB>i<TAB>value' lines; values at 17 significant digits."""
-    shift = "none" if conf.shift_k is None else f"{conf.shift_k:.17g}"
-    write_matrix(path, conf.matrix, "%.17g", {"measure": conf.measure, "shift_k": shift})
+    "Write the matrix, its measure and its shift_k (NaN for none) as an archive."
+    write_matrix(path, conf.matrix, measure=np.array(conf.measure),
+                 shift_k=np.float64(math.nan if conf.shift_k is None else conf.shift_k))
 
 
 def load_confidence(path) -> ConfidenceMatrix:
-    """Read a matrix written by save_confidence; round-trip is bit exact."""
-    header, mat = read_matrix(path, np.float64, {
-        "measure": str, "shift_k": lambda s: None if s == "none" else float(s)})
-    if header["measure"] not in MEASURES:
-        raise ValueError(f"{path}: line 1: unknown measure {header['measure']!r}")
-    out = ConfidenceMatrix(mat, measure=header["measure"], shift_k=header["shift_k"])
-    out.validate()
-    return out
+    """Read a matrix written by save_confidence, bit exact; read_matrix's checks, an
+    unknown measure and a shift_k other than one float64 raise ValueError naming path."""
+    mat, measure, shift_k = read_matrix(path, np.float64, "confidence",
+                                        ("measure", "shift_k"))
+    if str(measure) not in MEASURES:  # a 0-d string array prints as the bare string
+        raise ValueError(f"{path}: unknown measure {str(measure)!r}")
+    if shift_k.shape != () or shift_k.dtype != np.float64:
+        raise ValueError(f"{path}: shift_k {shift_k.dtype} {shift_k.shape} is not one float64")
+    return ConfidenceMatrix(mat, str(measure), None if math.isnan(shift_k) else float(shift_k))

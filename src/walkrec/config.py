@@ -44,6 +44,12 @@ class DataSection(IngestFormat):
     min_count: int = knob(0, min=0)
     synthetic: SyntheticConfig | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.interactions is not None and self.synthetic is not None:
+            raise KnobError("synthetic", "cannot be set together with data.interactions; "
+                            "give one data source")
+
 
 @dataclass(frozen=True)
 class SplitSection(Knobs):
@@ -84,6 +90,11 @@ class RecommendSection(Knobs):
 @dataclass(frozen=True)
 class EvaluateSection(Knobs):
     cutoffs: tuple[int, ...] = knob((5, 10), min=1)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(set(self.cutoffs)) != len(self.cutoffs):
+            raise KnobError("cutoffs", f"{list(self.cutoffs)} repeats a cutoff")
 
 
 @dataclass(frozen=True)

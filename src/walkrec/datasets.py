@@ -247,7 +247,7 @@ def save_interactions(pairs, path):
 
 def load_interactions(path):
     """Read key pairs written by save_interactions."""
-    _, (users, items) = read_table(path, (object, object))
+    users, items = read_table(path, (object, object))
     check_rows(path, (users == "") | (items == ""), "empty key")
     check_unique(path, users + "\t" + items, "pair ({}, {}) repeats an earlier line",
                  users, items)
@@ -275,14 +275,14 @@ def load_dataset(directory):
     maps = []
     for name in ("users", "items"):
         path = directory / f"{name}.tsv"
-        _, (index, keys) = read_table(path, (np.int64, object))
+        index, keys = read_table(path, (np.int64, object))
         check_rows(path, index != np.arange(len(index)), "non-contiguous index {}", index)
         check_unique(path, keys, "key {!r} repeats an earlier line", keys)
         maps.append(IdMap.from_keys(keys.tolist()))
     ds = Dataset(*maps)
     for name in _SPLITS:
         path = directory / f"{name}.tsv"
-        _, (u, i) = read_table(path, (np.int64, np.int64))
+        u, i = read_table(path, (np.int64, np.int64))
         check_rows(path, (u < 0) | (u >= ds.n_users), "user {} out of range", u)
         check_rows(path, (i < 0) | (i >= ds.n_items), "item {} out of range", i)
         check_unique(path, u * ds.n_items + i, "pair ({}, {}) repeats an earlier line", u, i)

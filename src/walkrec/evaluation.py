@@ -47,12 +47,14 @@ def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
         recs: the Rankings of users 0..M-1, or one RankedList per user in
             order; a negative ranked item raises ValueError naming its user.
         test: ground-truth (u, i) pairs, as an array or any iterable.
-        cutoffs: list of k values.
+        cutoffs: distinct k values.
         config: optional hyperparameter echo stored on the report.
     """
     cutoffs = tuple(int(k) for k in cutoffs)
     if not cutoffs or any(k < 1 for k in cutoffs):
         raise ValueError("cutoffs must be positive integers")
+    if len(set(cutoffs)) != len(cutoffs):
+        raise ValueError(f"evaluate.cutoffs: {list(cutoffs)} repeats a cutoff")
     recs = Rankings.of(recs)
     m = len(recs)
     test = as_pairs(test)

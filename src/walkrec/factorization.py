@@ -11,9 +11,7 @@ not of A, keeps the residual at Cholesky's precision: an explicit A^-1
 loses digits in proportion to A's condition number.
 """
 
-import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +20,7 @@ from scipy.linalg import cholesky, solve_triangular
 from .blas import one_thread
 from .knobs import Knobs, knob
 from .parallel import map_blocks, spans
+from .tables import read_archive, write_archive
 
 __all__ = ["AlsConfig", "FactorModel", "init_factors", "als_fit", "loss", "predict",
            "save_model", "load_model"]
@@ -202,15 +201,11 @@ def predict(model: FactorModel, u: int, i: int) -> float:
 
 def save_model(model: FactorModel, cfg: AlsConfig, path):
     """Persist factors and training metadata as an .npz archive (exact)."""
-    np.savez(
-        Path(path),
-        X=model.X,
-        Y=model.Y,
-        loss_trace=np.asarray(model.loss_trace, dtype=np.float64),
-        meta_ints=np.asarray([model.n_users, model.n_items, cfg.factors,
-                              cfg.sweeps, cfg.seed], dtype=np.int64),
-        meta_floats=np.asarray([cfg.lam, cfg.init_scale], dtype=np.float64),
-    )
+    write_archive(path, X=model.X, Y=model.Y,
+                  loss_trace=np.asarray(model.loss_trace, dtype=np.float64),
+                  meta_ints=np.asarray([model.n_users, model.n_items, cfg.factors,
+                                        cfg.sweeps, cfg.seed], dtype=np.int64),
+                  meta_floats=np.asarray([cfg.lam, cfg.init_scale], dtype=np.float64))
 
 
 def load_model(path):
@@ -220,24 +215,14 @@ def load_model(path):
     shape, or factor shapes that differ from the stored users, items and
     factors raise ValueError naming path.
     """
-    try:
-        with np.load(Path(path)) as data:
-            X, Y, trace, ints, floats = (data[name] for name in
-                                         ("X", "Y", "loss_trace", "meta_ints", "meta_floats"))
-    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
-            zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: unreadable model archive: {exc}") from None
+    X, Y, trace, ints, floats = read_archive(
+        path, ("X", "Y", "loss_trace", "meta_ints", "meta_floats"), "model")
     if ints.shape != (5,) or floats.shape != (2,):
         raise ValueError(f"{path}: metadata shapes meta_ints {ints.shape}, meta_floats "
                          f"{floats.shape} are not (5,) and (2,)")
     if X.ndim != 2 or Y.ndim != 2 or X.shape != (ints[0], ints[2]) or Y.shape != (ints[1], ints[2]):
         raise ValueError(f"{path}: factor shapes X {X.shape}, Y {Y.shape} do not match "
                          f"the stored {ints[0]} users, {ints[1]} items and {ints[2]} factors")
-    cfg = AlsConfig(
-        factors=int(ints[2]),
-        lam=float(floats[0]),
-        sweeps=int(ints[3]),
-        seed=int(ints[4]),
-        init_scale=float(floats[1]),
-    )
+    cfg = AlsConfig(factors=int(ints[2]), lam=float(floats[0]), sweeps=int(ints[3]),
+                    seed=int(ints[4]), init_scale=float(floats[1]))
     return FactorModel(X, Y, list(trace)), cfg

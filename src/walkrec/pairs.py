@@ -36,46 +36,32 @@ _CHUNK_ROWS = 16384
 class PairCorpusStats:
     """Multiset statistics of sampled (u, i) pairs.
 
-    pair_count[u, i] is the multiplicity of (u, i); user_count[u] and
-    item_count[i] are occurrence counts of u and i across all pairs;
-    total is the multiset size.
+    pair_count[u, i] is the multiplicity of (u, i), and the only stored
+    form: user_count[u] and item_count[i], the occurrence counts of u and
+    i across all pairs, and total, the multiset size, are its row sums,
+    column sums and sum, computed on each access so they cannot go stale.
     """
 
     pair_count: sp.csr_matrix  # int64, n_users x n_items
-    user_count: np.ndarray  # int64, (n_users,)
-    item_count: np.ndarray  # int64, (n_items,)
-    total: int
 
     @property
-    def n_users(self):
-        return self.pair_count.shape[0]
+    def user_count(self):
+        return np.asarray(self.pair_count.sum(axis=1)).ravel()
 
     @property
-    def n_items(self):
-        return self.pair_count.shape[1]
+    def item_count(self):
+        return np.asarray(self.pair_count.sum(axis=0)).ravel()
 
-    @classmethod
-    def from_pair_count(cls, pair):
-        "The statistics of a pair count matrix: its row sums, column sums and sum."
-        user_count = np.asarray(pair.sum(axis=1)).ravel()
-        return cls(pair, user_count, np.asarray(pair.sum(axis=0)).ravel(), int(user_count.sum()))
+    @property
+    def total(self):
+        return self.pair_count.sum().item()
 
     @classmethod
     def empty(cls, n_users, n_items):
-        return cls.from_pair_count(sp.csr_matrix((n_users, n_items), dtype=np.int64))
+        return cls(sp.csr_matrix((n_users, n_items), dtype=np.int64))
 
     def validate(self):
-        """Check the marginal identities; raises ValueError if they fail."""
-        row_sums = np.asarray(self.pair_count.sum(axis=1)).ravel()
-        col_sums = np.asarray(self.pair_count.sum(axis=0)).ravel()
-        if not np.array_equal(row_sums, self.user_count):
-            raise ValueError("user_count does not match pair_count row sums")
-        if not np.array_equal(col_sums, self.item_count):
-            raise ValueError("item_count does not match pair_count column sums")
-        if int(self.user_count.sum()) != self.total:
-            raise ValueError("sum of user_count does not equal total")
-        if int(self.item_count.sum()) != self.total:
-            raise ValueError("sum of item_count does not equal total")
+        """Raise ValueError on a negative count."""
         if self.pair_count.nnz and self.pair_count.data.min() < 0:
             raise ValueError("negative pair count")
 
@@ -113,7 +99,7 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
         keys, counts = _count_chunk(walks[lo:lo + _CHUNK_ROWS], distances, m, n, dtype)
         indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * n)
         pair = pair + sp.csr_matrix((counts, keys % n, indptr), shape=(m, n))
-    return PairCorpusStats.from_pair_count(pair)
+    return PairCorpusStats(pair)
 
 
 def _pair_codes(walks, distances, m, n, codes):
@@ -156,28 +142,16 @@ def _count_chunk(walks, distances, m, n, dtype):
 def merge(a: PairCorpusStats, b: PairCorpusStats) -> PairCorpusStats:
     """Elementwise sum of two count statistics over the same dimensions."""
     if a.pair_count.shape != b.pair_count.shape:
-        raise ValueError(
-            f"dimension mismatch: {a.pair_count.shape} vs {b.pair_count.shape}"
-        )
-    pair = (a.pair_count + b.pair_count).tocsr()
-    return PairCorpusStats(
-        pair_count=pair,
-        user_count=a.user_count + b.user_count,
-        item_count=a.item_count + b.item_count,
-        total=a.total + b.total,
-    )
+        raise ValueError(f"dimension mismatch: {a.pair_count.shape} vs {b.pair_count.shape}")
+    return PairCorpusStats(a.pair_count + b.pair_count)
 
 
 def save_stats(stats: PairCorpusStats, path):
-    """Write 'u<TAB>i<TAB>count' lines under a header carrying the totals."""
-    write_matrix(path, stats.pair_count, "%d", {"total": stats.total})
+    """Write the pair counts as a sparse-matrix archive (exact)."""
+    write_matrix(path, stats.pair_count)
 
 
 def load_stats(path) -> PairCorpusStats:
-    """Read statistics written by save_stats; marginals are recomputed."""
-    header, pair = read_matrix(path, np.int64, {"total": int})
-    stats = PairCorpusStats.from_pair_count(pair)
-    if stats.total != header["total"]:
-        raise ValueError(f"{path}: line 1: header total {header['total']} != {stats.total}")
-    stats.validate()
-    return stats
+    "Read pair counts written by save_stats, bit exact; read_matrix's checks name path."
+    pair, = read_matrix(path, np.int64, "pair-count")
+    return PairCorpusStats(pair)

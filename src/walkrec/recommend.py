@@ -214,7 +214,7 @@ def load_recommendations(path, n_users):
     Users with no lines get empty lists.  Each user's ranks must run
     1, 2, ... in file order, and items must not be negative.
     """
-    _, (users, ranks, items, scores) = read_table(path, (np.int64,) * 3 + (np.float64,))
+    users, ranks, items, scores = read_table(path, (np.int64,) * 3 + (np.float64,))
     check_rows(path, (users < 0) | (users >= n_users), "user {} out of range", users)
     check_rows(path, items < 0, "item {} is negative", items)
     order = np.argsort(users, kind="stable")

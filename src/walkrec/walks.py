@@ -200,8 +200,9 @@ def load_walks(path) -> WalkCorpus:
         d = body.take(starts + j, mode="clip") - np.uint8(ord("0"))  # a non-digit wraps to >= 10
         live = width > j
         bad |= live & (d >= 10)
-        np.multiply(idx, 10, out=idx, where=live)
-        np.add(idx, d, out=idx, where=live)
+        d *= live  # unmasked arithmetic: a where= mask makes a ufunc about 40x slower
+        idx *= live * idx.dtype.type(9) + idx.dtype.type(1)
+        idx += d
     for t in np.flatnonzero(bad)[:1]:  # the first, if any, as for every check here
         tok = body[starts[t]:starts[t] + min(width[t], 24)].tobytes()
         fail(t, f"bad token {tok.decode('utf-8', 'replace')!r}")
@@ -220,7 +221,7 @@ def load_walks(path) -> WalkCorpus:
     del data, body, starts, width, kind, bad  # before the corpus is made and checked
     try:
         corpus = WalkCorpus(idx.reshape(len(lines), gamma), m, n)  # first checks m + n
-        np.add(idx, m, out=idx, where=~is_user)  # item codes, in the corpus's own array
+        idx += ~is_user * np.int32(m)  # item codes, in the corpus's own array
         del is_user
         corpus.validate()
     except WalkRowError as exc:

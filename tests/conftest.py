@@ -100,13 +100,7 @@ def stats_from_multiset(multiset, n_users, n_items):
     rows = np.asarray([u for u, _ in multiset], dtype=np.int64)
     cols = np.asarray([i for _, i in multiset], dtype=np.int64)
     data = np.asarray([multiset[k] for k in multiset], dtype=np.int64)
-    pair = sp.coo_matrix((data, (rows, cols)), shape=(n_users, n_items)).tocsr()
-    user_count = np.zeros(n_users, dtype=np.int64)
-    item_count = np.zeros(n_items, dtype=np.int64)
-    for (u, i), c in multiset.items():
-        user_count[u] += c
-        item_count[i] += c
-    return PairCorpusStats(pair, user_count, item_count, int(sum(multiset.values())))
+    return PairCorpusStats(sp.coo_matrix((data, (rows, cols)), shape=(n_users, n_items)).tocsr())
 
 
 def oracle_sppmi(multiset, shift_k=1.0):

@@ -66,8 +66,8 @@ class TestStagewisePipeline:
                       "train", "recommend", "evaluate"):
             assert run(cfg, stage) == 0
         work = tmp_path / "work"
-        for name in ("interactions.tsv", "walks.txt", "pair_stats.tsv",
-                     "confidence.tsv", "model.npz", "recommendations.tsv",
+        for name in ("interactions.tsv", "walks.txt", "pair_stats.npz",
+                     "confidence.npz", "model.npz", "recommendations.tsv",
                      "metrics.tsv", "metrics.json"):
             assert (work / name).exists(), name
         assert (work / "dataset" / "train.tsv").exists()

@@ -126,19 +126,19 @@ class TestPersistence:
         rng = np.random.default_rng(10)
         multiset, m, n = random_multiset(rng)
         conf = sppmi_matrix(stats_from_multiset(multiset, m, n), 1.0)
-        p = tmp_path / "conf.tsv"
+        p = tmp_path / "confidence.npz"
         save_confidence(conf, p)
         back = load_confidence(p)
         assert back.measure == "pmi" and back.shift_k == 1.0
         a, b = entries(conf), entries(back)
         assert set(a) == set(b)
         for k in a:
-            assert a[k] == b[k]  # exact equality, 17 significant digits
+            assert a[k] == b[k]  # exact equality
 
     def test_co_round_trip(self, tmp_path):
         stats = stats_from_multiset(Counter({(0, 1): 3, (1, 0): 1}), 2, 2)
         conf = co_matrix(stats)
-        p = tmp_path / "conf.tsv"
+        p = tmp_path / "confidence.npz"
         save_confidence(conf, p)
         back = load_confidence(p)
         assert back.measure == "co" and back.shift_k is None

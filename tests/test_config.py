@@ -75,6 +75,7 @@ INVALID = [
     ({"data.header": "yes"}, "data.header"),
     ({"data.min_count": -1}, "data.min_count"),
     ({"data.min_count": False}, "data.min_count"),
+    ({"data.interactions": "log.csv"}, "data.synthetic"),  # BASE sets synthetic too
     # data.synthetic
     ({"data.synthetic": [1]}, "data.synthetic"),
     ({"data.synthetic.foo": 1}, "data.synthetic.foo"),
@@ -163,6 +164,7 @@ INVALID = [
     ({"evaluate.cutoffs": 5}, "evaluate.cutoffs"),
     ({"evaluate.cutoffs": [0]}, "evaluate.cutoffs"),
     ({"evaluate.cutoffs": [True]}, "evaluate.cutoffs"),
+    ({"evaluate.cutoffs": [5, 3, 5]}, "evaluate.cutoffs"),  # a repeat gives repeated columns
     # experiment
     ({"experiment.foo": 1}, "experiment.foo"),
     ({"experiment.measures": []}, "experiment.measures"),
@@ -210,6 +212,8 @@ def test_empty_config_is_all_defaults():
     ("train", {"als.lambda": NAN}, "als.lambda"),
     ("split", {"workers": 0}, "workers"),
     ("experiment", {"als.lambda": INF}, "als.lambda"),
+    ("ingest", {"data.interactions": "no-such-log.csv"}, "data.synthetic"),
+    ("experiment", {"evaluate.cutoffs": [5, 5]}, "evaluate.cutoffs"),
 ])
 def test_cli_exits_2_naming_the_key(tmp_path, capsys, stage, overrides, key):
     raw = with_overrides({"work_dir": str(tmp_path / "work"), **overrides})
@@ -218,6 +222,11 @@ def test_cli_exits_2_naming_the_key(tmp_path, capsys, stage, overrides, key):
     assert main(["-c", str(path), stage]) == 2
     err = capsys.readouterr().err
     assert f"config error: {key}" in err, err
+
+
+def test_both_data_sources_are_rejected_naming_both_keys():
+    with pytest.raises(ConfigError, match=r"^data\.synthetic: .*data\.interactions"):
+        parse_config(with_overrides({"data.interactions": "log.csv"}))
 
 
 def test_cli_rejects_workers_flag_below_one(tmp_path, capsys):

@@ -131,6 +131,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([ranked(0, [1])], set(), cutoffs=[0])
 
+    def test_repeated_cutoffs_rejected(self):
+        with pytest.raises(ValueError, match=r"evaluate\.cutoffs: \[5, 10, 5\] repeats a cutoff"):
+            evaluate([ranked(0, [1])], set(), cutoffs=[5, 10, 5])
+
     def test_negative_test_user_or_item_rejected(self):
         for pair in ((-1, 0), (0, -2)):
             with pytest.raises(ValueError, match=rf"test pair \({pair[0]}, {pair[1]}\)"):

@@ -143,11 +143,19 @@ class TestMerge:
 
 
 class TestStatsValidation:
-    def test_detects_broken_marginals(self):
+    def test_marginals_follow_the_pair_counts(self):
         corpus = corpus_from_tokens(["u1 i2 u2 i1"], 3, 3)
         stats = sample_pairs(corpus, 3)
-        stats.user_count[0] += 1
-        with pytest.raises(ValueError):
+        stats.pair_count[1, 2] += 5
+        assert stats.user_count.tolist() == [0, 7, 2]
+        assert stats.item_count.tolist() == [0, 2, 7]
+        assert stats.total == 9
+
+    def test_detects_negative_count(self):
+        corpus = corpus_from_tokens(["u1 i2 u2 i1"], 3, 3)
+        stats = sample_pairs(corpus, 3)
+        stats.pair_count.data[0] = -1
+        with pytest.raises(ValueError, match="negative pair count"):
             stats.validate()
 
 
@@ -156,19 +164,14 @@ class TestPersistence:
         rng = np.random.default_rng(14)
         corpus, _ = random_corpus(rng)
         stats = sample_pairs(corpus, 3)
-        p = tmp_path / "stats.tsv"
+        p = tmp_path / "pair_stats.npz"
         save_stats(stats, p)
         back = load_stats(p)
         back.validate()
-        assert counts_dict(back) == counts_dict(stats)
-        assert back.total == stats.total
-        assert np.array_equal(back.user_count, stats.user_count)
-
-    def test_header_total_checked(self, tmp_path):
-        p = tmp_path / "stats.tsv"
-        p.write_text("# users=2 items=2 total=5\n0\t0\t1\n")
-        with pytest.raises(ValueError, match="header total"):
-            load_stats(p)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(back.pair_count, name), getattr(stats.pair_count, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert back.pair_count.shape == stats.pair_count.shape
 
 
 class TestSortedRunCounter:
@@ -224,7 +227,7 @@ class TestSortedRunCounter:
             with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
                 sample_pairs(corpus, 3)
 
-    def test_canonical_int64_matrix_saves_hand_counted_file(self, tmp_path):
+    def test_canonical_int64_matrix_saves_hand_counted_archive(self, tmp_path):
         # u0 i1 u0 i0: u0-i1 twice at distance 1, u0-i0 at distances 1 and 3;
         # i1 u1 i1 u0: u1-i1 from both sides, u0-i1 at distances 1 and 3;
         # u1 i0 u1 i1: u1-i0 from both sides, u1-i1 at distances 1 and 3
@@ -232,9 +235,14 @@ class TestSortedRunCounter:
         stats = sample_pairs(corpus, 3)
         assert stats.pair_count.has_canonical_format
         assert stats.pair_count.data.dtype == np.int64
-        save_stats(stats, tmp_path / "stats.tsv")
-        assert (tmp_path / "stats.tsv").read_text() == (
-            "# users=2 items=2 total=12\n0\t0\t2\n0\t1\t4\n1\t0\t2\n1\t1\t4\n")
+        save_stats(stats, tmp_path / "pair_stats.npz")
+        with np.load(tmp_path / "pair_stats.npz") as saved:
+            assert sorted(saved.files) == ["data", "indices", "indptr", "shape"]
+            assert saved["data"].dtype == np.int64 and saved["shape"].dtype == np.int64
+            assert saved["data"].tolist() == [2, 4, 2, 4]
+            assert saved["indices"].tolist() == [0, 1, 0, 1]
+            assert saved["indptr"].tolist() == [0, 2, 4]
+            assert saved["shape"].tolist() == [2, 2]
 
 
 def test_traced_peak_is_bounded_by_the_corpus_size():

@@ -1,4 +1,5 @@
-"""The shared table layout: round trips, and loaders that name the file and line."""
+"""The shared table and archive layouts: round trips, and loaders that name the file
+(and a table's line)."""
 
 import re
 
@@ -11,37 +12,64 @@ from walkrec.cli import main
 from walkrec.confidence import ConfidenceMatrix, load_confidence, save_confidence
 from walkrec.datasets import (Dataset, IdMap, load_dataset, load_interactions, save_dataset,
                               save_interactions)
+from walkrec.factorization import AlsConfig, FactorModel, load_model, save_model
 from walkrec.pairs import PairCorpusStats, load_stats, save_stats
 from walkrec.recommend import RankedList, load_recommendations, save_recommendations
 from walkrec.tables import format_header, parse_header, read_table, write_table
 from walkrec.walks import load_walks
 
-STATS = "# users=2 items=2 total=2\n"
-CONF = "# users=2 items=2 measure=pmi shift_k=1\n"
+STATS = PairCorpusStats(sp.csr_matrix(np.array([[0, 2, 1], [3, 0, 0]], dtype=np.int64)))
+CONF = ConfidenceMatrix(sp.csr_matrix(np.array([[0.0, 1 / 3, 2.0], [1e-300, 0.0, 0.0]])),
+                        measure="pmi", shift_k=1.5)
+MODEL = FactorModel(np.arange(6.0).reshape(3, 2), np.full((4, 2), 1 / 3), [2.5, 1.0])
+
+# file -> (writer of a valid archive, its loader, kind of archive)
+ARCHIVES = {
+    "pair_stats.npz": (lambda p: save_stats(STATS, p), load_stats, "pair-count"),
+    "confidence.npz": (lambda p: save_confidence(CONF, p), load_confidence, "confidence"),
+}
+MATRIX = ("data", "indices", "indptr", "shape")  # stored as [[0, x, y], [z, 0, 0]]
+BAD_LAYOUT = "data .* is not .*, integer and two integers"
+MALFORMED_CSR = "malformed sparse matrix"
+OUT_OF_ORDER = "a row's entries are out of order or repeat"
+NOT_POSITIVE = r"entry \(\d+, \d+\) value .* is not finite and positive"
+# (file, replaced members, a member None to drop it, and what the error must say)
+CORRUPT = [
+    *[(name, {member: None}, rf"unreadable {kind} archive: '{member} ")
+      for name, (_, _, kind) in ARCHIVES.items()
+      for member in MATRIX + (("measure", "shift_k") if name == "confidence.npz" else ())],
+    ("pair_stats.npz", {"data": np.array([2, 1, 3], dtype=np.int32)}, BAD_LAYOUT),
+    ("pair_stats.npz", {"data": np.array([2.0, 1.0, 3.0])}, BAD_LAYOUT),
+    ("confidence.npz", {"data": np.array([1, 2, 3])}, BAD_LAYOUT),
+    ("confidence.npz", {"data": np.array([0.5, 2.0, 1.0], dtype=np.float32)}, BAD_LAYOUT),
+    *[(name, {"shape": shape}, BAD_LAYOUT) for name in ARCHIVES
+      for shape in (np.array([2]), np.array([2, 3, 1]), np.array(2), np.array([2.0, 3.0]))],
+    ("pair_stats.npz", {"indices": np.array([1.0, 2.0, 0.0])}, BAD_LAYOUT),
+    ("pair_stats.npz", {"indptr": np.array([0.0, 2.0, 3.0])}, BAD_LAYOUT),
+    ("pair_stats.npz", {"indices": np.array([1, 3, 0])}, MALFORMED_CSR),  # item 3 of 3
+    ("confidence.npz", {"indices": np.array([1, 2, -1])}, MALFORMED_CSR),
+    ("pair_stats.npz", {"shape": np.array([1, 3])}, MALFORMED_CSR),  # user 1 of 1
+    ("pair_stats.npz", {"indptr": np.array([0, 3])}, MALFORMED_CSR),
+    ("pair_stats.npz", {"indptr": np.array([0, 3, 2])}, MALFORMED_CSR),
+    ("pair_stats.npz", {"data": np.array([2, 1, 3, 4]), "indices": np.array([1, 2, 0, 1])},
+     MALFORMED_CSR),  # a value past the last row
+    ("confidence.npz", {"shape": np.array([-2, 3])}, MALFORMED_CSR),
+    ("pair_stats.npz", {"indices": np.array([2, 1, 0])}, OUT_OF_ORDER),
+    ("confidence.npz", {"indices": np.array([1, 1, 0])}, OUT_OF_ORDER),
+    ("pair_stats.npz", {"data": np.array([2, 0, 3])}, NOT_POSITIVE),
+    ("pair_stats.npz", {"data": np.array([2, 1, -3])}, NOT_POSITIVE),
+    *[("confidence.npz", {"data": np.array([0.5, bad, 1.0])}, NOT_POSITIVE)
+      for bad in (0.0, -1.0, np.nan, np.inf, -np.inf)],
+    ("confidence.npz", {"measure": np.array("svd")}, "unknown measure 'svd'"),
+    ("confidence.npz", {"measure": np.array(["pmi"])}, "unknown measure"),
+    ("confidence.npz", {"measure": np.array(b"pmi")}, "unknown measure"),
+    ("confidence.npz", {"measure": np.array(1)}, "unknown measure"),
+    ("confidence.npz", {"shift_k": np.array([1.5])}, "shift_k float64 .* is not one float64"),
+    ("confidence.npz", {"shift_k": np.array(1)}, "shift_k int64 .* is not one float64"),
+]
 
 # (file, text, line the error must name)
 MALFORMED = [
-    ("pair_stats.tsv", STATS + "0\t0\t1\n1\t1\n", 3),  # truncated row
-    ("pair_stats.tsv", STATS + "0\t0\t1\n1\t1\t1\t1\n", 3),  # extra field
-    ("pair_stats.tsv", STATS + "0\tx\t1\n1\t1\t1\n", 2),  # non-number
-    ("pair_stats.tsv", STATS + "0\t0\t1\n5\t1\t1\n", 3),  # user out of range
-    ("pair_stats.tsv", STATS + "0\t0\t1\n1\t2\t1\n", 3),  # item out of range
-    ("pair_stats.tsv", STATS + "0\t0\t3\n1\t1\t-1\n", 3),  # negative count
-    ("pair_stats.tsv", STATS + "0\t0\t2\n1\t1\t0\n", 3),  # zero count
-    ("pair_stats.tsv", STATS + "1\t1\t1\n1\t1\t1\n", 3),  # duplicate row
-    ("pair_stats.tsv", STATS + "0\t0\t1\n\n1\t1\t1\n", 3),  # blank line
-    ("pair_stats.tsv", "# users=2 items=2\n0\t0\t1\n", 1),  # header lacks total
-    ("pair_stats.tsv", "# users=2 items=two total=1\n0\t0\t1\n", 1),  # bad header value
-    ("pair_stats.tsv", "0\t0\t1\n", 1),  # no header
-    ("pair_stats.tsv", "# users=2 items=2 total=5\n0\t0\t1\n", 1),  # header total
-    ("confidence.tsv", CONF + "0\t0\t0.5\n1\t1\tnan\n", 3),  # NaN confidence
-    ("confidence.tsv", CONF + "0\t0\tinf\n", 2),  # infinite confidence
-    ("confidence.tsv", CONF + "0\t0\t0.5\n1\t1\t0\n", 3),  # zero confidence
-    ("confidence.tsv", CONF + "0\t0\t0.5\n0\t0\t0.5\n", 3),  # duplicate row
-    ("confidence.tsv", CONF + "0\t-1\t0.5\n", 2),  # negative index
-    ("confidence.tsv", CONF + "0\t0\t0.5x\n", 2),  # non-number
-    ("confidence.tsv", "# users=2 items=2 measure=pmi\n0\t0\t0.5\n", 1),  # no shift_k
-    ("confidence.tsv", "# users=2 items=2 measure=svd shift_k=1\n", 1),  # unknown measure
     ("recommendations.tsv", "0\t1\t3\t0.5\n0\t2\t1\n", 2),  # truncated row
     ("recommendations.tsv", "0\t1\t3\tx\n", 1),  # non-number
     ("recommendations.tsv", "0\t1\t3\t0.5\n2\t1\t0\t0.5\n", 2),  # user out of range
@@ -63,8 +91,6 @@ MALFORMED = [
 ]
 
 LOADERS = {
-    "pair_stats.tsv": load_stats,
-    "confidence.tsv": load_confidence,
     "recommendations.tsv": lambda path: load_recommendations(path, 2),
     "interactions.tsv": load_interactions,
     **{f"{name}.tsv": lambda path: load_dataset(path.parent)
@@ -85,6 +111,52 @@ def test_malformed_artifact_names_file_and_line(tmp_path, name, text, line):
         LOADERS[name](tmp_path / name)
 
 
+@pytest.mark.parametrize("name", ARCHIVES)
+def test_every_truncation_of_an_archive_names_the_file(tmp_path, name):
+    save, load, kind = ARCHIVES[name]
+    path = tmp_path / name
+    save(path)
+    whole = path.read_bytes()
+    for keep in range(len(whole)):
+        path.write_bytes(whole[:keep])
+        with pytest.raises(ValueError, match=rf"{re.escape(name)}: unreadable {kind} archive"):
+            load(path)
+
+
+@pytest.mark.parametrize("name,edits,problem", CORRUPT)
+def test_corrupt_archive_names_the_file(tmp_path, name, edits, problem):
+    save, load, _ = ARCHIVES[name]
+    path = tmp_path / name
+    save(path)
+    with np.load(path) as saved:
+        arrays = {k: saved[k] for k in saved.files}
+    for member, value in edits.items():
+        arrays[member] = value
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+    with pytest.raises(ValueError, match=rf"{re.escape(name)}: {problem}"):
+        load(path)
+
+
+def csr_parts(matrix):
+    return [(a.dtype, a.tolist()) for a in (matrix.data, matrix.indices, matrix.indptr)]
+
+
+def test_archives_round_trip_at_a_path_without_the_suffix(tmp_path):
+    path = tmp_path / "artifact.bin"  # np.savez given this name would write artifact.bin.npz
+    save_stats(STATS, path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert csr_parts(load_stats(path).pair_count) == csr_parts(STATS.pair_count)
+    save_confidence(CONF, path)
+    back = load_confidence(path)
+    assert csr_parts(back.matrix) == csr_parts(CONF.matrix)
+    assert (back.measure, back.shift_k) == ("pmi", 1.5)
+    save_model(MODEL, AlsConfig(factors=2), path)
+    assert list(tmp_path.iterdir()) == [path]
+    model, _ = load_model(path)
+    assert np.array_equal(model.X, MODEL.X) and np.array_equal(model.Y, MODEL.Y)
+    assert model.loss_trace == MODEL.loss_trace
+
+
 def test_walk_count_that_is_no_number_names_the_corpus(tmp_path):
     path = tmp_path / "walks.txt"
     path.write_text("# users=2 items=2 walks=x\nu0 i0\n")
@@ -92,16 +164,17 @@ def test_walk_count_that_is_no_number_names_the_corpus(tmp_path):
         load_walks(path)
 
 
-def test_truncated_stats_row_fails_confidence_stage(tmp_path, capsys):
+def test_truncated_stats_archive_fails_confidence_stage(tmp_path, capsys):
     work = tmp_path / "work"
     work.mkdir()
     cfg = tmp_path / "config.yaml"
     cfg.write_text(yaml.safe_dump({"data": {"synthetic": {}}, "work_dir": str(work)}))
-    (work / "pair_stats.tsv").write_text(STATS + "0\t0\t1\n1\t1")
+    save_stats(STATS, work / "pair_stats.npz")
+    (work / "pair_stats.npz").write_bytes((work / "pair_stats.npz").read_bytes()[:-1])
     assert main(["-c", str(cfg), "confidence"]) == 1
     err = capsys.readouterr().err
-    assert "pair_stats.tsv: line 3: 2 fields, expected 3" in err
-    assert not (work / "confidence.tsv").exists()
+    assert "pair_stats.npz: unreadable pair-count archive" in err
+    assert not (work / "confidence.npz").exists()
 
 
 def test_non_finite_confidence_fails_validation():
@@ -114,20 +187,19 @@ def test_non_finite_confidence_fails_validation():
 def test_table_round_trip(tmp_path):
     path = tmp_path / "t.tsv"
     cols = (np.array([3, -1, 0]), [" lead", "#hash", "x y "], np.array([0.1, 1e300, -2.5]))
-    write_table(path, ("%d", "%s", "%.17g"), cols, {"rows": 3, "name": "t"})
-    assert path.read_text() == ("# rows=3 name=t\n3\t lead\t0.10000000000000001\n"
+    write_table(path, ("%d", "%s", "%.17g"), cols)
+    assert path.read_text() == ("3\t lead\t0.10000000000000001\n"
                                 "-1\t#hash\t1.0000000000000001e+300\n0\tx y \t-2.5\n")
-    header, back = read_table(path, (np.int64, object, np.float64), {"rows": int})
-    assert header == {"rows": 3, "name": "t"}
+    back = read_table(path, (np.int64, object, np.float64))
     assert np.array_equal(back[0], cols[0]) and back[1].tolist() == cols[1]
     assert np.array_equal(back[2], cols[2])
 
 
 def test_empty_body_reads_as_empty_columns(tmp_path):
     path = tmp_path / "t.tsv"
-    write_table(path, ("%d", "%.17g"), ([], []), {"users": 0})
-    header, (a, b) = read_table(path, (np.int64, np.float64), {"users": int})
-    assert header == {"users": 0}
+    write_table(path, ("%d", "%.17g"), ([], []))
+    assert path.read_bytes() == b""
+    a, b = read_table(path, (np.int64, np.float64))
     assert a.dtype == np.int64 and b.dtype == np.float64 and len(a) == len(b) == 0
 
 
@@ -143,14 +215,10 @@ def test_dataset_with_empty_split_round_trips(tmp_path):
 
 
 def test_artifacts_round_trip_byte_for_byte(tmp_path):
-    pair = sp.csr_matrix(np.array([[0, 2, 1], [3, 0, 0]], dtype=np.int64))
-    stats = PairCorpusStats(pair, np.array([3, 3]), np.array([3, 2, 1]), 6)
-    conf = ConfidenceMatrix(sp.csr_matrix(np.array([[0.0, 1 / 3, 2.0], [1e-300, 0.0, 0.0]])),
-                            measure="pmi", shift_k=1.5)
     recs = [RankedList(0, [(2, 0.5), (0, 1 / 7)]), RankedList(1, []), RankedList(2, [(1, -3.0)])]
     artifacts = [
-        (lambda p: save_stats(stats, p), lambda p: save_stats(load_stats(p), p)),
-        (lambda p: save_confidence(conf, p), lambda p: save_confidence(load_confidence(p), p)),
+        (lambda p: save_stats(STATS, p), lambda p: save_stats(load_stats(p), p)),
+        (lambda p: save_confidence(CONF, p), lambda p: save_confidence(load_confidence(p), p)),
         (lambda p: save_recommendations(recs, p),
          lambda p: save_recommendations(load_recommendations(p, 3), p)),
         (lambda p: save_interactions({("a b", "x"), ("#c", "y")}, p),
