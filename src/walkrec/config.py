@@ -106,6 +106,13 @@ class ExperimentGrid(Knobs):
     keep_fractions: tuple[float, ...] = knob((1.0,), gt=0, max=1)
     seeds: tuple[int, ...] = knob((0,), min=0)
 
+    def __post_init__(self):
+        super().__post_init__()
+        for f in fields(self):  # a repeat would refit a cell and repeat its report row
+            values = getattr(self, f.name)
+            if len(set(values)) != len(values):
+                raise KnobError(f.name, f"{list(values)} repeats a value")
+
 
 # The sections whose fields make up PipelineSettings; their three seeds
 # become its one seed.

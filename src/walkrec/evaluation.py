@@ -7,6 +7,7 @@ extreme sparsity.
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,11 @@ def run_cell(dataset: Dataset, st: PipelineSettings, _inputs=None) -> MetricsRep
     return evaluate(recs, dataset.test, st.cutoffs, config=st.echo())
 
 
+def _corpus_key(st: PipelineSettings):
+    "The knobs a cell's walk corpus depends on."
+    return st.keep_fraction, st.seed, st.beta, st.gamma
+
+
 def _cell_inputs(dataset: Dataset, st: PipelineSettings, caches):
     """(train, scores) of one cell: its sparsified training pairs, and the
     popularity row (itempop), the binary matrix (mf) or the co/PMI confidence.
@@ -130,7 +136,7 @@ def _cell_inputs(dataset: Dataset, st: PipelineSettings, caches):
     if st.measure == "mf":
         return train, sp.csr_matrix((np.ones(len(train)), (train[:, 0], train[:, 1])),
                                     shape=(m, n))
-    ckey = (st.keep_fraction, st.seed, st.beta, st.gamma)
+    ckey = _corpus_key(st)
     if ckey not in caches["corpus"]:
         g = build_graph(train, m, n)
         caches["corpus"][ckey] = generate_walks(g, WalkConfig(st.beta, st.gamma, st.seed))
@@ -147,19 +153,25 @@ def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGri
     Cells that share (keep_fraction, seed) reuse one walk corpus, so a
     window-size sweep isolates the window effect, and cells additionally
     sharing sigma reuse the pair counts.  Every cell's inputs are built
-    first, in grid order on the calling thread; the corpora and pair
-    counts are then freed, and the cells are fitted, ranked and evaluated
-    in parallel (map_blocks) on one BLAS thread, pinned once here.  A
-    cell's nested blocks run inline, so its bytes do not depend on the
-    thread count, and the first error in grid order is raised.
+    first on the calling thread, one (keep_fraction, seed, beta, gamma)
+    group at a time, each group's cells in grid order; a group's corpus
+    and pair counts are freed before the next group's are made, so one
+    corpus is alive at a time.  The cells are then fitted, ranked and
+    evaluated in parallel (map_blocks) on one BLAS thread, pinned once
+    here.  A cell's nested blocks run inline, so its bytes do not depend
+    on the thread count, and the first error in grid order is raised.
     """
     cells = [replace(base, measure=measure, sigma=int(sigma), keep_fraction=float(keep),
                      seed=int(seed))
              for measure in grid.measures for sigma in grid.sigmas
              for keep in grid.keep_fractions for seed in grid.seeds]
-    caches = {"train": {}, "corpus": {}, "stats": {}}
-    inputs = [_cell_inputs(dataset, st, caches) for st in cells]
-    del caches  # the last reference to the corpora and pair counts
+    inputs = [None] * len(cells)
+    order = sorted((_corpus_key(st), j) for j, st in enumerate(cells))  # grid order in a group
+    for _, group in groupby(order, lambda key_j: key_j[0]):
+        caches = {"train": {}, "corpus": {}, "stats": {}}
+        for _, j in group:
+            inputs[j] = _cell_inputs(dataset, cells[j], caches)
+        del caches  # the last reference to the group's corpus and pair counts
     with one_thread():
         return map_blocks(lambda j: run_cell(dataset, cells[j], _inputs=inputs[j]),
                           range(len(cells)))

@@ -103,19 +103,24 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
 
 
 def _pair_codes(walks, distances, m, n, codes):
-    "Fill codes with u * n + i for the vertices at positions p and p + d of every walk, each d in turn."
+    """Fill codes with u * n + i for the vertices at positions p and p + d of every
+    walk, each d in turn.
+
+    As min + max = a + b and max = m + i, the code is min(a, b) * (n - 1) - m + a + b,
+    built in place with no second array.  No partial sum exceeds the final code and
+    none is below -m, so codes.dtype holds them all.
+    """
     walks = walks.astype(codes.dtype, copy=False)  # codes below m + n <= m * n + 1 fit it too
-    user = np.empty_like(walks[:, 1:])
     lo = 0
     for d in distances:
         a, b = walks[:, :-d], walks[:, d:]
-        code, u = codes[lo:lo + a.size].reshape(a.shape), user[:, :a.shape[1]]
+        code = codes[lo:lo + a.size].reshape(a.shape)
         lo += a.size
-        np.maximum(a, b, out=code)
+        np.minimum(a, b, out=code)
+        code *= n - 1
         code -= m
-        np.minimum(a, b, out=u)
-        u *= n
-        code += u  # no partial sum exceeds the final code
+        code += a
+        code += b
 
 
 def _runs(codes):

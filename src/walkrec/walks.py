@@ -13,7 +13,7 @@ from .tables import format_header, parse_header
 
 __all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
 
-_SAVE_ROWS = 1024  # walks rendered per write; 8,192 faulted in fresh pages every block
+_TEXT_ROWS = 1024  # walks rendered or parsed per block; 8,192 faulted in fresh pages every block
 _WALK_BLOCK = 16384  # walks whose streams advance together; far fewer lose to the GIL
 _SP, _NL, _U, _I = b" \nui"
 
@@ -130,8 +130,8 @@ def save_walks(corpus: WalkCorpus, path):
     m, n = corpus.n_users, corpus.n_items
     with Path(path).open("wb") as f:
         f.write(format_header({"users": m, "items": n, "walks": len(corpus.walks)}).encode())
-        for lo in range(0, len(corpus.walks), _SAVE_ROWS):
-            f.write(_render(corpus.walks[lo:lo + _SAVE_ROWS], m))
+        for lo in range(0, len(corpus.walks), _TEXT_ROWS):
+            f.write(_render(corpus.walks[lo:lo + _TEXT_ROWS], m))
 
 
 def _render(walks, m):
@@ -168,18 +168,50 @@ def load_walks(path) -> WalkCorpus:
     """Read a corpus written by save_walks, accepting exactly the body it writes:
     lines of 'u<idx>'/'i<idx>' tokens (idx in canonical ASCII decimal: no sign, no
     leading zero, at most 18 digits) joined by single spaces, each ended by '\\n',
-    all of one length.  Parsed as one byte array into int32 codes; an error raises
-    ValueError naming the file and line, or the file alone for a header walk count
-    that differs or more users and items than int32 codes hold.
+    all of one length.  The walk count is the line count and the walk length is
+    line 2's token count.  The int32 corpus is made once, and the body is parsed
+    straight into its rows in blocks of about _TEXT_ROWS lines, so no other array
+    grows with the file.  An error raises ValueError naming the file and line, or
+    the file alone for a header walk count that differs or more users and items
+    than int32 codes hold.
     """
     data = Path(path).read_bytes()
     head = data[:data.find(b"\n")] if b"\n" in data else data
     fields = parse_header(head.decode("utf-8", "replace"), path, {"users": int, "items": int})
     m, n = fields["users"], fields["items"]
-    body = np.frombuffer(data, dtype=np.uint8)[len(head) + 1:]
-    unended = body.size > 0 and body[-1] != _NL
-    if unended:  # parse the last line as if ended, then name it
-        body = np.append(body, np.uint8(_NL))
+    lo = len(head) + 1
+    unended = len(data) > lo and data[-1] != _NL  # its last line is parsed as if ended
+    rows = data.count(b"\n", lo) + unended
+    eol = data.find(b"\n", lo)
+    eol = eol if eol >= 0 else len(data)  # the end of line 2
+    gamma = data.count(b" ", lo, eol) + 1 if rows else 0
+    # A line of gamma tokens takes at least 3 * gamma bytes.  A file too short for
+    # its rows has a shorter line, which raises before the rows past it are written.
+    fit = min(rows, (len(data) - lo + 1) // (3 * gamma)) if rows else 0
+    try:
+        corpus = WalkCorpus(np.empty((fit, gamma), dtype=np.int32), m, n)  # checks m + n
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    body, row = np.frombuffer(data, dtype=np.uint8), 0
+    step = _TEXT_ROWS * (eol - lo + 1)  # the bytes of _TEXT_ROWS lines as long as line 2
+    while lo < len(data):
+        hi = data.rfind(b"\n", lo, lo + step) + 1  # the lines that end within step bytes
+        if not hi:  # else the one line that starts at lo
+            hi = data.find(b"\n", lo + step) + 1 or len(data)
+        block = body[lo:hi] if data[hi - 1] == _NL else np.append(body[lo:hi], np.uint8(_NL))
+        row += _parse_block(block, corpus.walks[row:], m, n, path, row + 2)
+        lo = hi
+    if unended:
+        raise ValueError(f"{path}: line {rows + 1}: missing final newline")
+    if (said := fields.get("walks", str(rows))) != str(rows):
+        raise ValueError(f"{path}: header says walks={said}, file has {rows} walks")
+    return corpus
+
+
+def _parse_block(body, walks, m, n, path, line):
+    """Parse body, whole lines of walk text from the given line number on, into the
+    leading rows of walks, and return how many lines it held.  An error raises
+    ValueError naming path and the line."""
     sep = body == _SP
     sep |= body == _NL
     # tokens end at separators; byte offsets fit int32 below 2 GiB, halving these arrays
@@ -190,11 +222,10 @@ def load_walks(path) -> WalkCorpus:
     kind = body[starts]
 
     def fail(t, problem):
-        raise ValueError(f"{path}: line {np.searchsorted(lines, t) + 2}: {problem}")
+        raise ValueError(f"{path}: line {np.searchsorted(lines, t) + line}: {problem}")
 
     bad = ((kind != _U) & (kind != _I)) | (width < 2) | (width > 19)
     bad |= (body[np.minimum(starts + 1, ends)] == ord("0")) & (width > 2)  # a leading zero
-    del ends
     idx = np.zeros(len(starts), dtype=np.int32 if width.max(initial=0) <= 10 else np.int64)
     for j in range(1, min(int(width.max(initial=0)), 19)):  # Horner's rule; 9 digits fit int32
         d = body.take(starts + j, mode="clip") - np.uint8(ord("0"))  # a non-digit wraps to >= 10
@@ -206,26 +237,17 @@ def load_walks(path) -> WalkCorpus:
     for t in np.flatnonzero(bad)[:1]:  # the first, if any, as for every check here
         tok = body[starts[t]:starts[t] + min(width[t], 24)].tobytes()
         fail(t, f"bad token {tok.decode('utf-8', 'replace')!r}")
-    is_user = kind == _U
-    for t in np.flatnonzero(np.where(is_user, idx >= m, idx >= n))[:1]:
-        fail(t, f"{'user' if is_user[t] else 'item'} {idx[t]} out of range")
+    is_item = kind == _I
+    for t in np.flatnonzero(np.where(is_item, idx >= n, idx >= m))[:1]:
+        fail(t, f"{'item' if is_item[t] else 'user'} {idx[t]} out of range")
     per_line = np.diff(lines, prepend=-1)
-    gamma = int(per_line[0]) if len(lines) else 0
-    for k in np.flatnonzero(per_line != gamma)[:1]:
-        fail(lines[k], f"walk has {per_line[k]} vertices, expected {gamma} as on line 2")
-    if unended:
-        fail(len(idx) - 1, "missing final newline")
-    if (said := fields.get("walks", str(len(lines)))) != str(len(lines)):
-        raise ValueError(f"{path}: header says walks={said}, file has {len(lines)} walks")
-    idx = idx.astype(np.int32, copy=False)  # below m or n: fits if m + n does, checked next
-    del data, body, starts, width, kind, bad  # before the corpus is made and checked
+    for k in np.flatnonzero(per_line != walks.shape[1])[:1]:
+        fail(lines[k], f"walk has {per_line[k]} vertices, expected {walks.shape[1]} as on line 2")
+    out = walks[:len(lines)]
+    out[...] = idx.reshape(out.shape)  # below m or n, so int32 codes once items are shifted
+    out += is_item.reshape(out.shape) * np.int32(m)
     try:
-        corpus = WalkCorpus(idx.reshape(len(lines), gamma), m, n)  # first checks m + n
-        idx += ~is_user * np.int32(m)  # item codes, in the corpus's own array
-        del is_user
-        corpus.validate()
+        WalkCorpus(out, m, n).validate()  # user/item alternation
     except WalkRowError as exc:
-        raise ValueError(f"{path}: line {exc.row + 2}: {exc.problem}") from None
-    except ValueError as exc:  # too many users and items for int32 codes
-        raise ValueError(f"{path}: {exc}") from None
-    return corpus
+        raise ValueError(f"{path}: line {line + exc.row}: {exc.problem}") from None
+    return len(lines)

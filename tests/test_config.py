@@ -13,6 +13,7 @@ from walkrec.config import (ConfigError, PipelineConfig, base_settings, config_d
 from walkrec.datasets import IngestFormat
 from walkrec.evaluation import ExperimentGrid, PipelineSettings
 from walkrec.factorization import AlsConfig
+from walkrec.knobs import KnobError
 from walkrec.synthetic import generate_synthetic
 from walkrec.walks import WalkConfig
 
@@ -179,6 +180,11 @@ INVALID = [
     ({"experiment.seeds": []}, "experiment.seeds"),
     ({"experiment.seeds": [-1]}, "experiment.seeds"),
     ({"experiment.seeds": [1.5]}, "experiment.seeds"),
+    # a repeat refits a cell and repeats its report row
+    ({"experiment.measures": ["pmi", "co", "pmi"]}, "experiment.measures"),
+    ({"experiment.sigmas": [3, 3]}, "experiment.sigmas"),
+    ({"experiment.keep_fractions": [0.5, 1, 1.0]}, "experiment.keep_fractions"),
+    ({"experiment.seeds": [0, 0]}, "experiment.seeds"),
 ]
 
 
@@ -214,6 +220,7 @@ def test_empty_config_is_all_defaults():
     ("experiment", {"als.lambda": INF}, "als.lambda"),
     ("ingest", {"data.interactions": "no-such-log.csv"}, "data.synthetic"),
     ("experiment", {"evaluate.cutoffs": [5, 5]}, "evaluate.cutoffs"),
+    ("experiment", {"experiment.seeds": [1, 0, 1]}, "experiment.seeds"),
 ])
 def test_cli_exits_2_naming_the_key(tmp_path, capsys, stage, overrides, key):
     raw = with_overrides({"work_dir": str(tmp_path / "work"), **overrides})
@@ -315,6 +322,15 @@ def test_override_seed_sets_exactly_the_six_seeds():
 def test_stage_classes_reject_out_of_bounds_at_construction(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("name, values", [("measures", ("pmi", "pmi")), ("sigmas", (1, 3, 1)),
+                                          ("keep_fractions", (1.0, 1.0)), ("seeds", (7, 7))],
+                         ids=["measures", "sigmas", "keep_fractions", "seeds"])
+def test_experiment_grid_rejects_repeated_values(name, values):
+    with pytest.raises(KnobError, match=rf"^{name} \[.*\] repeats a value$") as exc:
+        ExperimentGrid(**{name: values})
+    assert exc.value.name == name
 
 
 def test_infinite_float_is_rejected_as_not_finite():

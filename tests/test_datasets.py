@@ -209,6 +209,19 @@ class TestSplit:
         assert len(ds.user_map) == len({u for u, _ in _pairs(10)})
         assert len(ds.item_map) == 10
 
+    def test_maps_and_indices_match_sorting_the_key_columns(self):
+        rng = np.random.default_rng(9)
+        names = ["10", "9", "u2", "U2", "é", "a b", "", "0", "u10"]  # sorted as str, not numbers
+        pairs = {(names[rng.integers(len(names))] + str(rng.integers(3)),
+                  names[rng.integers(len(names))]) for _ in range(60)}
+        ds = split(pairs, (0.8, 0.1, 0.1), seed=4)
+        users, items = (np.array(col, dtype=object) for col in zip(*sorted(pairs)))
+        (user_keys, u), (item_keys, i) = (np.unique(c, return_inverse=True) for c in (users, items))
+        assert ds.user_map.backward == user_keys.tolist()
+        assert ds.item_map.backward == item_keys.tolist()
+        rows = np.concatenate([ds.train, ds.valid, ds.test])
+        assert as_pairs(rows).tolist() == as_pairs(np.stack([u, i], axis=1)).tolist()
+
     def test_too_few_interactions(self):
         with pytest.raises(ValueError, match="at least 3"):
             split({("u1", "i1"), ("u2", "i2")}, (0.8, 0.1, 0.1), seed=0)

@@ -229,14 +229,6 @@ class TestRunExperiment:
                         assert rows[j].config == fresh.config
                         j += 1
 
-    def test_duplicate_cells_produce_identical_rows(self):
-        ds = small_dataset()
-        grid = ExperimentGrid(measures=("pmi",), sigmas=(3,),
-                              keep_fractions=(1.0,), seeds=(7, 7))
-        rows = run_experiment(ds, FAST, grid)
-        assert rows[0].precision == rows[1].precision
-        assert rows[0].f1 == rows[1].f1
-
 
 class TestReportWriters:
     def make_rows(self):

@@ -211,6 +211,20 @@ class TestSortedRunCounter:
         assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, 3))
         assert stats.pair_count[m - 1, n - 1] == 1 and stats.pair_count[m - 3, 40_000] == 1
 
+    def test_codes_at_the_int32_edge(self):
+        m, n = 46_341, 46_340  # u * n + i fits int32, but u * n + m would not
+        assert m * n < 2**31 <= m * n + m
+        corpus = WalkCorpus(np.array([[m - 1, m + n - 1, m - 2, m + n - 2, m - 1],
+                                      [m + n - 1, m - 1, m + n - 2, 0, m + n - 1]]), m, n)
+        codes = np.empty(2 * (4 + 2), dtype=np.int32)
+        pairs_module._pair_codes(corpus.walks, range(1, 4, 2), m, n, codes)
+        a = np.concatenate([corpus.walks[:, :-d].ravel() for d in (1, 3)]).astype(np.int64)
+        b = np.concatenate([corpus.walks[:, d:].ravel() for d in (1, 3)]).astype(np.int64)
+        assert codes.tolist() == (np.minimum(a, b) * n + np.maximum(a, b) - m).tolist()
+        stats = sample_pairs(corpus, 3)
+        assert counts_dict(stats) == dict(oracle_pair_multiset(corpus, 3))
+        assert stats.pair_count[m - 1, n - 1] == 4  # twice in each walk
+
     @pytest.mark.parametrize("sigma", [5, 7, 11])
     def test_window_at_least_walk_length(self, sigma):
         rng = np.random.default_rng(22)

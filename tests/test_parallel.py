@@ -189,6 +189,28 @@ def test_corpora_are_freed_before_the_fit(bundled, cpus, monkeypatch):
     assert len(corpora) == 3 and live_at_fit == [0] * 13
 
 
+def test_grid_frees_each_corpus_before_the_next(bundled, monkeypatch):
+    ds, _ = bundled
+    corpora, live_before = [], []
+    real_walks = evaluation.generate_walks
+
+    def tracked_walks(g, cfg):
+        live_before.append(sum(ref() is not None for ref in corpora))
+        corpus = real_walks(g, cfg)
+        corpora.append(weakref.ref(corpus))
+        return corpus
+
+    monkeypatch.setattr(evaluation, "generate_walks", tracked_walks)
+    grid = ExperimentGrid(measures=("pmi", "mf", "co"), sigmas=(3, 1), keep_fractions=(1.0, 0.5),
+                          seeds=(1, 0))
+    rows = run_experiment(ds, GRID_FAST, grid)
+    assert live_before == [0, 0, 0, 0]  # one per (keep_fraction, seed), each made alone
+    assert [(r.config["measure"], r.config["sigma"], r.config["keep_fraction"], r.config["seed"])
+            for r in rows] == [(measure, sigma, keep, seed) for measure in grid.measures
+                               for sigma in grid.sigmas for keep in grid.keep_fractions
+                               for seed in grid.seeds]
+
+
 def test_blocks_see_the_callers_error_state(cpus):
     cpus(2)
     before = np.geterr()
