@@ -85,8 +85,8 @@ def _row_blocks(mat):
     return (mat,) if parts == 1 else tuple(mat[lo:hi] for lo, hi in spans(mat.shape[0], parts))
 
 
-def _half_sweep(mat, other: np.ndarray, lam: float,
-                b: np.ndarray | None = None, gram: np.ndarray | None = None) -> np.ndarray:
+def _half_sweep(mat, other: np.ndarray, lam: float, b: np.ndarray | None = None,
+                gram: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Solve (other' other + lam I) z_r = other' mat[r] for every row r.
 
     With A = other' other + lam I = L L', the rows are Z = (B L^-T) L^-1:
@@ -96,7 +96,9 @@ def _half_sweep(mat, other: np.ndarray, lam: float,
     through an explicit A^-1 it is about 1e-3.  mat is a sparse matrix or
     the tuple of its row blocks (_row_blocks), whose rows are solved in
     parallel.  b is mat @ other and gram is other' other when the caller
-    has already computed them.
+    has already computed them.  Each block's rows are written in place into
+    out, a (rows, K) float64 array that is neither other nor b, when given,
+    else into a new array; either is returned.
     """
     k = other.shape[1]
     if gram is None:
@@ -105,7 +107,8 @@ def _half_sweep(mat, other: np.ndarray, lam: float,
     inv = solve_triangular(chol, np.eye(k), lower=True, check_finite=False)
     blocks = mat if isinstance(mat, tuple) else (mat,)
     bounds = np.cumsum([0] + [blk.shape[0] for blk in blocks])
-    out = np.empty((bounds[-1], k))  # each block's rows written in place: no stacked copy
+    if out is None:
+        out = np.empty((bounds[-1], k))
 
     def solve(j):
         rows = blocks[j] @ other if b is None else b[bounds[j]:bounds[j + 1]]
@@ -135,8 +138,11 @@ def als_fit(s, cfg: AlsConfig = AlsConfig()) -> FactorModel:
 
     Each sweep updates all user rows against fixed item factors, then all
     item rows against the fresh user factors, and appends the objective to
-    the loss trace.  Runs on one BLAS thread, so for fixed (s, cfg) the
-    result is the same bytes whatever thread count the caller has set.
+    the loss trace.  The solves write into the initial factors' arrays and
+    each sweep's S' X into one array made before the first sweep, so the
+    sweeps make no new factor arrays, only per-block temporaries.  Runs on
+    one BLAS thread, so for fixed (s, cfg) the result is the same bytes
+    whatever thread count the caller has set.
 
     Args:
         s: ConfidenceMatrix or scipy sparse matrix (users x items).
@@ -155,22 +161,25 @@ def als_fit(s, cfg: AlsConfig = AlsConfig()) -> FactorModel:
     model = init_factors(m, n, cfg)
     x, y = model.X, model.Y
     s_blocks, st_blocks = _row_blocks(s_csr), _row_blocks(s_csr.T.tocsr())
+    bounds = np.cumsum([0] + [blk.shape[0] for blk in st_blocks])
+    stx = np.empty_like(y)
     gy = y.T @ y
     s_sq = float(s_csr.data @ s_csr.data)
 
+    def s_t_x(j):
+        stx[bounds[j]:bounds[j + 1]] = st_blocks[j] @ x
+
     for sweep in range(cfg.sweeps):
-        x = _half_sweep(s_blocks, y, cfg.lam, gram=gy)
+        _half_sweep(s_blocks, y, cfg.lam, gram=gy, out=x)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite user factors at sweep {sweep}")
-        stx = np.vstack(map_blocks(lambda blk: blk @ x, st_blocks))
+        map_blocks(s_t_x, range(len(st_blocks)))
         gx = x.T @ x
-        y = _half_sweep(st_blocks, x, cfg.lam, stx, gx)
+        _half_sweep(st_blocks, x, cfg.lam, stx, gx, out=y)
         if not np.all(np.isfinite(y)):
             raise RuntimeError(f"non-finite item factors at sweep {sweep}")
         gy = y.T @ y
         model.loss_trace.append(_objective(s_sq, y, stx, gx, gy, cfg.lam))
-
-    model.X, model.Y = x, y
     return model
 
 

@@ -11,11 +11,16 @@ code, so (min, max - n_users) is the pair whichever end is the centre.
 Each pair is packed into one integer, u * n_items + i, so sorting the
 codes of a chunk of walks orders them as the rows of a CSR matrix; the
 chunk's runs of equal codes are its distinct pairs and their counts,
-which make one CSR matrix, added to the running sum.  Memory is bounded
-by the running sum plus one chunk's codes, or plus a second running sum
-while a chunk is added.  All of it runs on the calling thread: sorting
-a chunk's pieces on several CPUs saved too little to pay for merging
-them.
+which make one CSR matrix.  Chunks hold about the same number of codes
+whatever the window, and one chunk per CPU is counted at a time, in the
+threads of walkrec.parallel, which share one malloc arena, so what one
+chunk frees the next reuses.  The chunks' matrices are added in chunk
+order to a small recent sum, folded into the running sum once it outgrows
+both a chunk's codes and an eighth of the running sum: a chunk then
+copies the small sum, not the whole count table.  Memory is bounded by
+the running sum, the recent sum and one chunk's codes per CPU, or by a
+second running sum while a fold runs.  Counts are integers, so the sums
+do not depend on how the chunks are cut or grouped.
 """
 
 from dataclasses import dataclass
@@ -23,13 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .parallel import map_blocks, spans, threads
 from .tables import read_matrix, write_matrix
 from .walks import WalkCorpus
 
 __all__ = ["PairCorpusStats", "sample_pairs", "merge", "save_stats", "load_stats"]
 
-# walks counted per sort; bounds the codes held at once (fixed, not a setting)
-_CHUNK_ROWS = 16384
+# pair codes counted per sort, about 8,200 walks at sigma = 3 and 800 at 79: bounds
+# the codes each CPU holds at once (fixed, not a setting)
+_CHUNK_CODES = 1_280_000
+_FOLD = 8  # the recent sum is folded in once it has a 1/_FOLD share of the running sum
 
 
 @dataclass
@@ -73,10 +81,14 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     of every walk: as kinds alternate, exactly one end is the user, so
     u = min and i = max - n_users, and the offsets +d and -d around a user
     centre are both counted by it.  Pairs are packed as u * n_items + i
-    (int32 when every code fits, else int64) and counted _CHUNK_ROWS walks
-    at a time on the calling thread: each chunk's codes are sorted in
-    place and run-length counted, and the runs, which are the rows of a
-    CSR matrix in order, are added to the running count matrix.
+    (int32 when every code fits, else int64) and counted in the fewest
+    near-equal chunks of walks that hold at most about _CHUNK_CODES codes
+    (at least one walk), one chunk per CPU at a time, with a CPU per two
+    chunks: each chunk's codes are sorted in place and run-length
+    counted, and the runs, which are the rows of a CSR matrix in order,
+    are added in chunk order to a recent sum.  That is folded into the
+    running count matrix once it holds at least _CHUNK_CODES pairs and a
+    1/_FOLD share of the running matrix's, and after the last chunk.
 
     Args:
         corpus: walk corpus; corpus.validate() checks it first.
@@ -92,13 +104,26 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     corpus.validate()
     m, n, walks = corpus.n_users, corpus.n_items, corpus.walks
     dtype = np.int32 if m * n < 2**31 else np.int64
-    pair = sp.csr_matrix((m, n), dtype=np.int64)
     distances = range(1, min(sigma, walks.shape[1] - 1) + 1, 2)
-    for lo in range(0, len(walks) if distances else 0, _CHUNK_ROWS):
-        # a chunk's codes live only inside _count_chunk: one chunk's at a time
-        keys, counts = _count_chunk(walks[lo:lo + _CHUNK_ROWS], distances, m, n, dtype)
+    per_walk = sum(walks.shape[1] - d for d in distances)
+    parts = min(len(walks), -(-len(walks) * per_walk // _CHUNK_CODES))
+    chunks = [walks[lo:hi] for lo, hi in spans(len(walks), parts)]  # near-equal
+
+    def count(chunk):
+        # a chunk's codes live only inside _count_chunk, in the thread that counts it
+        keys, counts = _count_chunk(chunk, distances, m, n, dtype)
         indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * n)
-        pair = pair + sp.csr_matrix((counts, keys % n, indptr), shape=(m, n))
+        return sp.csr_matrix((counts, keys % n, indptr), shape=(m, n))
+
+    pair = recent = sp.csr_matrix((m, n), dtype=np.int64)
+    # a CPU per two chunks: counting the two chunks of a small corpus at once held
+    # both chunks' temporaries for a few milliseconds saved
+    cpus = max(1, min(threads(), len(chunks) // 2))
+    for lo in range(0, len(chunks), cpus):
+        for part in map_blocks(count, chunks[lo:lo + cpus]):  # in chunk order
+            recent = recent + part
+        if lo + cpus >= len(chunks) or recent.nnz >= max(_CHUNK_CODES, pair.nnz // _FOLD):
+            pair, recent = pair + recent, sp.csr_matrix((m, n), dtype=np.int64)
     return PairCorpusStats(pair)
 
 

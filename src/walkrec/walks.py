@@ -65,24 +65,48 @@ class WalkCorpus:
     def validate(self, g: BipartiteGraph | None = None):
         """Check codes in [0, n_users + n_items), user/item alternation along every walk
         and, when g is given, that every step is an edge of g.  Raises WalkRowError, a
-        ValueError naming the first offending walk row."""
-        w, v = self.walks, self.n_users + self.n_items
-        # the first fault, if any; a negative code viewed as uint32 is >= 2**31
-        for f in np.flatnonzero(w.view(np.uint32) >= v)[:1]:
-            raise WalkRowError(f // w.shape[1], f"code {w.flat[f]} outside [0, {v})")
+        ValueError naming the first offending walk row.
+
+        Each check runs over the walks in row blocks of _TEXT_ROWS, so no temporary
+        grows with the corpus, and all of one check runs before the next: the error
+        raised is the first fault of the first check that fails."""
+        w, m, v = self.walks, self.n_users, self.n_users + self.n_items
+        # a negative code viewed as uint32 is >= 2**31
+        for r, p in _first_fault(w, lambda b: b.view(np.uint32) >= v):
+            raise WalkRowError(r, f"code {w[r, p]} outside [0, {v})")
         if w.size == 0 < len(w):
             raise WalkRowError(0, "walk has no vertices")
-        kind = w < self.n_users
-        for f in np.flatnonzero(kind[:, 1:] == kind[:, :-1])[:1]:
-            r, p = divmod(f, w.shape[1] - 1)
+
+        def same_kind(b):
+            kind = b < m
+            return kind[:, 1:] == kind[:, :-1]
+
+        for r, p in _first_fault(w, same_kind):
             raise WalkRowError(r, f"breaks user/item alternation: positions {p} and {p + 1} "
                                   "do not alternate")
         if g is not None:
             base = max(v, len(g.indptr) - 1)
             edges = np.repeat(np.arange(len(g.indptr) - 1), np.diff(g.indptr)) * base + g.indices
-            steps = w[:, :-1].astype(np.int64) * base + w[:, 1:]  # int32 would overflow
-            for r, p in np.argwhere(~np.isin(steps, edges))[:1]:
+            # sorted, then a sentinel above every step (a, b < base), so a lookup stays in range
+            edges = np.append(np.sort(edges), base * base)
+
+            def not_edge(b):
+                steps = b[:, :-1].astype(np.int64) * base + b[:, 1:]  # int32 would overflow
+                return edges[np.searchsorted(edges, steps)] != steps
+
+            for r, p in _first_fault(w, not_edge):
                 raise WalkRowError(r, f"walk step ({w[r, p]}, {w[r, p + 1]}) is not an edge")
+
+
+def _first_fault(walks, fault):
+    """[(row, column)] of the first True of fault(block) over walks' row blocks of
+    _TEXT_ROWS, in order; [] when there is none."""
+    for lo in range(0, len(walks), _TEXT_ROWS):
+        hit = fault(walks[lo:lo + _TEXT_ROWS])
+        if hit.any():
+            r, p = divmod(int(hit.argmax()), hit.shape[1])  # the first True
+            return [(lo + r, p)]
+    return []
 
 
 def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:

@@ -6,13 +6,25 @@ paths they check are never used to produce their own expected output.
 """
 
 import math
+import os
 from collections import Counter
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
+from walkrec import parallel
 from walkrec.pairs import PairCorpusStats
 from walkrec.walks import WalkCorpus
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    "Set the number of CPUs threads() sees, as an affinity mask would."
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        assert parallel.threads() == n
+    return set_cpus
 
 
 def corpus_from_tokens(token_lines, n_users, n_items):

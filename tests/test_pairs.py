@@ -24,6 +24,12 @@ def random_corpus(rng, m=6, n=7, edges=24, beta=2, gamma=11):
     return generate_walks(g, WalkConfig(beta, gamma, int(rng.integers(1000)))), edge_set
 
 
+def codes_per_walk(corpus, sigma):
+    "The pair codes sample_pairs makes from one walk: a pair per odd distance <= sigma."
+    gamma = corpus.walks.shape[1]
+    return sum(gamma - d for d in range(1, min(sigma, gamma - 1) + 1, 2))
+
+
 class TestHandOracle:
     def test_four_vertex_walk_window_three(self):
         corpus = corpus_from_tokens(["u1 i2 u2 i1"], 3, 3)
@@ -175,12 +181,12 @@ class TestPersistence:
 
 
 class TestSortedRunCounter:
-    @pytest.mark.parametrize("chunk", [1, 3, pairs_module._CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk", [1, 3, 16384])  # walks a chunk
     def test_chunked_merge_matches_enumeration(self, monkeypatch, chunk):
-        whole = pairs_module._CHUNK_ROWS  # every walk of these corpora in one chunk
+        whole = 16384  # every walk of these corpora in one chunk
 
         def counted(corpus, sigma, rows):
-            monkeypatch.setattr(pairs_module, "_CHUNK_ROWS", rows)
+            monkeypatch.setattr(pairs_module, "_CHUNK_CODES", rows * codes_per_walk(corpus, sigma))
             return sample_pairs(corpus, sigma)
 
         def check(corpus, sigma):
@@ -257,6 +263,48 @@ class TestSortedRunCounter:
             assert saved["indices"].tolist() == [0, 1, 0, 1]
             assert saved["indptr"].tolist() == [0, 2, 4]
             assert saved["shape"].tolist() == [2, 2]
+
+
+class TestCodeBudget:
+    """Walks are cut into the fewest near-equal chunks of about the code budget,
+    counted one per CPU; any budget and CPU count give the enumerated counts as
+    the same arrays."""
+
+    @pytest.mark.parametrize("sigma", [1, 3, 79])
+    @pytest.mark.parametrize("walks_per_chunk, spare", [(1, 0), (2, 1), (5, 7)])
+    def test_any_budget_and_cpu_count_give_the_same_arrays(self, monkeypatch, cpus, sigma,
+                                                           walks_per_chunk, spare):
+        corpus, _ = random_corpus(np.random.default_rng(2), beta=3, gamma=81)
+        assert len(corpus.walks) == 39  # 39, 20 and 8 chunks of 1, 1-2 and 4-5 walks
+        expected = dict(oracle_pair_multiset(corpus, sigma))
+        whole = sample_pairs(corpus, sigma).pair_count  # one chunk
+        per_walk = codes_per_walk(corpus, sigma)
+        assert spare < per_walk
+        monkeypatch.setattr(pairs_module, "_CHUNK_CODES", walks_per_chunk * per_walk + spare)
+        for n in (1, 2):
+            cpus(n)
+            stats = sample_pairs(corpus, sigma)
+            assert counts_dict(stats) == expected
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(stats.pair_count, name), getattr(whole, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_chunks_hold_about_the_budget_whatever_the_window(self, monkeypatch):
+        corpus, _ = random_corpus(np.random.default_rng(2), beta=3, gamma=81)
+        sizes = []
+        real = pairs_module._count_chunk
+
+        def recorded(walks, *args):
+            sizes.append(len(walks))
+            return real(walks, *args)
+
+        monkeypatch.setattr(pairs_module, "_count_chunk", recorded)
+        monkeypatch.setattr(pairs_module, "_CHUNK_CODES", 2_000)
+        # 80, 158 and 1,640 codes a walk: 3,120, 6,162 and 63,960 codes in all
+        for sigma, sizes_seen in ((1, [19, 20]), (3, [9, 10, 10, 10]), (79, [1] * 25 + [2] * 7)):
+            sizes.clear()
+            sample_pairs(corpus, sigma)
+            assert sorted(sizes) == sizes_seen
 
 
 def test_traced_peak_is_bounded_by_the_corpus_size():

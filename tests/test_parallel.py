@@ -25,15 +25,6 @@ from walkrec.synthetic import generate_synthetic
 from walkrec.walks import WalkConfig, generate_walks
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    "Set the number of CPUs threads() sees, as an affinity mask would."
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        assert parallel.threads() == n
-    return set_cpus
-
-
 @pytest.fixture(scope="module")
 def bundled():
     ds = split(generate_synthetic(seed=0), (0.8, 0.1, 0.1), seed=0)
@@ -53,7 +44,7 @@ def run_stages(ds, g):
 def test_stage_bytes_do_not_depend_on_thread_count(bundled, cpus, monkeypatch):
     ds, g = bundled
     monkeypatch.setattr(walks, "_WALK_BLOCK", 97)
-    monkeypatch.setattr(pairs, "_CHUNK_ROWS", 211)
+    monkeypatch.setattr(pairs, "_CHUNK_CODES", 211 * 51)  # 211 walks of 20 vertices at sigma 5
     monkeypatch.setattr(factorization, "_BLOCK_ROWS", 64)
     monkeypatch.setattr(recommend, "_RANK_ROWS", 37)
     outputs = []
