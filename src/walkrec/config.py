@@ -223,7 +223,10 @@ def parse_config(raw) -> PipelineConfig:
 def load_config(path) -> PipelineConfig:
     """Read and validate a YAML config file, parsed by libyaml when PyYAML has it."""
     with Path(path).open("r", encoding="utf-8") as f:
-        raw = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        try:
+            raw = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     return parse_config(raw)
 
 

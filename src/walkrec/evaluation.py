@@ -64,10 +64,14 @@ def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
         u, i = test[bad[0]]
         raise ValueError(f"test pair ({u}, {i}) has a user outside [0, {m}) or a negative item")
     users, rank, items = recs.users(), recs.ranks(), recs.items
+    # an item above every test item never hits, so it is left out of the codes
+    n = 1 + int(test[:, 1].max(initial=0))
+    if m * n > np.iinfo(np.int64).max:
+        raise ValueError(f"{m} users x {n} items overflow the int64 (user, item) codes")
+    kept = np.flatnonzero(items < n)
     # an item listed twice for a user counts once, at its first rank
-    n = 1 + max(items.max(initial=0), test[:, 1].max(initial=0))
-    codes, first = np.unique(users * n + items, return_index=True)
-    hit = first[np.isin(codes, test[:, 0] * n + test[:, 1])]
+    codes, first = np.unique(users[kept] * n + items[kept], return_index=True)
+    hit = kept[first[np.isin(codes, test[:, 0] * n + test[:, 1])]]
     truth = np.bincount(test[:, 0], minlength=m)[:m]
 
     precision, recall, f1 = {}, {}, {}
@@ -93,13 +97,12 @@ def run_cell(dataset: Dataset, st: PipelineSettings, _inputs=None) -> MetricsRep
     """One pipeline pass: sparsify, walk, count, score, factorize, rank, evaluate.
 
     Evaluation always uses the unsparsified test split.  The inputs
-    (_cell_inputs) are built first and the walk corpus and pair counts
-    are freed before the fit.  A grid passes each cell's prebuilt
-    (train, scores) as _inputs; cached and uncached runs produce
-    identical results.
+    (_cell_inputs, from a fresh memo) are built first, so the walk corpus
+    and pair counts are freed before the fit.  A grid passes each cell's
+    prebuilt (train, scores) as _inputs, with identical results.
     """
-    if _inputs is None:  # the cell's corpus and pair counts die with these caches
-        _inputs = _cell_inputs(dataset, st, {"train": {}, "corpus": {}, "stats": {}})
+    if _inputs is None:  # the cell's corpus and pair counts die with this memo
+        _inputs = _cell_inputs(dataset, st, {})
     train, s = _inputs
     m, n = dataset.n_users, dataset.n_items
     mask = train if st.mask_train else None
@@ -111,67 +114,57 @@ def run_cell(dataset: Dataset, st: PipelineSettings, _inputs=None) -> MetricsRep
     return evaluate(recs, dataset.test, st.cutoffs, config=st.echo())
 
 
-def _corpus_key(st: PipelineSettings):
-    "The knobs a cell's walk corpus depends on."
-    return st.keep_fraction, st.seed, st.beta, st.gamma
-
-
-def _cell_inputs(dataset: Dataset, st: PipelineSettings, caches):
+def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
     """(train, scores) of one cell: its sparsified training pairs, and the
     popularity row (itempop), the binary matrix (mf) or the co/PMI confidence.
 
-    caches holds the per-(keep, seed) training set, the per-(keep, seed,
-    beta, gamma) corpus and the per-(keep, seed, beta, gamma, sigma) pair
-    counts, reused by later cells that share those keys.
+    memo is shared by the cells of one (keep_fraction, seed, beta, gamma)
+    group: it holds their training set, walk corpus and pair counts per sigma.
     """
     if st.measure not in CELL_MEASURES:
         raise ValueError(f"unknown measure {st.measure!r}")
     m, n = dataset.n_users, dataset.n_items
-    tkey = (st.keep_fraction, st.seed)
-    if tkey not in caches["train"]:
-        caches["train"][tkey] = sparsify(dataset.train, st.keep_fraction, st.seed)
-    train = caches["train"][tkey]
+    if "train" not in memo:
+        memo["train"] = sparsify(dataset.train, st.keep_fraction, st.seed)
+    train = memo["train"]
     if st.measure == "itempop":
         return train, item_pop_scores(train, n)
     if st.measure == "mf":
         return train, sp.csr_matrix((np.ones(len(train)), (train[:, 0], train[:, 1])),
                                     shape=(m, n))
-    ckey = _corpus_key(st)
-    if ckey not in caches["corpus"]:
+    if "corpus" not in memo:
         g = build_graph(train, m, n)
-        caches["corpus"][ckey] = generate_walks(g, WalkConfig(st.beta, st.gamma, st.seed))
-    skey = ckey + (st.sigma,)
-    if skey not in caches["stats"]:
-        caches["stats"][skey] = sample_pairs(caches["corpus"][ckey], st.sigma)
-    stats = caches["stats"][skey]
+        memo["corpus"] = generate_walks(g, WalkConfig(st.beta, st.gamma, st.seed))
+    if ("pairs", st.sigma) not in memo:
+        memo["pairs", st.sigma] = sample_pairs(memo["corpus"], st.sigma)
+    stats = memo["pairs", st.sigma]
     return train, co_matrix(stats) if st.measure == "co" else sppmi_matrix(stats, st.shift_k)
 
 
 def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGrid):
     """Run every grid cell and return its MetricsReport rows in grid order.
 
-    Cells that share (keep_fraction, seed) reuse one walk corpus, so a
-    window-size sweep isolates the window effect, and cells additionally
-    sharing sigma reuse the pair counts.  Every cell's inputs are built
-    first on the calling thread, one (keep_fraction, seed, beta, gamma)
-    group at a time, each group's cells in grid order; a group's corpus
-    and pair counts are freed before the next group's are made, so one
-    corpus is alive at a time.  The cells are then fitted, ranked and
-    evaluated in parallel (map_blocks) on one BLAS thread, pinned once
-    here.  A cell's nested blocks run inline, so its bytes do not depend
-    on the thread count, and the first error in grid order is raised.
+    Every cell's inputs are built first on the calling thread, one
+    (keep_fraction, seed, beta, gamma) group at a time, its cells in grid
+    order sharing one memo: one walk corpus, so a window-size sweep
+    isolates the window effect, and one pair count per sigma.  Each memo
+    is freed before the next group's walks, so one corpus is alive at a
+    time.  The cells are then fitted, ranked and evaluated in parallel
+    (map_blocks) on one BLAS thread, pinned once here.  A cell's nested
+    blocks run inline, so its bytes do not depend on the thread count,
+    and the first error in grid order is raised.
     """
     cells = [replace(base, measure=measure, sigma=int(sigma), keep_fraction=float(keep),
                      seed=int(seed))
              for measure in grid.measures for sigma in grid.sigmas
              for keep in grid.keep_fractions for seed in grid.seeds]
     inputs = [None] * len(cells)
-    order = sorted((_corpus_key(st), j) for j, st in enumerate(cells))  # grid order in a group
-    for _, group in groupby(order, lambda key_j: key_j[0]):
-        caches = {"train": {}, "corpus": {}, "stats": {}}
-        for _, j in group:
-            inputs[j] = _cell_inputs(dataset, cells[j], caches)
-        del caches  # the last reference to the group's corpus and pair counts
+    key = lambda j: (cells[j].keep_fraction, cells[j].seed, cells[j].beta, cells[j].gamma)
+    for _, group in groupby(sorted(range(len(cells)), key=key), key):  # grid order in a group
+        memo = {}
+        for j in group:
+            inputs[j] = _cell_inputs(dataset, cells[j], memo)
+        del memo  # the last reference to the group's corpus and pair counts
     with one_thread():
         return map_blocks(lambda j: run_cell(dataset, cells[j], _inputs=inputs[j]),
                           range(len(cells)))

@@ -1,8 +1,18 @@
 """CLI stages: composition against the experiment driver, config validation."""
 
+import importlib
+import importlib.util
+import shutil
+from pathlib import Path
+
+import pytest
 import yaml
 
-from walkrec.cli import main
+import walkrec.cli
+from walkrec.cli import STAGES, main
+
+CHAIN = ("ingest", "split", "walk", "pairs", "confidence", "train", "recommend", "evaluate")
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 BASE = {
     "data": {
@@ -49,8 +59,7 @@ def run(path, stage, *extra):
 class TestStagewisePipeline:
     def test_stage_chain_matches_experiment_cell_byte_for_byte(self, tmp_path):
         cfg = write_config(tmp_path)
-        for stage in ("ingest", "split", "walk", "pairs", "confidence",
-                      "train", "recommend", "evaluate"):
+        for stage in CHAIN:
             assert run(cfg, stage) == 0, stage
         work = tmp_path / "work"
         metrics = (work / "metrics.tsv").read_bytes()
@@ -62,8 +71,7 @@ class TestStagewisePipeline:
 
     def test_artifacts_exist(self, tmp_path):
         cfg = write_config(tmp_path)
-        for stage in ("ingest", "split", "walk", "pairs", "confidence",
-                      "train", "recommend", "evaluate"):
+        for stage in CHAIN:
             assert run(cfg, stage) == 0
         work = tmp_path / "work"
         for name in ("interactions.tsv", "walks.txt", "pair_stats.npz",
@@ -71,6 +79,65 @@ class TestStagewisePipeline:
                      "metrics.tsv", "metrics.json"):
             assert (work / name).exists(), name
         assert (work / "dataset" / "train.tsv").exists()
+
+
+class TestStageTable:
+    @pytest.fixture(scope="class")
+    def complete(self, tmp_path_factory):
+        "The work_dir of one complete run of the eight file-wired stages."
+        root = tmp_path_factory.mktemp("complete")
+        cfg = write_config(root)
+        for stage in CHAIN:
+            assert run(cfg, stage) == 0, stage
+        return root / "work"
+
+    def test_stages_are_the_subcommands_in_pipeline_order(self):
+        assert list(STAGES) == [*CHAIN, "experiment"]
+        assert "{" + ",".join(STAGES) + "}" in walkrec.cli.build_parser().format_usage()
+
+    @pytest.mark.parametrize("stage", CHAIN)
+    def test_stage_runs_from_what_it_reads_and_makes_what_it_writes(self, tmp_path, stage,
+                                                                    complete):
+        _, reads, writes = STAGES[stage]
+        work = tmp_path / "work"
+        work.mkdir()
+        for name in reads:
+            copy = shutil.copytree if (complete / name).is_dir() else shutil.copyfile
+            copy(complete / name, work / name)
+        assert run(write_config(tmp_path), stage) == 0
+        assert sorted(p.name for p in work.iterdir()) == sorted(reads + writes)
+        for name in writes:  # the same bytes as in the complete run
+            assert _contents(work / name) == _contents(complete / name), name
+
+
+def _contents(path):
+    "A file's bytes, or a directory's {relative path: bytes}."
+    if path.is_file():
+        return path.read_bytes()
+    return {p.relative_to(path): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
+def _benchmark_targets():
+    "perfbench/spans.py's TARGETS, loaded by path without importing perfbench."
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+class TestBenchmarkHooks:
+    def test_every_rebound_name_resolves(self):
+        missing = [(mod, attr) for mod, attr, _ in _benchmark_targets()
+                   if not hasattr(importlib.import_module(mod), attr)]
+        assert missing == []
+
+    def test_main_runs_a_cmd_rebound_after_import(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(walkrec.cli, "cmd_walk", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path)
+        assert run(cfg, "walk") == 0
+        work = tmp_path / "work"
+        assert [args[1:] for args in calls] == [(work / "dataset", work / "walks.txt")]
 
 
 class TestExperiment:

@@ -205,6 +205,14 @@ def test_top_level_must_be_a_mapping():
         parse_config([1, 2])
 
 
+def test_yaml_syntax_error_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("walk:\n  beta: [3\n")
+    assert main(["-c", str(path), "walk"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"walkrec walk: config error: {path}: not valid YAML"), err
+
+
 def test_empty_config_is_all_defaults():
     assert parse_config(None) == PipelineConfig()
     assert parse_config({}) == PipelineConfig()

@@ -152,6 +152,18 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="ranked list of user 1: item -1 is negative"):
                 evaluate(recs, {(0, 4)}, [1])
 
+    def test_ranked_item_whose_code_would_wrap_int64_is_a_miss(self):
+        # packed with n = 2**62 + 1, user 4's item 0 would wrap onto test pair (0, 4)
+        recs = [ranked(0, [2**62]), ranked(1, []), ranked(2, []), ranked(3, []),
+                ranked(4, [0])]
+        rep = evaluate(recs, {(0, 4)}, cutoffs=[1])
+        assert (rep.precision[1], rep.recall[1], rep.f1[1]) == (0.0, 0.0, 0.0)
+
+    def test_users_times_test_items_beyond_int64_rejected(self):
+        recs = [ranked(u, [0]) for u in range(4)]
+        with pytest.raises(ValueError, match="4 users x 4611686018427387905 items overflow"):
+            evaluate(recs, {(0, 2**62)}, cutoffs=[1])
+
 
 def small_dataset(seed=0):
     pairs = generate_synthetic(n_users=40, n_items=30, n_groups=4,
