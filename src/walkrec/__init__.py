@@ -8,8 +8,8 @@ evaluated as ranked top-K recommendation.
 """
 
 from .confidence import ConfidenceMatrix, co_matrix, sppmi_matrix
-from .datasets import (Dataset, IdMap, IngestFormat, as_pairs, filter_min_interactions,
-                       ingest, load_dataset, save_dataset, sparsify, split)
+from .datasets import (Dataset, IngestFormat, as_pairs, filter_min_interactions, ingest,
+                       load_dataset, save_dataset, sparsify, split)
 from .evaluation import (ExperimentGrid, MetricsReport, PipelineSettings,
                          evaluate, run_cell, run_experiment)
 from .factorization import (AlsConfig, FactorModel, als_fit, init_factors,

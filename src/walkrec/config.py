@@ -221,12 +221,16 @@ def parse_config(raw) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    """Read and validate a YAML config file, parsed by libyaml when PyYAML has it."""
-    with Path(path).open("r", encoding="utf-8") as f:
-        try:
+    """Read and validate a YAML config file, parsed by libyaml when PyYAML has it.
+
+    An unreadable or unparsable file raises ConfigError naming it."""
+    try:
+        with Path(path).open("r", encoding="utf-8") as f:
             raw = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     return parse_config(raw)
 
 

@@ -12,7 +12,6 @@ from .tables import check_rows, check_unique, read_table, write_table
 
 __all__ = [
     "IngestFormat",
-    "IdMap",
     "Dataset",
     "as_pairs",
     "ingest",
@@ -41,24 +40,6 @@ class IngestFormat(Knobs):
             raise KnobError("delimiter", "must be a single character other than a line break")
 
 
-@dataclass(frozen=True)
-class IdMap:
-    """Dense indices [0, n) for external string keys; backward[i] is the key of i."""
-
-    backward: list[str]
-
-    @classmethod
-    def from_keys(cls, keys):
-        """Build a map assigning indices in the order `keys` are given."""
-        backward = list(keys)
-        if len(set(backward)) != len(backward):
-            raise ValueError("duplicate keys in IdMap")
-        return cls(backward)
-
-    def __len__(self):
-        return len(self.backward)
-
-
 _SPLITS = ("train", "valid", "test")
 
 
@@ -84,27 +65,31 @@ def as_pairs(pairs):
 class Dataset:
     """Indexed binary interactions partitioned into train/valid/test.
 
-    Each split is a sorted, duplicate-free (n, 2) int64 array of (u, i)
-    rows; any iterable of pairs given to the constructor is converted.
+    user_keys[u] is the key of user u, item_keys[i] that of item i.  Each
+    split is a sorted, duplicate-free (n, 2) int64 array of (u, i) rows;
+    any iterable of pairs given to the constructor is converted.
     """
 
-    user_map: IdMap
-    item_map: IdMap
+    user_keys: list[str]
+    item_keys: list[str]
     train: np.ndarray = ()
     valid: np.ndarray = ()
     test: np.ndarray = ()
 
     def __post_init__(self):
+        for name in ("user_keys", "item_keys"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"Dataset.{name} repeats a key")
         for name in _SPLITS:
             setattr(self, name, as_pairs(getattr(self, name)))
 
     @property
     def n_users(self):
-        return len(self.user_map)
+        return len(self.user_keys)
 
     @property
     def n_items(self):
-        return len(self.item_map)
+        return len(self.item_keys)
 
     def validate(self):
         """Check disjointness and index ranges; raises ValueError on violation."""
@@ -189,7 +174,7 @@ def filter_min_interactions(pairs, min_count):
 def split(pairs, ratios=(0.8, 0.1, 0.1), seed=0):
     """Randomly partition key pairs into an indexed train/valid/test Dataset.
 
-    ID maps are built from the full pair set (sorted keys), so users and
+    Key lists are built from the full pair set (sorted keys), so users and
     items missing from a split still have indices.  Sizes are
     floor(n * ratio) for valid and test, with the remainder going to train.
 
@@ -215,7 +200,7 @@ def split(pairs, ratios=(0.8, 0.1, 0.1), seed=0):
     n_test = int(math.floor(n * ratios[2]))
     n_train = n - n_valid - n_test
 
-    ds = Dataset(IdMap.from_keys(user_keys), IdMap.from_keys(item_keys),
+    ds = Dataset(user_keys, item_keys,
                  indexed[perm[:n_train]], indexed[perm[n_train:n_train + n_valid]],
                  indexed[perm[n_train + n_valid:]])
     ds.validate()
@@ -263,7 +248,7 @@ def load_interactions(path):
 
 
 def save_dataset(ds: Dataset, directory):
-    """Persist a Dataset as three split files plus two ID-map files.
+    """Persist a Dataset as three split files plus two key-list files.
 
     The layout is bit-exact: load_dataset followed by save_dataset
     reproduces the files byte for byte.
@@ -272,22 +257,21 @@ def save_dataset(ds: Dataset, directory):
     directory.mkdir(parents=True, exist_ok=True)
     for name in _SPLITS:
         write_table(directory / f"{name}.tsv", ("%d", "%d"), getattr(ds, name).T)
-    for name, id_map in (("users", ds.user_map), ("items", ds.item_map)):
-        write_table(directory / f"{name}.tsv", ("%d", "%s"),
-                    (range(len(id_map)), id_map.backward))
+    for name, keys in (("users", ds.user_keys), ("items", ds.item_keys)):
+        write_table(directory / f"{name}.tsv", ("%d", "%s"), (range(len(keys)), keys))
 
 
 def load_dataset(directory):
     """Read a Dataset persisted by save_dataset."""
     directory = Path(directory)
-    maps = []
+    key_lists = []
     for name in ("users", "items"):
         path = directory / f"{name}.tsv"
         index, keys = read_table(path, (np.int64, object))
         check_rows(path, index != np.arange(len(index)), "non-contiguous index {}", index)
         check_unique(path, keys, "key {!r} repeats an earlier line", keys)
-        maps.append(IdMap.from_keys(keys.tolist()))
-    ds = Dataset(*maps)
+        key_lists.append(keys.tolist())
+    ds = Dataset(*key_lists)
     for name in _SPLITS:
         path = directory / f"{name}.tsv"
         u, i = read_table(path, (np.int64, np.int64))

@@ -17,11 +17,11 @@ from .blas import one_thread
 from .confidence import co_matrix, sppmi_matrix
 from .config import CELL_MEASURES, ExperimentGrid, PipelineSettings
 from .datasets import Dataset, as_pairs, sparsify
-from .factorization import AlsConfig, als_fit
+from .factorization import AlsConfig, FactorModel, als_fit
 from .graph import build_graph
 from .pairs import sample_pairs
 from .parallel import map_blocks
-from .recommend import Rankings, _rank_users, item_pop_scores, recommend_topk
+from .recommend import Rankings, item_pop_scores, recommend_topk
 from .tables import write_table
 from .walks import WalkConfig, generate_walks
 
@@ -104,19 +104,16 @@ def run_cell(dataset: Dataset, st: PipelineSettings, _inputs=None) -> MetricsRep
     if _inputs is None:  # the cell's corpus and pair counts die with this memo
         _inputs = _cell_inputs(dataset, st, {})
     train, s = _inputs
-    m, n = dataset.n_users, dataset.n_items
-    mask = train if st.mask_train else None
-    if st.measure == "itempop":
-        recs = _rank_users(m, n, st.k_items, mask, lambda lo, hi, out: np.copyto(out, s))
-    else:
-        model = als_fit(s, AlsConfig(st.factors, st.lam, st.sweeps, st.seed, st.init_scale))
-        recs = recommend_topk(model, st.k_items, mask)
+    model = s if st.measure == "itempop" else als_fit(
+        s, AlsConfig(st.factors, st.lam, st.sweeps, st.seed, st.init_scale))
+    recs = recommend_topk(model, st.k_items, train if st.mask_train else None)
     return evaluate(recs, dataset.test, st.cutoffs, config=st.echo())
 
 
 def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
     """(train, scores) of one cell: its sparsified training pairs, and the
-    popularity row (itempop), the binary matrix (mf) or the co/PMI confidence.
+    rank-1 popularity model score(u, i) = 1 * pop_i (itempop), the binary
+    matrix (mf) or the co/PMI confidence.
 
     memo is shared by the cells of one (keep_fraction, seed, beta, gamma)
     group: it holds their training set, walk corpus and pair counts per sigma.
@@ -128,7 +125,7 @@ def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
         memo["train"] = sparsify(dataset.train, st.keep_fraction, st.seed)
     train = memo["train"]
     if st.measure == "itempop":
-        return train, item_pop_scores(train, n)
+        return train, FactorModel(np.ones((m, 1)), item_pop_scores(train, n)[:, None])
     if st.measure == "mf":
         return train, sp.csr_matrix((np.ones(len(train)), (train[:, 0], train[:, 1])),
                                     shape=(m, n))

@@ -26,7 +26,8 @@ def knob(default, key=None, *, min=None, gt=None, max=None, odd=False, choices=N
     """A dataclass field with its YAML key (the field name by default) and bounds.
 
     Bounds apply to each element of a list or tuple value.  Under min, gt,
-    max or odd a value must be a number, not a bool.  A float value must
+    max or odd a value must be a number, not a bool, and the value of an
+    int or tuple[int, ...] field must be an integer.  A float value must
     also be finite, so NaN and infinities fail whatever the bounds.
     """
     bounds = {"min": min, "gt": gt, "max": max, "odd": odd, "choices": choices}
@@ -38,11 +39,13 @@ def key(f):
     return f.metadata.get("key") or f.name
 
 
-def _violation(x, min, gt, max, odd, choices):
+def _violation(x, integral, min, gt, max, odd, choices):
     "The rule x breaks, or None."
     numeric = odd or any(b is not None for b in (min, gt, max))
     if numeric and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         return "must be a number"
+    if integral and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
+        return "must be an integer"
     if isinstance(x, float) and not math.isfinite(x):
         return "must be finite"
     if choices is not None:
@@ -64,7 +67,7 @@ def check(obj):
         if bounds is None:
             continue
         for x in value if isinstance(value, (list, tuple)) else (value,):
-            reason = _violation(x, **bounds)
+            reason = _violation(x, f.type in (int, tuple[int, ...]), **bounds)
             if reason:
                 raise KnobError(f.name, reason)
 

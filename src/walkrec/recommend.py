@@ -155,26 +155,6 @@ def _rank_rows(first_user, scores, k_items, mask):
     return np.minimum(counts, k), c[keep], np.negative(v[keep])
 
 
-def _rank_users(n_users, n_items, k_items, mask, block_scores):
-    """Rankings of users 0..n_users-1, _RANK_ROWS users per block, the blocks
-    run in parallel.
-
-    Each block scores into score rows of its own: block_scores(lo, hi, out)
-    writes the score rows of users lo..hi-1 into out, which the ranking
-    overwrites.  mask is any iterable of (u, i) pairs to exclude, or None.
-    """
-    mask = as_pairs(() if mask is None else mask)
-
-    def rank_block(lo):
-        out = np.empty((min(lo + _RANK_ROWS, n_users) - lo, n_items))
-        block_scores(lo, lo + len(out), out)
-        return _rank_rows(lo, out, k_items, mask)
-
-    blocks = map_blocks(rank_block, range(0, max(n_users, 1), _RANK_ROWS))  # one even for no users
-    lengths, items, scores = map(np.concatenate, zip(*blocks))
-    return Rankings(_offsets(lengths), items, scores)
-
-
 def recommend_topk(model: FactorModel, k_items, mask=None):
     """Ranked lists for every user from a factor model.
 
@@ -193,9 +173,18 @@ def recommend_topk(model: FactorModel, k_items, mask=None):
     Returns:
         Rankings of users 0..n_users-1.
     """
+    mask = as_pairs(() if mask is None else mask)
+    X, Y = model.X, model.Y
+
+    def rank_block(lo):
+        hi = min(lo + _RANK_ROWS, len(X))
+        return _rank_rows(lo, np.matmul(X[lo:hi], Y.T, out=np.empty((hi - lo, len(Y)))),
+                          k_items, mask)
+
     with one_thread():
-        return _rank_users(model.n_users, model.n_items, k_items, mask,
-                           lambda lo, hi, out: np.matmul(model.X[lo:hi], model.Y.T, out=out))
+        blocks = map_blocks(rank_block, range(0, max(len(X), 1), _RANK_ROWS))  # one if no users
+    lengths, items, scores = map(np.concatenate, zip(*blocks))
+    return Rankings(_offsets(lengths), items, scores)
 
 
 def save_recommendations(recs, path):

@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -213,6 +214,14 @@ def test_yaml_syntax_error_exits_2_naming_the_file(tmp_path, capsys):
     assert err.startswith(f"walkrec walk: config error: {path}: not valid YAML"), err
 
 
+@pytest.mark.parametrize("name", ["nosuch.yaml", "."], ids=["missing", "directory"])
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, name):
+    path = tmp_path / name
+    assert main(["-c", str(path), "split"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"walkrec split: config error: {path}: cannot read"), err
+
+
 def test_empty_config_is_all_defaults():
     assert parse_config(None) == PipelineConfig()
     assert parse_config({}) == PipelineConfig()
@@ -363,12 +372,20 @@ def test_unset_knobs_resolve_to_pipeline_settings_defaults(tmp_path):
     (lambda: WalkConfig(beta="3"), "beta"),
     (lambda: WalkConfig(beta=None), "beta"),
     (lambda: WalkConfig(beta=True), "beta"),
+    (lambda: WalkConfig(beta=2.5), "beta"),
+    (lambda: AlsConfig(sweeps=1.5), "sweeps"),
+    (lambda: ExperimentGrid(seeds=(1.5,)), "seeds"),
+    (lambda: generate_synthetic(n_users=10.5, n_groups=2), "n_users"),
 ], ids=["user_col", "delimiter", "delimiter_newline", "delimiter_return", "groups_zero",
         "groups_above_users", "p_out_above_p_in", "heavy_fraction", "beta_string", "beta_none",
-        "beta_bool"])
+        "beta_bool", "beta_float", "sweeps_float", "seeds_float", "users_float"])
 def test_api_rejects_out_of_bounds_naming_the_field(build, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         build()
+
+
+def test_api_accepts_numpy_integers_for_int_knobs():
+    assert WalkConfig(beta=np.int64(3)).beta == 3
 
 
 def test_base_settings_takes_every_knob_from_its_section():

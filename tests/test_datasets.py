@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from walkrec.datasets import (Dataset, IdMap, IngestFormat, as_pairs, filter_min_interactions,
-                              ingest, load_dataset, load_interactions, save_dataset,
-                              save_interactions, sparsify, split)
+from walkrec.datasets import (Dataset, IngestFormat, as_pairs, filter_min_interactions, ingest,
+                              load_dataset, load_interactions, save_dataset, save_interactions,
+                              sparsify, split)
 
 
 def _shared_rows(a, b):
@@ -144,21 +144,24 @@ class TestAsPairs:
         with pytest.raises(ValueError, match="pairs"):
             as_pairs([(0, 1, 2)])
 
-    def test_id_map_keeps_order_and_rejects_duplicates(self):
-        m = IdMap.from_keys(["b", "a"])
-        assert m.backward == ["b", "a"] and len(m) == 2
-        with pytest.raises(ValueError, match="duplicate keys"):
-            IdMap.from_keys(["a", "b", "a"])
+    def test_dataset_keeps_key_order_and_rejects_repeats(self):
+        ds = Dataset(["b", "a"], ["z", "x", "y"])
+        assert ds.user_keys == ["b", "a"] and ds.item_keys == ["z", "x", "y"]
+        assert (ds.n_users, ds.n_items) == (2, 3)
+        with pytest.raises(ValueError, match="user_keys repeats a key"):
+            Dataset(["a", "b", "a"], ["x"])
+        with pytest.raises(ValueError, match="item_keys repeats a key"):
+            Dataset(["a"], ["x", "y", "x"])
 
     def test_dataset_holds_sorted_arrays(self):
-        ds = Dataset(IdMap.from_keys("ab"), IdMap.from_keys("xyz"),
+        ds = Dataset(list("ab"), list("xyz"),
                      train={(1, 2), (0, 0), (1, 0)}, test=[(0, 1)])
         assert ds.train.tolist() == [[0, 0], [1, 0], [1, 2]]
         assert ds.valid.shape == (0, 2) and ds.test.tolist() == [[0, 1]]
         ds.validate()
 
     def test_validate_names_overlap_and_range(self):
-        maps = IdMap.from_keys("ab"), IdMap.from_keys("xy")
+        maps = list("ab"), list("xy")
         with pytest.raises(ValueError, match="disjoint"):
             Dataset(*maps, train={(0, 0)}, test={(0, 0)}).validate()
         with pytest.raises(ValueError, match=r"valid contains out-of-range pair \(0, 2\)"):
@@ -179,7 +182,7 @@ class TestSplit:
         b = split(_pairs(10), (0.8, 0.1, 0.1), seed=7)
         for name in ("train", "valid", "test"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert a.user_map.backward == b.user_map.backward
+        assert a.user_keys == b.user_keys
 
     def test_floor_arithmetic_oracle(self):
         # oracle: valid and test get floor(n * ratio), train the remainder
@@ -206,8 +209,8 @@ class TestSplit:
     def test_maps_cover_full_pair_set(self):
         # a user can land entirely in test and must still be indexed
         ds = split(_pairs(10), (0.8, 0.1, 0.1), seed=7)
-        assert len(ds.user_map) == len({u for u, _ in _pairs(10)})
-        assert len(ds.item_map) == 10
+        assert len(ds.user_keys) == len({u for u, _ in _pairs(10)})
+        assert len(ds.item_keys) == 10
 
     def test_maps_and_indices_match_sorting_the_key_columns(self):
         rng = np.random.default_rng(9)
@@ -217,8 +220,8 @@ class TestSplit:
         ds = split(pairs, (0.8, 0.1, 0.1), seed=4)
         users, items = (np.array(col, dtype=object) for col in zip(*sorted(pairs)))
         (user_keys, u), (item_keys, i) = (np.unique(c, return_inverse=True) for c in (users, items))
-        assert ds.user_map.backward == user_keys.tolist()
-        assert ds.item_map.backward == item_keys.tolist()
+        assert ds.user_keys == user_keys.tolist()
+        assert ds.item_keys == item_keys.tolist()
         rows = np.concatenate([ds.train, ds.valid, ds.test])
         assert as_pairs(rows).tolist() == as_pairs(np.stack([u, i], axis=1)).tolist()
 
@@ -333,8 +336,8 @@ class TestPersistence:
         assert np.array_equal(back.train, ds.train)
         assert np.array_equal(back.valid, ds.valid)
         assert np.array_equal(back.test, ds.test)
-        assert back.user_map.backward == ds.user_map.backward
-        assert back.item_map.backward == ds.item_map.backward
+        assert back.user_keys == ds.user_keys
+        assert back.item_keys == ds.item_keys
 
     def test_key_with_tab_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="tab"):

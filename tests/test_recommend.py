@@ -143,6 +143,14 @@ class TestRecommendTopk:
         with pytest.raises(ValueError):
             recommend_topk(model, 0)
 
+    def test_no_users_gives_no_lists(self):
+        recs = recommend_topk(FactorModel(np.ones((0, 2)), np.ones((4, 2))), 3)
+        assert len(recs) == 0 and recs.indptr.tolist() == [0]
+
+    def test_no_items_gives_every_user_an_empty_list(self):
+        recs = recommend_topk(FactorModel(np.ones((3, 2)), np.ones((0, 2))), 3)
+        assert len(recs) == 3 and [rl.items for rl in recs] == [[], [], []]
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):

@@ -10,7 +10,7 @@ import yaml
 
 from walkrec.cli import main
 from walkrec.confidence import ConfidenceMatrix, load_confidence, save_confidence
-from walkrec.datasets import (Dataset, IdMap, load_dataset, load_interactions, save_dataset,
+from walkrec.datasets import (Dataset, load_dataset, load_interactions, save_dataset,
                               save_interactions)
 from walkrec.factorization import AlsConfig, FactorModel, load_model, save_model
 from walkrec.pairs import PairCorpusStats, load_stats, save_stats
@@ -99,7 +99,7 @@ LOADERS = {
 
 
 def small_dataset():
-    return Dataset(IdMap.from_keys(["a", "b"]), IdMap.from_keys(["x", "y"]),
+    return Dataset(["a", "b"], ["x", "y"],
                    train={(0, 0), (1, 1)}, valid={(0, 1)}, test=set())
 
 
