@@ -6,9 +6,9 @@ Run from the repository root:  python3 demos/pipeline_walkthrough.py
 
 import numpy as np
 
-from walkrec import (AlsConfig, WalkConfig, als_fit, build_graph, evaluate,
+from walkrec import (AlsConfig, FactorModel, WalkConfig, als_fit, build_graph, evaluate,
                      generate_synthetic, generate_walks, item_pop_scores,
-                     recommend_topk, sample_pairs, split, sppmi_matrix, top_k)
+                     recommend_topk, sample_pairs, split, sppmi_matrix)
 
 # ------------------------------------------------------------------
 # 1. Data: a clustered sparse purchase log, indexed and split 80/10/10
@@ -81,8 +81,8 @@ for k in report.cutoffs:
     print(f"@{k}: P={100 * report.precision[k]:.3f}%  "
           f"R={100 * report.recall[k]:.3f}%  F1={100 * report.f1[k]:.3f}%")
 
-# the non-personalized popularity baseline, for scale
+# the non-personalized popularity baseline, for scale: the rank-1 model score(u, i) = pop_i
 pop = item_pop_scores(ds.train, ds.n_items)
-pop_recs = [top_k(u, pop, 10, owned[u]) for u in range(ds.n_users)]
+pop_recs = recommend_topk(FactorModel(np.ones((ds.n_users, 1)), pop[:, None]), 10, ds.train)
 pop_report = evaluate(pop_recs, ds.test, cutoffs=[10])
 print(f"popularity baseline F1@10 = {100 * pop_report.f1[10]:.3f}%")

@@ -7,13 +7,12 @@ on the dataclass that uses it; the stage classes WalkConfig, AlsConfig,
 SyntheticConfig and IngestFormat (inside DataSection) are sections
 themselves.  One walker parses every section from those declarations, and
 every error names the offending dotted key.  PipelineSettings, the knobs
-of one experiment cell, takes its defaults and report keys from the same
-sections.
+of one experiment cell, shares each field's declaration with the section
+that holds it.
 """
 
-import types
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -114,41 +113,43 @@ class ExperimentGrid(Knobs):
                 raise KnobError(f.name, f"{list(values)} repeats a value")
 
 
-# The sections whose fields make up PipelineSettings; their three seeds
-# become its one seed.
-_SETTINGS_SECTIONS = (ConfidenceSection, PairsSection, SparsifySection, WalkConfig,
-                      AlsConfig, RecommendSection, EvaluateSection)
-_YAML_KEYS = {f.name: key(f) for cls in _SETTINGS_SECTIONS for f in fields(cls)}
+def _shared(section, name, **bounds):
+    """A PipelineSettings field with the default, YAML key and bounds of the
+    field name of section, the given bounds replacing its own."""
+    f = section.__dataclass_fields__[name]
+    return field(default=f.default, metadata={
+        "key": f.metadata.get("key"), "bounds": {**f.metadata.get("bounds", {}), **bounds},
+        "section": section})
 
 
 @dataclass(frozen=True)
-class PipelineSettings:
+class PipelineSettings(Knobs):
     """Resolved knobs for one end-to-end pipeline pass.
 
     seed drives the three stochastic stages of a pass (sparsification,
     walk generation, factor init), so a single integer pins the run.
-    Every default is the one its config section declares.
+    Every field is declared as in its config section; measure also takes
+    the cell measures mf and itempop.
     """
 
-    measure: str = ConfidenceSection.measure
-    sigma: int = PairsSection.sigma
-    keep_fraction: float = SparsifySection.keep_fraction
-    seed: int = WalkConfig.seed
-    beta: int = WalkConfig.beta
-    gamma: int = WalkConfig.gamma
-    shift_k: float = ConfidenceSection.shift_k
-    factors: int = AlsConfig.factors
-    lam: float = AlsConfig.lam
-    sweeps: int = AlsConfig.sweeps
-    init_scale: float = AlsConfig.init_scale
-    k_items: int = RecommendSection.k_items
-    mask_train: bool = RecommendSection.mask_train
-    cutoffs: tuple = EvaluateSection.cutoffs
+    measure: str = _shared(ConfidenceSection, "measure", choices=CELL_MEASURES)
+    sigma: int = _shared(PairsSection, "sigma")
+    keep_fraction: float = _shared(SparsifySection, "keep_fraction")
+    seed: int = _shared(WalkConfig, "seed")
+    beta: int = _shared(WalkConfig, "beta")
+    gamma: int = _shared(WalkConfig, "gamma")
+    shift_k: float = _shared(ConfidenceSection, "shift_k")
+    factors: int = _shared(AlsConfig, "factors")
+    lam: float = _shared(AlsConfig, "lam")
+    sweeps: int = _shared(AlsConfig, "sweeps")
+    init_scale: float = _shared(AlsConfig, "init_scale")
+    k_items: int = _shared(RecommendSection, "k_items")
+    mask_train: bool = _shared(RecommendSection, "mask_train")
+    cutoffs: tuple[int, ...] = _shared(EvaluateSection, "cutoffs")
 
     def echo(self):
         "Config echo embedded in reports: every knob but cutoffs by YAML key, in field order."
-        return {_YAML_KEYS[f.name]: getattr(self, f.name)
-                for f in fields(self) if f.name != "cutoffs"}
+        return {key(f): getattr(self, f.name) for f in fields(self) if f.name != "cutoffs"}
 
 
 @dataclass(frozen=True)
@@ -171,33 +172,9 @@ def _dotted(path, k):
     return f"{path}.{k}" if path else str(k)
 
 
-_SCALARS = {
-    bool: ("boolean", lambda v: isinstance(v, bool)),
-    int: ("integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    str: ("non-empty string", lambda v: isinstance(v, str) and v != ""),
-}
-
-
-def _coerce(tp, v, path):
-    "Value v checked against annotation tp: a section, X | None, tuple[T, ...] or scalar."
-    if is_dataclass(tp):
-        return _section(tp, v, path)
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:
-        return None if v is None else _coerce(args[0], v, path)
-    if origin is tuple:
-        if not isinstance(v, (list, tuple)) or not v:
-            raise ConfigError(f"{path}: expected a non-empty list")
-        return tuple(_coerce(args[0], x, path) for x in v)
-    what, ok = _SCALARS[tp]
-    if not ok(v):
-        raise ConfigError(f"{path}: expected {what}, got {v!r}")
-    return tp(v)
-
-
 def _section(cls, raw, path):
-    "Build dataclass cls from a mapping of YAML keys; errors name the dotted key."
+    """Build dataclass cls from a mapping of YAML keys, a subsection from each
+    nested mapping; errors name the dotted key."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -206,8 +183,14 @@ def _section(cls, raw, path):
     for k in raw:
         if k not in by_key:
             raise ConfigError(f"unknown config key: {_dotted(path, k)}")
-    values = {f.name: _coerce(f.type, raw[k], _dotted(path, k))
-              for k, f in by_key.items() if k in raw}
+    values = {}
+    for k, f in by_key.items():
+        if k not in raw:
+            continue
+        sub = next((t for t in (f.type, *typing.get_args(f.type)) if is_dataclass(t)), None)
+        optional = sub is not f.type  # a section field annotated C | None may be null
+        values[f.name] = (raw[k] if sub is None or (raw[k] is None and optional)
+                          else _section(sub, raw[k], _dotted(path, k)))
     try:
         return cls(**values)
     except KnobError as exc:
@@ -239,23 +222,14 @@ def override_seed(cfg: PipelineConfig, seed: int) -> PipelineConfig:
 
     Every field named ``seed`` becomes seed and every ``seeds`` list (seed,).
     """
-    seed = int(seed)
     if seed < 0:
         raise ConfigError("--seed: seed must be >= 0")
 
-    def reseed(obj):
-        new = {}
-        for f in fields(obj):
-            v = getattr(obj, f.name)
-            if f.name == "seed":
-                new["seed"] = seed
-            elif f.name == "seeds":
-                new["seeds"] = (seed,)
-            elif is_dataclass(v):
-                new[f.name] = reseed(v)
-        return replace(obj, **new)
+    def reseed(node):
+        return {k: seed if k == "seed" else (seed,) if k == "seeds"
+                else reseed(v) if isinstance(v, dict) else v for k, v in node.items()}
 
-    return reseed(cfg)
+    return parse_config(reseed(_plain(cfg)))
 
 
 def base_settings(cfg: PipelineConfig) -> PipelineSettings:
@@ -266,9 +240,9 @@ def base_settings(cfg: PipelineConfig) -> PipelineSettings:
     ALS seeds; stagewise runs match a cell exactly when those three config
     seeds are set to the cell's seed.
     """
-    sections = [getattr(cfg, f.name) for f in fields(cfg) if f.type in _SETTINGS_SECTIONS]
-    values = {f.name: getattr(s, f.name) for s in sections for f in fields(s)}
-    return PipelineSettings(**{**values, "seed": cfg.walk.seed})
+    sections = {f.type: getattr(cfg, f.name) for f in fields(cfg)}
+    return PipelineSettings(**{f.name: getattr(sections[f.metadata["section"]], f.name)
+                               for f in fields(PipelineSettings)})
 
 
 def _plain(obj):

@@ -6,7 +6,7 @@ extreme sparsity.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -15,10 +15,11 @@ import scipy.sparse as sp
 
 from .blas import one_thread
 from .confidence import co_matrix, sppmi_matrix
-from .config import CELL_MEASURES, ExperimentGrid, PipelineSettings
+from .config import ExperimentGrid, PipelineSettings
 from .datasets import Dataset, as_pairs, sparsify
 from .factorization import AlsConfig, FactorModel, als_fit
 from .graph import build_graph
+from .knobs import conform
 from .pairs import sample_pairs
 from .parallel import map_blocks
 from .recommend import Rankings, item_pop_scores, recommend_topk
@@ -48,12 +49,10 @@ def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
         recs: the Rankings of users 0..M-1, or one RankedList per user in
             order; a negative ranked item raises ValueError naming its user.
         test: ground-truth (u, i) pairs, as an array or any iterable.
-        cutoffs: distinct k values.
+        cutoffs: distinct integer k values >= 1.
         config: optional hyperparameter echo stored on the report.
     """
-    cutoffs = tuple(int(k) for k in cutoffs)
-    if not cutoffs or any(k < 1 for k in cutoffs):
-        raise ValueError("cutoffs must be positive integers")
+    cutoffs = conform("cutoffs", tuple(cutoffs), tuple[int, ...], min=1)
     if len(set(cutoffs)) != len(cutoffs):
         raise ValueError(f"evaluate.cutoffs: {list(cutoffs)} repeats a cutoff")
     recs = Rankings.of(recs)
@@ -104,10 +103,14 @@ def run_cell(dataset: Dataset, st: PipelineSettings, _inputs=None) -> MetricsRep
     if _inputs is None:  # the cell's corpus and pair counts die with this memo
         _inputs = _cell_inputs(dataset, st, {})
     train, s = _inputs
-    model = s if st.measure == "itempop" else als_fit(
-        s, AlsConfig(st.factors, st.lam, st.sweeps, st.seed, st.init_scale))
+    model = s if st.measure == "itempop" else als_fit(s, _stage_config(AlsConfig, st))
     recs = recommend_topk(model, st.k_items, train if st.mask_train else None)
     return evaluate(recs, dataset.test, st.cutoffs, config=st.echo())
+
+
+def _stage_config(cls, st):
+    "Stage config class cls with each field taken by name from the cell settings st."
+    return cls(**{f.name: getattr(st, f.name) for f in fields(cls)})
 
 
 def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
@@ -118,8 +121,6 @@ def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
     memo is shared by the cells of one (keep_fraction, seed, beta, gamma)
     group: it holds their training set, walk corpus and pair counts per sigma.
     """
-    if st.measure not in CELL_MEASURES:
-        raise ValueError(f"unknown measure {st.measure!r}")
     m, n = dataset.n_users, dataset.n_items
     if "train" not in memo:
         memo["train"] = sparsify(dataset.train, st.keep_fraction, st.seed)
@@ -131,7 +132,7 @@ def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
                                     shape=(m, n))
     if "corpus" not in memo:
         g = build_graph(train, m, n)
-        memo["corpus"] = generate_walks(g, WalkConfig(st.beta, st.gamma, st.seed))
+        memo["corpus"] = generate_walks(g, _stage_config(WalkConfig, st))
     if ("pairs", st.sigma) not in memo:
         memo["pairs", st.sigma] = sample_pairs(memo["corpus"], st.sigma)
     stats = memo["pairs", st.sigma]
@@ -151,8 +152,7 @@ def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGri
     blocks run inline, so its bytes do not depend on the thread count,
     and the first error in grid order is raised.
     """
-    cells = [replace(base, measure=measure, sigma=int(sigma), keep_fraction=float(keep),
-                     seed=int(seed))
+    cells = [replace(base, measure=measure, sigma=sigma, keep_fraction=keep, seed=seed)
              for measure in grid.measures for sigma in grid.sigmas
              for keep in grid.keep_fractions for seed in grid.seeds]
     inputs = [None] * len(cells)

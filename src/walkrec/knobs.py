@@ -1,16 +1,19 @@
 """Knobs: dataclass fields that declare their YAML key and bounds.
 
 Each tunable value is declared once, with ``knob`` on the dataclass that
-uses it; ``check``, called from ``Knobs.__post_init__``, enforces the
-bounds on construction, and the config parser reads the same declarations
-to map YAML keys to fields and to name the key of any error.
+uses it; its type is the field's annotation.  ``check``, called from
+``Knobs.__post_init__``, types every field from its annotation and
+enforces the bounds on construction, and the config parser reads the same
+declarations to map YAML keys to fields and to name the key of any error.
 """
 
 import math
 import numbers
-from dataclasses import field, fields
+import types
+import typing
+from dataclasses import field, fields, is_dataclass
 
-__all__ = ["KnobError", "Knobs", "knob", "key", "check"]
+__all__ = ["KnobError", "Knobs", "knob", "key", "check", "conform"]
 
 
 class KnobError(ValueError):
@@ -25,10 +28,7 @@ class KnobError(ValueError):
 def knob(default, key=None, *, min=None, gt=None, max=None, odd=False, choices=None):
     """A dataclass field with its YAML key (the field name by default) and bounds.
 
-    Bounds apply to each element of a list or tuple value.  Under min, gt,
-    max or odd a value must be a number, not a bool, and the value of an
-    int or tuple[int, ...] field must be an integer.  A float value must
-    also be finite, so NaN and infinities fail whatever the bounds.
+    Bounds apply to each element of a list or tuple value.
     """
     bounds = {"min": min, "gt": gt, "max": max, "odd": odd, "choices": choices}
     return field(default=default, metadata={"key": key, "bounds": bounds})
@@ -39,44 +39,67 @@ def key(f):
     return f.metadata.get("key") or f.name
 
 
-def _violation(x, integral, min, gt, max, odd, choices):
-    "The rule x breaks, or None."
-    numeric = odd or any(b is not None for b in (min, gt, max))
-    if numeric and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
-        return "must be a number"
-    if integral and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
-        return "must be an integer"
+# scalar annotation -> (what a value must be, the test it passes); a passing
+# value is stored as the annotation's type, so numpy scalars become Python ones
+_SCALAR_RULES = {
+    bool: ("a boolean", lambda x: isinstance(x, bool)),
+    int: ("an integer", lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool)),
+    float: ("a number", lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool)),
+    str: ("a non-empty string", lambda x: isinstance(x, str) and x != ""),
+}
+
+
+def conform(name, x, tp, min=None, gt=None, max=None, odd=False, choices=None):
+    """x as a value of annotation tp within the bounds, or KnobError naming name.
+
+    tp is bool, int, float, str (non-empty), tuple[T, ...] (a non-empty
+    list or tuple, stored as a tuple), X | None or a section class (an
+    instance of it).  An int passes as a float and is stored as one; a
+    float must be finite.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return None if x is None else conform(name, x, args[0], min, gt, max, odd, choices)
+    if origin is tuple:
+        if not isinstance(x, (list, tuple)) or not x:
+            raise KnobError(name, "must be a non-empty list")
+        return tuple(conform(name, v, args[0], min, gt, max, odd, choices) for v in x)
+    if is_dataclass(tp):
+        if not isinstance(x, tp):
+            raise KnobError(name, f"must be a {tp.__name__}")
+        return x
+    what, ok = _SCALAR_RULES[tp]
+    if not ok(x):
+        raise KnobError(name, f"must be {what}")
+    x = tp(x)
     if isinstance(x, float) and not math.isfinite(x):
-        return "must be finite"
-    if choices is not None:
-        return None if x in choices else f"must be one of {', '.join(map(repr, choices))}"
+        raise KnobError(name, "must be finite")
+    if choices is not None and x not in choices:
+        raise KnobError(name, f"must be one of {', '.join(map(repr, choices))}")
     if not ((min is None or x >= min) and (gt is None or x > gt) and (max is None or x <= max)):
         if max is None:
-            return f"must be >= {min}" if gt is None else f"must be > {gt}"
-        return f"must be in {f'[{min}' if gt is None else f'({gt}'}, {max}]"
+            raise KnobError(name, f"must be >= {min}" if gt is None else f"must be > {gt}")
+        raise KnobError(name, f"must be in {f'[{min}' if gt is None else f'({gt}'}, {max}]")
     if odd and x % 2 != 1:
-        return "must be odd"
-    return None
+        raise KnobError(name, "must be odd")
+    return x
 
 
 def check(obj):
-    """Raise KnobError naming the first field of obj outside its declared bounds."""
-    for f in fields(obj):
-        bounds = f.metadata.get("bounds")
-        value = getattr(obj, f.name)
-        if bounds is None:
-            continue
-        for x in value if isinstance(value, (list, tuple)) else (value,):
-            reason = _violation(x, f.type in (int, tuple[int, ...]), **bounds)
-            if reason:
-                raise KnobError(f.name, reason)
+    """Every field of obj by name, conformed to its annotation and bounds.
+
+    Raises KnobError naming the first field that does not conform."""
+    return {f.name: conform(f.name, getattr(obj, f.name), f.type, **f.metadata.get("bounds", {}))
+            for f in fields(obj)}
 
 
 class Knobs:
-    """Base of a dataclass of knobs: construction checks the declared bounds.
+    """Base of a dataclass of knobs: construction checks every field and
+    stores its conformed value.
 
     A subclass with cross-field rules extends __post_init__.
     """
 
     def __post_init__(self):
-        check(self)
+        for name, value in check(self).items():
+            object.__setattr__(self, name, value)

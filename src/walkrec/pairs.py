@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .knobs import conform
 from .parallel import map_blocks, spans, threads
 from .tables import read_matrix, write_matrix
 from .walks import WalkCorpus
@@ -95,11 +96,7 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
         sigma: window size; must be an odd integer >= 1 (even offsets would
             pair users with users).
     """
-    sigma = int(sigma)
-    if sigma < 1:
-        raise ValueError("sigma must be >= 1")
-    if sigma % 2 == 0:
-        raise ValueError("sigma must be odd: even offsets land on same-kind vertices")
+    sigma = conform("sigma", sigma, int, min=1, odd=True)
 
     corpus.validate()
     m, n, walks = corpus.n_users, corpus.n_items, corpus.walks

@@ -7,6 +7,7 @@ import numpy as np
 from .blas import one_thread
 from .datasets import as_pairs
 from .factorization import FactorModel
+from .knobs import conform
 from .parallel import map_blocks
 from .tables import check_rows, read_table, write_table
 
@@ -93,7 +94,7 @@ def top_k(user, scores, k_items, mask=frozenset()) -> RankedList:
     Args:
         user: user index, recorded on the result.
         scores: array of per-item scores, length n_items.
-        k_items: list length cap, >= 1; shorter if the catalog runs out.
+        k_items: list length cap, an integer >= 1; shorter if the catalog runs out.
         mask: item indices excluded from ranking (e.g. training items);
             each must be in [0, n_items), or ValueError names it.
     """
@@ -124,8 +125,7 @@ def _rank_rows(first_user, scores, k_items, mask):
     is NaN.  One lexsort orders every candidate by (row, -score with NaN
     last, item), and each row keeps its first k.
     """
-    if k_items < 1:
-        raise ValueError("k_items must be >= 1")
+    k_items = conform("k_items", k_items, int, min=1)
     neg = np.asarray(scores, dtype=np.float64)
     np.negative(neg, out=neg)
     lo, hi = np.searchsorted(mask[:, 0], [first_user, first_user + len(neg)])
@@ -135,7 +135,7 @@ def _rank_rows(first_user, scores, k_items, mask):
         j = bad[0]
         raise ValueError(f"mask of user {first_user + rows[j]}: "
                          f"item {cols[j]} not in [0, {neg.shape[1]})")
-    k = min(int(k_items), neg.shape[1])
+    k = min(k_items, neg.shape[1])
     if k == 0:
         return np.zeros(len(neg), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     neg[rows, cols] = np.nan
@@ -166,7 +166,7 @@ def recommend_topk(model: FactorModel, k_items, mask=None):
 
     Args:
         model: fitted factors.
-        k_items: per-user list length, >= 1.
+        k_items: per-user list length, an integer >= 1.
         mask: optional (u, i) pairs to exclude, such as the training
             pairs, as an array or any iterable.  Each item must be in
             [0, n_items), or ValueError names the user and item.

@@ -10,9 +10,11 @@ import yaml
 
 import walkrec.cli
 from walkrec.cli import STAGES, main
+from walkrec.config import PipelineSettings, parse_config
 
 CHAIN = ("ingest", "split", "walk", "pairs", "confidence", "train", "recommend", "evaluate")
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS = SPANS.parent / "workloads.py"
 
 BASE = {
     "data": {
@@ -138,6 +140,22 @@ class TestBenchmarkHooks:
         assert run(cfg, "walk") == 0
         work = tmp_path / "work"
         assert [args[1:] for args in calls] == [(work / "dataset", work / "walks.txt")]
+
+    def test_workload_configs_and_settings_construct(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(WORKLOADS.parent))  # workloads.py imports scaled
+        spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        synthetic = {"synthetic": {"users": 500, "items": 500, "groups": 10,
+                                   "bulk_degree": 4, "heavy_degree": 12,
+                                   "heavy_fraction": 0.125, "p_in": 0.5, "p_out": 0.005,
+                                   "seed": 0},
+                     "min_count": 0}
+        log = {"interactions": str(tmp_path / "interactions.csv"), "delimiter": ",",
+               "user_col": 0, "item_col": 1, "header": False, "min_count": 0}
+        for data in (synthetic, log):  # the grid-default and stage-chain data sections
+            parse_config(workloads.pipeline_config(0, tmp_path, data, (0,)))
+        PipelineSettings(measure="pmi", seed=0)
 
 
 class TestExperiment:

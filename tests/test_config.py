@@ -9,8 +9,9 @@ import pytest
 import yaml
 
 from walkrec.cli import main
-from walkrec.config import (ConfigError, PipelineConfig, base_settings, config_dict,
-                            load_config, override_seed, parse_config)
+from walkrec.config import (ConfigError, DataSection, PipelineConfig, RecommendSection,
+                            base_settings, config_dict, load_config, override_seed,
+                            parse_config)
 from walkrec.datasets import IngestFormat
 from walkrec.evaluation import ExperimentGrid, PipelineSettings
 from walkrec.factorization import AlsConfig
@@ -376,9 +377,18 @@ def test_unset_knobs_resolve_to_pipeline_settings_defaults(tmp_path):
     (lambda: AlsConfig(sweeps=1.5), "sweeps"),
     (lambda: ExperimentGrid(seeds=(1.5,)), "seeds"),
     (lambda: generate_synthetic(n_users=10.5, n_groups=2), "n_users"),
+    (lambda: RecommendSection(mask_train="false"), "mask_train"),
+    (lambda: IngestFormat(header="no"), "header"),
+    (lambda: IngestFormat(delimiter=5), "delimiter"),
+    (lambda: DataSection(interactions=""), "interactions"),
+    (lambda: PipelineConfig(work_dir=3), "work_dir"),
+    (lambda: PipelineSettings(sigma=2), "sigma"),
+    (lambda: PipelineSettings(measure="bogus"), "measure"),
 ], ids=["user_col", "delimiter", "delimiter_newline", "delimiter_return", "groups_zero",
         "groups_above_users", "p_out_above_p_in", "heavy_fraction", "beta_string", "beta_none",
-        "beta_bool", "beta_float", "sweeps_float", "seeds_float", "users_float"])
+        "beta_bool", "beta_float", "sweeps_float", "seeds_float", "users_float",
+        "mask_train_string", "header_string", "delimiter_int", "interactions_empty",
+        "work_dir_int", "settings_sigma_even", "settings_measure_unknown"])
 def test_api_rejects_out_of_bounds_naming_the_field(build, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         build()
@@ -386,6 +396,11 @@ def test_api_rejects_out_of_bounds_naming_the_field(build, name):
 
 def test_api_accepts_numpy_integers_for_int_knobs():
     assert WalkConfig(beta=np.int64(3)).beta == 3
+
+
+def test_api_stores_int_for_float_knob_as_float():
+    lam = AlsConfig(lam=1).lam
+    assert type(lam) is float and lam == 1.0
 
 
 def test_base_settings_takes_every_knob_from_its_section():

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 import walkrec.evaluation
+from walkrec.config import base_settings, parse_config
 from walkrec.datasets import sparsify, split
 from walkrec.evaluation import (ExperimentGrid, PipelineSettings, evaluate,
                                 run_cell, run_experiment, write_report_json,
@@ -130,6 +132,13 @@ class TestEvaluate:
             evaluate([ranked(0, [1])], set(), cutoffs=[])
         with pytest.raises(ValueError):
             evaluate([ranked(0, [1])], set(), cutoffs=[0])
+
+    @pytest.mark.parametrize("cutoff", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_cutoff_rejected_not_truncated(self, cutoff):
+        recs, test = [ranked(0, [1, 0])], {(0, 0)}
+        with pytest.raises(ValueError, match="^cutoffs must be an integer"):
+            evaluate(recs, test, cutoffs=[cutoff])
+        assert evaluate(recs, test, cutoffs=[np.int64(2)]).cutoffs == (2,)
 
     def test_repeated_cutoffs_rejected(self):
         with pytest.raises(ValueError, match=r"evaluate\.cutoffs: \[5, 10, 5\] repeats a cutoff"):
@@ -274,6 +283,23 @@ class TestReportWriters:
         assert got[0]["config"]["measure"] == "pmi"
         assert got[0]["precision"]["3"] == rows[0].precision[3]
         assert got[0]["user_count"] == rows[0].user_count
+
+    def test_api_and_yaml_knobs_write_the_same_bytes(self, tmp_path):
+        ds = small_dataset()
+        api = replace(FAST, lam=1, shift_k=np.float64(2.0))
+        cfg = parse_config(yaml.safe_load("""
+            walk: {beta: 3, gamma: 12}
+            confidence: {shift_k: 2.0}
+            als: {factors: 6, lambda: 1, sweeps: 4}
+            recommend: {k_items: 5}
+            evaluate: {cutoffs: [3, 5]}
+        """))
+        for name, st in (("api", api), ("yaml", base_settings(cfg))):
+            rows = [run_cell(ds, st)]
+            write_report_tsv(rows, tmp_path / f"{name}.tsv")
+            write_report_json(rows, tmp_path / f"{name}.json")
+        for ext in ("tsv", "json"):
+            assert (tmp_path / f"api.{ext}").read_bytes() == (tmp_path / f"yaml.{ext}").read_bytes()
 
     def test_writers_are_byte_deterministic(self, tmp_path):
         rows = self.make_rows()

@@ -83,6 +83,15 @@ class TestWindowSemantics:
         with pytest.raises(ValueError):
             sample_pairs(corpus, 0)
 
+    @pytest.mark.parametrize("sigma", [3.5, np.float64(3.0), True],
+                             ids=["float", "numpy_float", "bool"])
+    def test_non_integer_sigma_rejected_not_truncated(self, sigma):
+        corpus = corpus_from_tokens(["u0 i0 u1 i1", "i1 u1 i0 u0"], 2, 2)
+        with pytest.raises(ValueError, match="^sigma must be an integer"):
+            sample_pairs(corpus, sigma)
+        assert counts_dict(sample_pairs(corpus, np.int64(3))) == counts_dict(
+            sample_pairs(corpus, 3))
+
     def test_alternation_violation_rejected(self):
         corpus = corpus_from_tokens(["u0 i0 u0"], 1, 1)
         corpus.walks[0][1] = 0  # sneak a user into an item slot

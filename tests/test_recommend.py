@@ -63,6 +63,12 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k(0, [1.0], 0)
 
+    @pytest.mark.parametrize("k", [1.5, True], ids=["float", "bool"])
+    def test_non_integer_k_rejected_not_truncated(self, k):
+        with pytest.raises(ValueError, match="^k_items must be an integer"):
+            top_k(0, [1.0, 2.0], k)
+        assert top_k(0, [1.0, 2.0], np.int64(1)) == top_k(0, [1.0, 2.0], 1)
+
 
 class TestItemPop:
     def test_counts(self):
@@ -142,6 +148,13 @@ class TestRecommendTopk:
         model = FactorModel(np.ones((2, 1)), np.ones((3, 1)))
         with pytest.raises(ValueError):
             recommend_topk(model, 0)
+
+    @pytest.mark.parametrize("k", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_k_rejected_not_truncated(self, k):
+        model = FactorModel(np.ones((2, 1)), np.arange(2.0)[:, None])
+        with pytest.raises(ValueError, match="^k_items must be an integer"):
+            recommend_topk(model, k)
+        assert list(recommend_topk(model, np.int64(1))) == list(recommend_topk(model, 1))
 
     def test_no_users_gives_no_lists(self):
         recs = recommend_topk(FactorModel(np.ones((0, 2)), np.ones((4, 2))), 3)
