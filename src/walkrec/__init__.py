@@ -16,7 +16,7 @@ from .factorization import (AlsConfig, FactorModel, als_fit, init_factors,
                             loss, predict)
 from .graph import BipartiteGraph, build_graph
 from .pairs import PairCorpusStats, merge, sample_pairs
-from .recommend import RankedList, Rankings, item_pop_scores, recommend_topk, top_k
+from .recommend import RankedList, Rankings, item_pop_scores, recommend_topk
 from .synthetic import SyntheticConfig, generate_synthetic
 from .walks import WalkConfig, WalkCorpus, generate_walks
 

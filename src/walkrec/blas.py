@@ -7,7 +7,9 @@ decides how a product is split, so it changes the last bits of the
 result.  one_thread() pins every OpenBLAS mapped into this process to
 one thread for the length of a block (``with one_thread():``, or
 ``@one_thread()`` on a function) and restores each library's count
-afterwards, so callers keep whatever count they chose.
+afterwards, so callers keep whatever count they chose.  walkrec itself
+loads only numpy's OpenBLAS: it never imports scipy's dense linalg
+module, which would map scipy's own.
 """
 
 import contextlib
@@ -37,8 +39,11 @@ def _loaded_openblas():
 def libraries():
     """(get, set) thread-count functions of every OpenBLAS loaded in this process.
 
-    Found on the first call, not at import; walkrec has loaded numpy's and
-    scipy's BLAS by then.  Empty when no OpenBLAS is found.
+    Found on the first call, not at import; walkrec has loaded numpy's BLAS,
+    the only one it uses, by then.  A library mapped later, such as scipy's
+    when a caller first imports scipy's linalg module after that call, is
+    not found.
+    Empty when no OpenBLAS is found.
     """
     found = []
     for path in _loaded_openblas():

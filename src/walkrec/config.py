@@ -88,29 +88,18 @@ class RecommendSection(Knobs):
 
 @dataclass(frozen=True)
 class EvaluateSection(Knobs):
-    cutoffs: tuple[int, ...] = knob((5, 10), min=1)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if len(set(self.cutoffs)) != len(self.cutoffs):
-            raise KnobError("cutoffs", f"{list(self.cutoffs)} repeats a cutoff")
+    cutoffs: tuple[int, ...] = knob((5, 10), min=1, distinct=True)  # a repeat would repeat columns
 
 
 @dataclass(frozen=True)
 class ExperimentGrid(Knobs):
-    """Cartesian grid over measure, window size, sparsity, and seed."""
+    """Cartesian grid over measure, window size, sparsity, and seed; a repeated
+    value would refit a cell and repeat its report row."""
 
-    measures: tuple[str, ...] = knob(("pmi", "co"), choices=CELL_MEASURES)
-    sigmas: tuple[int, ...] = knob((3,), min=1, odd=True)
-    keep_fractions: tuple[float, ...] = knob((1.0,), gt=0, max=1)
-    seeds: tuple[int, ...] = knob((0,), min=0)
-
-    def __post_init__(self):
-        super().__post_init__()
-        for f in fields(self):  # a repeat would refit a cell and repeat its report row
-            values = getattr(self, f.name)
-            if len(set(values)) != len(values):
-                raise KnobError(f.name, f"{list(values)} repeats a value")
+    measures: tuple[str, ...] = knob(("pmi", "co"), choices=CELL_MEASURES, distinct=True)
+    sigmas: tuple[int, ...] = knob((3,), min=1, odd=True, distinct=True)
+    keep_fractions: tuple[float, ...] = knob((1.0,), gt=0, max=1, distinct=True)
+    seeds: tuple[int, ...] = knob((0,), min=0, distinct=True)
 
 
 def _shared(section, name, **bounds):

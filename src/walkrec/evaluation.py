@@ -52,9 +52,7 @@ def evaluate(recs, test, cutoffs, config=None) -> MetricsReport:
         cutoffs: distinct integer k values >= 1.
         config: optional hyperparameter echo stored on the report.
     """
-    cutoffs = conform("cutoffs", tuple(cutoffs), tuple[int, ...], min=1)
-    if len(set(cutoffs)) != len(cutoffs):
-        raise ValueError(f"evaluate.cutoffs: {list(cutoffs)} repeats a cutoff")
+    cutoffs = conform("cutoffs", tuple(cutoffs), tuple[int, ...], min=1, distinct=True)
     recs = Rankings.of(recs)
     m = len(recs)
     test = as_pairs(test)

@@ -9,13 +9,18 @@ factor, (B L^-T) L^-1, because a product runs several times faster than
 a triangular solve on many right-hand sides.  The inverse of the factor,
 not of A, keeps the residual at Cholesky's precision: an explicit A^-1
 loses digits in proportion to A's condition number.
+
+The K x K factor and its inverse come from numpy.linalg, so walkrec
+never imports scipy's dense linalg module, which would map a second
+OpenBLAS (scipy's) into every process.  A future truncated-SVD path
+(scipy.sparse.linalg.svds, whose module imports that one) must import
+scipy.sparse.linalg inside that path only.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky, solve_triangular
 
 from .blas import one_thread
 from .knobs import Knobs, knob
@@ -103,8 +108,7 @@ def _half_sweep(mat, other: np.ndarray, lam: float, b: np.ndarray | None = None,
     k = other.shape[1]
     if gram is None:
         gram = other.T @ other
-    chol = cholesky(gram + lam * np.eye(k), lower=True, check_finite=False)
-    inv = solve_triangular(chol, np.eye(k), lower=True, check_finite=False)
+    inv = np.linalg.inv(np.linalg.cholesky(gram + lam * np.eye(k)))
     blocks = mat if isinstance(mat, tuple) else (mat,)
     bounds = np.cumsum([0] + [blk.shape[0] for blk in blocks])
     if out is None:

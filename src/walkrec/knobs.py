@@ -25,12 +25,15 @@ class KnobError(ValueError):
         self.reason = reason
 
 
-def knob(default, key=None, *, min=None, gt=None, max=None, odd=False, choices=None):
+def knob(default, key=None, *, min=None, gt=None, max=None, odd=False, choices=None,
+         distinct=False):
     """A dataclass field with its YAML key (the field name by default) and bounds.
 
-    Bounds apply to each element of a list or tuple value.
+    Bounds apply to each element of a list or tuple value; distinct forbids
+    a repeated element.
     """
-    bounds = {"min": min, "gt": gt, "max": max, "odd": odd, "choices": choices}
+    bounds = {"min": min, "gt": gt, "max": max, "odd": odd, "choices": choices,
+              "distinct": distinct}
     return field(default=default, metadata={"key": key, "bounds": bounds})
 
 
@@ -49,21 +52,26 @@ _SCALAR_RULES = {
 }
 
 
-def conform(name, x, tp, min=None, gt=None, max=None, odd=False, choices=None):
+def conform(name, x, tp, min=None, gt=None, max=None, odd=False, choices=None,
+            distinct=False):
     """x as a value of annotation tp within the bounds, or KnobError naming name.
 
     tp is bool, int, float, str (non-empty), tuple[T, ...] (a non-empty
-    list or tuple, stored as a tuple), X | None or a section class (an
-    instance of it).  An int passes as a float and is stored as one; a
-    float must be finite.
+    list or tuple, stored as a tuple; with distinct, no two elements equal),
+    X | None or a section class (an instance of it).  An int passes as a
+    float and is stored as one; a float must be finite.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
-        return None if x is None else conform(name, x, args[0], min, gt, max, odd, choices)
+        return None if x is None else conform(name, x, args[0], min, gt, max, odd, choices,
+                                              distinct)
     if origin is tuple:
         if not isinstance(x, (list, tuple)) or not x:
             raise KnobError(name, "must be a non-empty list")
-        return tuple(conform(name, v, args[0], min, gt, max, odd, choices) for v in x)
+        x = tuple(conform(name, v, args[0], min, gt, max, odd, choices) for v in x)
+        if distinct and len(set(x)) != len(x):
+            raise KnobError(name, f"{list(x)} repeats a value")
+        return x
     if is_dataclass(tp):
         if not isinstance(x, tp):
             raise KnobError(name, f"must be a {tp.__name__}")

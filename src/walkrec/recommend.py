@@ -11,8 +11,8 @@ from .knobs import conform
 from .parallel import map_blocks
 from .tables import check_rows, read_table, write_table
 
-__all__ = ["RankedList", "Rankings", "top_k", "item_pop_scores", "recommend_topk",
-           "save_recommendations", "load_recommendations"]
+__all__ = ["RankedList", "Rankings", "item_pop_scores", "recommend_topk", "save_recommendations",
+           "load_recommendations"]
 
 _RANK_ROWS = 512  # users scored and ranked per block: smaller blocks move scores' last bits
 
@@ -88,23 +88,6 @@ def _offsets(lengths):
     return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
 
 
-def top_k(user, scores, k_items, mask=frozenset()) -> RankedList:
-    """The k_items highest-scoring unmasked items for one user.
-
-    Args:
-        user: user index, recorded on the result.
-        scores: array of per-item scores, length n_items.
-        k_items: list length cap, an integer >= 1; shorter if the catalog runs out.
-        mask: item indices excluded from ranking (e.g. training items);
-            each must be in [0, n_items), or ValueError names it.
-    """
-    row = np.array(scores, dtype=np.float64, ndmin=2)  # a copy: the ranking overwrites it
-    cols = np.fromiter(mask, np.int64)
-    _, items, ranked = _rank_rows(user, row, k_items,
-                                  as_pairs(np.column_stack((np.full_like(cols, user), cols))))
-    return RankedList(user, list(zip(items.tolist(), ranked.tolist())))
-
-
 def item_pop_scores(train, n_items):
     """Training popularity per item: score(i) = number of users who bought i."""
     items = as_pairs(train)[:, 1]
@@ -126,8 +109,7 @@ def _rank_rows(first_user, scores, k_items, mask):
     last, item), and each row keeps its first k.
     """
     k_items = conform("k_items", k_items, int, min=1)
-    neg = np.asarray(scores, dtype=np.float64)
-    np.negative(neg, out=neg)
+    neg = np.negative(scores, out=scores)
     lo, hi = np.searchsorted(mask[:, 0], [first_user, first_user + len(neg)])
     rows, cols = (mask[lo:hi] - (first_user, 0)).T
     bad = np.flatnonzero((cols < 0) | (cols >= neg.shape[1]))
@@ -159,10 +141,9 @@ def recommend_topk(model: FactorModel, k_items, mask=None):
     """Ranked lists for every user from a factor model.
 
     Each block of _RANK_ROWS users is scored with one product and ranked in one
-    pass, blocks in parallel; the lists equal top_k's on each user's score
-    row.  The whole call runs on one BLAS thread, pinned once here (the
-    count is process-wide), so the scores do not depend on the caller's
-    thread count.
+    pass, blocks in parallel.  The whole call runs on one BLAS thread,
+    pinned once here (the count is process-wide), so the scores do not
+    depend on the caller's thread count.
 
     Args:
         model: fitted factors.

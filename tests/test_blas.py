@@ -108,6 +108,28 @@ print(json.dumps({"counts": [get() for get, _ in libs],
     assert got["looked_up"] == 0
 
 
+def test_import_and_cell_load_no_scipy_linalg():
+    """In a fresh process, importing the CLI and running one PMI cell loads
+    neither scipy.linalg (a second OpenBLAS) nor scipy.sparse.linalg."""
+    script = """
+import json, sys
+import walkrec.cli
+from walkrec.datasets import split
+from walkrec.evaluation import PipelineSettings, run_cell
+from walkrec.synthetic import generate_synthetic
+ds = split(generate_synthetic(seed=0), (0.8, 0.1, 0.1), seed=0)
+run_cell(ds, PipelineSettings(measure="pmi", sweeps=2))
+print(json.dumps({"loaded": [m for m in ("scipy.linalg", "scipy.sparse.linalg")
+                             if m in sys.modules],
+                  "libraries": len(walkrec.blas.libraries())}))
+"""
+    out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                         text=True, timeout=120).stdout
+    got = json.loads(out.splitlines()[-1])
+    assert got["loaded"] == []
+    assert got["libraries"] <= 1
+
+
 @pytest.fixture(scope="module")
 def bundled_pmi():
     ds = split(generate_synthetic(seed=0), (0.8, 0.1, 0.1), seed=0)

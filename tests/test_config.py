@@ -9,9 +9,9 @@ import pytest
 import yaml
 
 from walkrec.cli import main
-from walkrec.config import (ConfigError, DataSection, PipelineConfig, RecommendSection,
-                            base_settings, config_dict, load_config, override_seed,
-                            parse_config)
+from walkrec.config import (ConfigError, DataSection, EvaluateSection, PipelineConfig,
+                            RecommendSection, base_settings, config_dict, load_config,
+                            override_seed, parse_config)
 from walkrec.datasets import IngestFormat
 from walkrec.evaluation import ExperimentGrid, PipelineSettings
 from walkrec.factorization import AlsConfig
@@ -349,6 +349,14 @@ def test_experiment_grid_rejects_repeated_values(name, values):
     with pytest.raises(KnobError, match=rf"^{name} \[.*\] repeats a value$") as exc:
         ExperimentGrid(**{name: values})
     assert exc.value.name == name
+
+
+@pytest.mark.parametrize("build", [lambda: EvaluateSection(cutoffs=(5, 10, 5)),
+                                   lambda: PipelineSettings(cutoffs=(5, 10, 5))],
+                         ids=["evaluate", "settings"])
+def test_repeated_cutoffs_fail_at_construction(build):
+    with pytest.raises(KnobError, match=r"^cutoffs \[5, 10, 5\] repeats a value$"):
+        build()
 
 
 def test_infinite_float_is_rejected_as_not_finite():

@@ -141,7 +141,7 @@ class TestEvaluate:
         assert evaluate(recs, test, cutoffs=[np.int64(2)]).cutoffs == (2,)
 
     def test_repeated_cutoffs_rejected(self):
-        with pytest.raises(ValueError, match=r"evaluate\.cutoffs: \[5, 10, 5\] repeats a cutoff"):
+        with pytest.raises(ValueError, match=r"^cutoffs \[5, 10, 5\] repeats a value$"):
             evaluate([ranked(0, [1])], set(), cutoffs=[5, 10, 5])
 
     def test_negative_test_user_or_item_rejected(self):

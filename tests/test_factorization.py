@@ -311,6 +311,23 @@ class TestGlobalOptimumOracle:
             assert trace[-1] - fstar <= 1e-6 * fstar
 
 
+class TestHalfSweepOracle:
+    """On well-conditioned systems the inverse-factor solve equals a dense LU
+    solve of the ridge system; K = 1 takes the 1 x 1 factor."""
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 100])
+    def test_matches_dense_solve(self, k):
+        rng = np.random.default_rng(70 + k)
+        for lam in (0.25, 3.0):
+            other = rng.normal(size=(4 * k + 20, k))
+            s = random_sparse(rng, 60, len(other), nnz=900)
+            a = other.T @ other + lam * np.eye(k)
+            assert np.linalg.cond(a) < 1e3
+            want = np.linalg.solve(a, (s @ other).T).T
+            z = _half_sweep(s, other, lam)
+            assert np.max(np.abs(z - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestIllConditionedHalfSweep:
     """A Gram matrix of condition ~1e13 to ~1e15: the inverse-Cholesky-factor
     solve keeps the normal-equation residual where a Cholesky solve with

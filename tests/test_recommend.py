@@ -7,26 +7,33 @@ from conftest import oracle_top_k
 from walkrec import recommend
 from walkrec.factorization import FactorModel
 from walkrec.recommend import (RankedList, Rankings, item_pop_scores, load_recommendations,
-                               recommend_topk, save_recommendations, top_k)
+                               recommend_topk, save_recommendations)
 
 TOY_EDGES = {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)}
 
 
+def top_k(scores, k_items, mask=()):
+    """recommend_topk's list for the one user of the rank-1 model whose score
+    row is scores exactly (X = [[1]], Y = scores as a column), mask its items."""
+    model = FactorModel(np.ones((1, 1)), np.array(scores, dtype=np.float64).reshape(-1, 1))
+    return recommend_topk(model, k_items, [(0, i) for i in mask])[0]
+
+
 class TestTopK:
     def test_tie_broken_by_lower_index(self):
-        rl = top_k(0, [0.5, 0.9, 0.9], k_items=2)
+        rl = top_k([0.5, 0.9, 0.9], k_items=2)
         assert rl.item_indices() == [1, 2]
 
     def test_masking_excludes_items(self):
-        rl = top_k(0, [1.0, 0.2], k_items=2, mask={0})
+        rl = top_k([1.0, 0.2], k_items=2, mask={0})
         assert rl.item_indices() == [1]
 
     def test_all_equal_scores_give_index_order(self):
-        rl = top_k(0, [0.3, 0.3, 0.3, 0.3], k_items=3, mask={1})
+        rl = top_k([0.3, 0.3, 0.3, 0.3], k_items=3, mask={1})
         assert rl.item_indices() == [0, 2, 3]
 
     def test_catalog_exhausted(self):
-        rl = top_k(0, [0.1, 0.2], k_items=5)
+        rl = top_k([0.1, 0.2], k_items=5)
         assert len(rl.items) == 2
 
     def test_scores_non_increasing_no_masked_no_duplicates(self):
@@ -35,7 +42,7 @@ class TestTopK:
             n = int(rng.integers(3, 40))
             scores = rng.normal(size=n)
             mask = {int(j) for j in rng.choice(n, size=int(rng.integers(0, n)), replace=False)}
-            rl = top_k(0, scores, k_items=int(rng.integers(1, 12)), mask=mask)
+            rl = top_k(scores, k_items=int(rng.integers(1, 12)), mask=mask)
             got = rl.item_indices()
             assert len(set(got)) == len(got)
             assert not (set(got) & mask)
@@ -48,26 +55,26 @@ class TestTopK:
         perm = rng.permutation(12)
         permuted = np.empty(12)
         permuted[perm] = scores  # item j moves to index perm[j]
-        base = top_k(0, scores, 4, mask={3}).item_indices()
-        moved = top_k(0, permuted, 4, mask={int(perm[3])}).item_indices()
+        base = top_k(scores, 4, mask={3}).item_indices()
+        moved = top_k(permuted, 4, mask={int(perm[3])}).item_indices()
         assert [int(perm[j]) for j in base] == moved
 
     def test_positive_scaling_is_invariant(self):
         rng = np.random.default_rng(3)
         scores = rng.normal(size=10)
-        a = top_k(0, scores, 5).item_indices()
-        b = top_k(0, scores * 7.5, 5).item_indices()
+        a = top_k(scores, 5).item_indices()
+        b = top_k(scores * 7.5, 5).item_indices()
         assert a == b
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            top_k(0, [1.0], 0)
+            top_k([1.0], 0)
 
     @pytest.mark.parametrize("k", [1.5, True], ids=["float", "bool"])
     def test_non_integer_k_rejected_not_truncated(self, k):
         with pytest.raises(ValueError, match="^k_items must be an integer"):
-            top_k(0, [1.0, 2.0], k)
-        assert top_k(0, [1.0, 2.0], np.int64(1)) == top_k(0, [1.0, 2.0], 1)
+            top_k([1.0, 2.0], k)
+        assert top_k([1.0, 2.0], np.int64(1)) == top_k([1.0, 2.0], 1)
 
 
 class TestItemPop:
@@ -231,7 +238,7 @@ class TestTopKReference:
             scores[rng.random(n) < 0.1] = np.nan
             mask = {int(i) for i in rng.choice(n, size=int(rng.integers(0, n)), replace=False)}
             k = int(rng.integers(1, n + 3))
-            got = top_k(0, scores, k, frozenset(mask)).items
+            got = top_k(scores, k, frozenset(mask)).items
             want = oracle_top_k(scores, k, mask)
             assert [i for i, _ in got] == [i for i, _ in want]
             assert np.array_equal([v for _, v in got], [v for _, v in want], equal_nan=True)
@@ -240,8 +247,8 @@ class TestTopKReference:
 @pytest.mark.parametrize("bad", [-1, 6, 7])
 def test_mask_index_outside_catalog_is_rejected(bad, monkeypatch):
     # a negative index used to wrap round and silently mask the last items
-    with pytest.raises(ValueError, match=rf"mask of user 3: item {bad} not in \[0, 6\)"):
-        top_k(3, np.arange(6.0), 3, {1, bad})
+    with pytest.raises(ValueError, match=rf"mask of user 0: item {bad} not in \[0, 6\)"):
+        top_k(np.arange(6.0), 3, {1, bad})
     rng = np.random.default_rng(2)
     model = FactorModel(rng.normal(size=(8, 2)), rng.normal(size=(6, 2)))
     monkeypatch.setattr(recommend, "_RANK_ROWS", 4)
