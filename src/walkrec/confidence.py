@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .pairs import PairCorpusStats
 from .tables import read_matrix, write_matrix
@@ -24,7 +23,7 @@ MEASURES = ("co", "pmi")
 class ConfidenceMatrix:
     """Sparse non-negative feedback matrix; absent entries are zeros."""
 
-    matrix: sp.csr_matrix  # float64, n_users x n_items, stored entries finite and > 0
+    matrix: "scipy.sparse.csr_matrix"  # float64, n_users x n_items, stored entries finite and > 0
     measure: str
     shift_k: float | None = None
 
@@ -61,6 +60,8 @@ def sppmi_matrix(stats: PairCorpusStats, shift_k: float = 1.0) -> ConfidenceMatr
         shift_k: downshift constant, finite and >= 1; the association score
             is reduced by log(shift_k) before clamping at zero.
     """
+    import scipy.sparse as sp
+
     shift_k = float(shift_k)
     if not 1.0 <= shift_k < math.inf:  # NaN too
         raise ValueError("shift_k must be finite and >= 1")

@@ -11,7 +11,6 @@ from itertools import groupby
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .blas import one_thread
 from .confidence import co_matrix, sppmi_matrix
@@ -126,6 +125,8 @@ def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
     if st.measure == "itempop":
         return train, FactorModel(np.ones((m, 1)), item_pop_scores(train, n)[:, None])
     if st.measure == "mf":
+        import scipy.sparse as sp
+
         return train, sp.csr_matrix((np.ones(len(train)), (train[:, 0], train[:, 1])),
                                     shape=(m, n))
     if "corpus" not in memo:

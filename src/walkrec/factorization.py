@@ -14,16 +14,19 @@ The K x K factor and its inverse come from numpy.linalg, so walkrec
 never imports scipy's dense linalg module, which would map a second
 OpenBLAS (scipy's) into every process.  A future truncated-SVD path
 (scipy.sparse.linalg.svds, whose module imports that one) must import
-scipy.sparse.linalg inside that path only.
+scipy.sparse.linalg inside that path only.  scipy.sparse itself is
+imported inside _as_csr, as every walkrec module imports it only in the
+functions that make a sparse matrix: importing walkrec loads no scipy,
+and the CLI stages that build no matrix (ingest, split, walk, recommend,
+evaluate) never pay for scipy.sparse's import.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .blas import one_thread
-from .knobs import Knobs, knob
+from .knobs import Knobs, conform, knob
 from .parallel import map_blocks, spans
 from .tables import read_archive, write_archive
 
@@ -67,6 +70,8 @@ class FactorModel:
 
 def _as_csr(s):
     "Accept a ConfidenceMatrix or a raw scipy sparse/array matrix."
+    import scipy.sparse as sp
+
     mat = getattr(s, "matrix", s)
     return sp.csr_matrix(mat, dtype=np.float64)
 
@@ -204,10 +209,15 @@ def loss(s, model: FactorModel, lam: float) -> float:
 
 
 def predict(model: FactorModel, u: int, i: int) -> float:
-    """Preference score: inner product of user row u and item row i."""
-    if not 0 <= u < model.n_users:
+    """Preference score: inner product of user row u and item row i.
+
+    u and i must be integers >= 0, or KnobError names the argument, and
+    below n_users and n_items, or ValueError names the index.
+    """
+    u, i = conform("u", u, int, min=0), conform("i", i, int, min=0)
+    if u >= model.n_users:
         raise ValueError(f"user index {u} out of range")
-    if not 0 <= i < model.n_items:
+    if i >= model.n_items:
         raise ValueError(f"item index {i} out of range")
     return float(model.X[u] @ model.Y[i])
 

@@ -26,7 +26,6 @@ do not depend on how the chunks are cut or grouped.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .knobs import conform
 from .parallel import map_blocks, spans, threads
@@ -51,7 +50,7 @@ class PairCorpusStats:
     column sums and sum, computed on each access so they cannot go stale.
     """
 
-    pair_count: sp.csr_matrix  # int64, n_users x n_items
+    pair_count: "scipy.sparse.csr_matrix"  # int64, n_users x n_items
 
     @property
     def user_count(self):
@@ -67,6 +66,8 @@ class PairCorpusStats:
 
     @classmethod
     def empty(cls, n_users, n_items):
+        import scipy.sparse as sp
+
         return cls(sp.csr_matrix((n_users, n_items), dtype=np.int64))
 
     def validate(self):
@@ -96,6 +97,8 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
         sigma: window size; must be an odd integer >= 1 (even offsets would
             pair users with users).
     """
+    import scipy.sparse as sp
+
     sigma = conform("sigma", sigma, int, min=1, odd=True)
 
     corpus.validate()

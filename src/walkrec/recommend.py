@@ -149,13 +149,16 @@ def recommend_topk(model: FactorModel, k_items, mask=None):
         model: fitted factors.
         k_items: per-user list length, an integer >= 1.
         mask: optional (u, i) pairs to exclude, such as the training
-            pairs, as an array or any iterable.  Each item must be in
-            [0, n_items), or ValueError names the user and item.
+            pairs, as an array or any iterable.  Each user must be in
+            [0, n_users) and each item in [0, n_items), or ValueError
+            names the user and item.
     Returns:
         Rankings of users 0..n_users-1.
     """
     mask = as_pairs(() if mask is None else mask)
     X, Y = model.X, model.Y
+    for u, i in mask[(mask[:, 0] < 0) | (mask[:, 0] >= len(X))][:1]:
+        raise ValueError(f"mask pair ({u}, {i}): user {u} not in [0, {len(X)})")
 
     def rank_block(lo):
         hi = min(lo + _RANK_ROWS, len(X))

@@ -11,7 +11,6 @@ name the file.
 import zipfile
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["format_header", "parse_header", "write_table", "read_table", "check_rows",
            "check_unique", "write_archive", "read_archive", "write_matrix", "read_matrix"]
@@ -124,6 +123,8 @@ def read_matrix(path, dtype, kind, names=()):
     other than two entries, a malformed CSR, a row's entries out of order
     or repeated, and a value not finite and positive raise ValueError naming path.
     """
+    import scipy.sparse as sp
+
     data, indices, indptr, shape, *members = read_archive(
         path, ("data", "indices", "indptr", "shape", *names), kind)
     if (data.dtype != dtype or shape.shape != (2,)

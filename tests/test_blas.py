@@ -1,5 +1,6 @@
-"""one_thread(): per-library thread counts inside and after a block, and
-factor and score bytes that do not depend on the caller's thread count."""
+"""one_thread(): per-library thread counts inside and after a block, factor
+and score bytes that do not depend on the caller's thread count, and the
+scipy modules a fresh process loads."""
 
 import json
 import subprocess
@@ -8,8 +9,10 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import yaml
 
 from walkrec import blas
+from walkrec.cli import main
 from walkrec.confidence import sppmi_matrix
 from walkrec.datasets import split
 from walkrec.factorization import AlsConfig, als_fit
@@ -128,6 +131,40 @@ print(json.dumps({"loaded": [m for m in ("scipy.linalg", "scipy.sparse.linalg")
     got = json.loads(out.splitlines()[-1])
     assert got["loaded"] == []
     assert got["libraries"] <= 1
+
+
+SCIPY_LOADED = """
+import json, sys
+import walkrec, walkrec.cli
+exits = [walkrec.cli.main(["-c", sys.argv[1], stage]) for stage in sys.argv[2:]]
+print(json.dumps({"exits": exits,
+                  "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+"""
+
+
+def stages_in_fresh_process(config, *stages):
+    "The exit codes of the stages, run in one fresh process, and the scipy modules it loaded."
+    out = subprocess.run([sys.executable, "-c", SCIPY_LOADED, str(config), *stages],
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    got = json.loads(out.splitlines()[-1])
+    return got["exits"], got["scipy"]
+
+
+def test_stages_without_a_sparse_matrix_load_no_scipy(tmp_path):
+    """In fresh processes, importing walkrec and its CLI and running ingest,
+    split and walk, then recommend and evaluate, load no scipy module: only
+    pairs, confidence, train and experiment build or read a sparse matrix."""
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({
+        "data": {"synthetic": {"users": 50, "items": 40, "groups": 5, "seed": 3}},
+        "walk": {"beta": 2, "gamma": 10, "seed": 1},
+        "als": {"factors": 4, "sweeps": 2},
+        "work_dir": str(tmp_path / "work"),
+    }))
+    assert stages_in_fresh_process(config, "ingest", "split", "walk") == ([0, 0, 0], [])
+    for stage in ("pairs", "confidence", "train"):  # in this process, which has scipy
+        assert main(["-c", str(config), stage]) == 0, stage
+    assert stages_in_fresh_process(config, "recommend", "evaluate") == ([0, 0], [])
 
 
 @pytest.fixture(scope="module")

@@ -200,10 +200,23 @@ class TestPredict:
 
     def test_out_of_range(self):
         model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^user index 2 out of range$"):
             predict(model, 2, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^item index 3 out of range$"):
             predict(model, 0, 3)
+
+    @pytest.mark.parametrize("u, i, message", [
+        (1.5, 2, "u must be an integer"), (True, 2, "u must be an integer"),
+        (1, 2.0, "i must be an integer"), (1, False, "i must be an integer"),
+        (-1, 2, "u must be >= 0"), (1, -1, "i must be >= 0")])
+    def test_bad_index_is_named(self, u, i, message):
+        model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            predict(model, u, i)
+
+    def test_numpy_integer_indices_pass(self):
+        model = FactorModel(np.ones((2, 2)), np.ones((3, 2)))
+        assert predict(model, np.int64(1), np.int32(2)) == 2.0
 
 
 class TestPersistence:

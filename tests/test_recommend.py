@@ -254,3 +254,10 @@ def test_mask_index_outside_catalog_is_rejected(bad, monkeypatch):
     monkeypatch.setattr(recommend, "_RANK_ROWS", 4)
     with pytest.raises(ValueError, match=rf"mask of user 5: item {bad} not in \[0, 6\)"):
         recommend_topk(model, 3, [(0, 2), (5, 0), (5, bad)])
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 5])
+def test_mask_user_outside_users_is_rejected(bad):
+    model = FactorModel(np.ones((2, 2)), np.ones((3, 2)))
+    with pytest.raises(ValueError, match=rf"^mask pair \({bad}, 1\): user {bad} not in \[0, 2\)$"):
+        recommend_topk(model, 2, [(0, 0), (bad, 1)])
