@@ -10,6 +10,12 @@ a triangular solve on many right-hand sides.  The inverse of the factor,
 not of A, keeps the residual at Cholesky's precision: an explicit A^-1
 loses digits in proportion to A's condition number.
 
+A fit keeps both CPUs busy through each sweep's four phases: S Y beside
+Y'Y, the user solves, S' X beside X'X, the item solves, each phase a set
+of tasks over row blocks whose bounds depend on the shape alone, so the
+bytes do not depend on the CPU count.  A side of one row block runs
+inline.
+
 The K x K factor and its inverse come from numpy.linalg, so walkrec
 never imports scipy's dense linalg module, which would map a second
 OpenBLAS (scipy's) into every process.  A future truncated-SVD path
@@ -95,8 +101,30 @@ def _row_blocks(mat):
     return (mat,) if parts == 1 else tuple(mat[lo:hi] for lo, hi in spans(mat.shape[0], parts))
 
 
+def _bounds(blocks):
+    "Row offsets of a tuple of row blocks: block j is rows bounds[j]:bounds[j + 1]."
+    return np.cumsum([0] + [blk.shape[0] for blk in blocks])
+
+
+def _products(blocks, other: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each row block's product with other into its rows of out, and return
+    other' other, as one phase of parallel tasks: the Gram product is one more task
+    beside the blocks'.  blocks is a tuple of row blocks (_row_blocks); one block
+    runs inline, since sending it to the pool was slower."""
+    bounds = _bounds(blocks)
+
+    def task(j):
+        if j < 0:
+            return other.T @ other
+        out[bounds[j]:bounds[j + 1]] = blocks[j] @ other
+
+    tasks = range(-1, len(blocks))
+    return (map_blocks(task, tasks) if len(blocks) > 1 else [task(j) for j in tasks])[0]
+
+
 def _half_sweep(mat, other: np.ndarray, lam: float, b: np.ndarray | None = None,
-                gram: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+                gram: np.ndarray | None = None, out: np.ndarray | None = None,
+                check: str | None = None) -> np.ndarray:
     """Solve (other' other + lam I) z_r = other' mat[r] for every row r.
 
     With A = other' other + lam I = L L', the rows are Z = (B L^-T) L^-1:
@@ -107,21 +135,26 @@ def _half_sweep(mat, other: np.ndarray, lam: float, b: np.ndarray | None = None,
     the tuple of its row blocks (_row_blocks), whose rows are solved in
     parallel.  b is mat @ other and gram is other' other when the caller
     has already computed them.  Each block's rows are written in place into
-    out, a (rows, K) float64 array that is neither other nor b, when given,
-    else into a new array; either is returned.
+    out, a (rows, K) float64 array that is not other, when given, else into
+    a new array; either is returned.  out may be b itself, since a block
+    reads its rows of b before it writes them.  When check is given, a block
+    whose solved rows hold a non-finite value raises
+    RuntimeError(f"non-finite {check}").
     """
     k = other.shape[1]
     if gram is None:
         gram = other.T @ other
     inv = np.linalg.inv(np.linalg.cholesky(gram + lam * np.eye(k)))
     blocks = mat if isinstance(mat, tuple) else (mat,)
-    bounds = np.cumsum([0] + [blk.shape[0] for blk in blocks])
+    bounds = _bounds(blocks)
     if out is None:
         out = np.empty((bounds[-1], k))
 
     def solve(j):
         rows = blocks[j] @ other if b is None else b[bounds[j]:bounds[j + 1]]
-        np.matmul(rows @ inv.T, inv, out=out[bounds[j]:bounds[j + 1]])
+        z = np.matmul(rows @ inv.T, inv, out=out[bounds[j]:bounds[j + 1]])
+        if check is not None and not np.all(np.isfinite(z)):
+            raise RuntimeError(f"non-finite {check}")
 
     map_blocks(solve, range(len(blocks)))
     return out
@@ -147,10 +180,16 @@ def als_fit(s, cfg: AlsConfig = AlsConfig()) -> FactorModel:
 
     Each sweep updates all user rows against fixed item factors, then all
     item rows against the fresh user factors, and appends the objective to
-    the loss trace.  The solves write into the initial factors' arrays and
-    each sweep's S' X into one array made before the first sweep, so the
-    sweeps make no new factor arrays, only per-block temporaries.  Runs on
-    one BLAS thread, so for fixed (s, cfg) the result is the same bytes
+    the loss trace.  A sweep runs as four phases, each a set of parallel
+    tasks over fixed row blocks (_row_blocks): S Y beside Y'Y, the user
+    solves, S' X beside X'X, the item solves.  S Y is written into the user
+    factors' own rows, which its solves then overwrite, and S' X into one
+    array made before the first sweep, so the sweeps make no new factor
+    arrays, only per-block temporaries.  A side of fewer than two row blocks
+    runs its products inline.  Each solve block checks its own rows for
+    non-finite values.  A sweep's objective needs the next sweep's Y'Y, so it
+    is appended once that is formed, the last after the final sweep.  Runs
+    on one BLAS thread, so for fixed (s, cfg) the result is the same bytes
     whatever thread count the caller has set.
 
     Args:
@@ -170,25 +209,18 @@ def als_fit(s, cfg: AlsConfig = AlsConfig()) -> FactorModel:
     model = init_factors(m, n, cfg)
     x, y = model.X, model.Y
     s_blocks, st_blocks = _row_blocks(s_csr), _row_blocks(s_csr.T.tocsr())
-    bounds = np.cumsum([0] + [blk.shape[0] for blk in st_blocks])
     stx = np.empty_like(y)
-    gy = y.T @ y
     s_sq = float(s_csr.data @ s_csr.data)
-
-    def s_t_x(j):
-        stx[bounds[j]:bounds[j + 1]] = st_blocks[j] @ x
-
     for sweep in range(cfg.sweeps):
-        _half_sweep(s_blocks, y, cfg.lam, gram=gy, out=x)
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(f"non-finite user factors at sweep {sweep}")
-        map_blocks(s_t_x, range(len(st_blocks)))
-        gx = x.T @ x
-        _half_sweep(st_blocks, x, cfg.lam, stx, gx, out=y)
-        if not np.all(np.isfinite(y)):
-            raise RuntimeError(f"non-finite item factors at sweep {sweep}")
-        gy = y.T @ y
-        model.loss_trace.append(_objective(s_sq, y, stx, gx, gy, cfg.lam))
+        gy = _products(s_blocks, y, x)
+        if sweep:
+            model.loss_trace.append(_objective(s_sq, y, stx, gx, gy, cfg.lam))
+        _half_sweep(s_blocks, y, cfg.lam, b=x, gram=gy, out=x,
+                    check=f"user factors at sweep {sweep}")
+        gx = _products(st_blocks, x, stx)
+        _half_sweep(st_blocks, x, cfg.lam, b=stx, gram=gx, out=y,
+                    check=f"item factors at sweep {sweep}")
+    model.loss_trace.append(_objective(s_sq, y, stx, gx, y.T @ y, cfg.lam))
     return model
 
 

@@ -7,6 +7,13 @@ together, so a million streams cost a few array operations per draw
 instead of a million Generator objects.  Every draw equals the matching
 Generator's ``random()`` bit for bit.
 
+A draw makes no new arrays: the 128-bit LCG step, emulated in 32-bit
+limbs, the XSL-RR output and the conversion to doubles run as ufuncs
+with ``out=`` and in-place operators on the state and four scratch
+arrays made with the streams, and write into a caller's output array.
+Their constants are numpy scalars, since a Python int operand is
+converted again on every call.
+
 SeedSequence mixes 32-bit words with multiplier constants that do not
 depend on the data, so every constant is a Python int and only the mixed
 words are arrays.  Both a and b must be below 2**32: each is then one
@@ -24,8 +31,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 # PCG64's 128-bit LCG multiplier, as (high, low) words and low's 32-bit limbs
-_MUL_HI, _MUL_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_MUL_LO0, _MUL_LO1 = _MUL_LO & _M32, _MUL_LO >> 32
+_U64 = np.uint64
+_MUL_HI, _MUL_LO = _U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645)
+_MUL_LO0, _MUL_LO1 = _U64(int(_MUL_LO) & _M32), _U64(int(_MUL_LO) >> 32)
+_LOW32, _11, _32, _58, _64 = _U64(_M32), _U64(11), _U64(32), _U64(58), _U64(64)
+_TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 
 
 def _words(n):
@@ -81,16 +91,6 @@ def _pool(entropy):
     return pool
 
 
-def _mulhi(a, b0, b1):
-    "High 64 bits of the uint64 array a times the constant b1 * 2**32 + b0."
-    a0, a1 = a & _M32, a >> 32
-    lo_lo = a0 * b0
-    hi_lo = a1 * b0
-    lo_hi = a0 * b1
-    mid = (lo_lo >> 32) + (hi_lo & _M32) + (lo_hi & _M32)
-    return a1 * b1 + (hi_lo >> 32) + (lo_hi >> 32) + (mid >> 32)
-
-
 class Pcg64Streams:
     """One PCG64 stream per element of (a, b), as default_rng((seed, a, b)) makes it.
 
@@ -119,26 +119,58 @@ class Pcg64Streams:
         self._inc_lo = (initseq_lo << 1) | 1
         self._lo = self._inc_lo + initstate_lo
         self._hi = self._inc_hi + initstate_hi + (self._lo < initstate_lo)
+        self._scratch = tuple(np.empty(len(self._lo), dtype=np.uint64) for _ in range(4))
+        self._carry = np.empty(len(self._lo), dtype=bool)
         self._step()
 
     def _step(self):
-        "state = state * MUL + inc (mod 2**128), for every stream."
+        "state = state * MUL + inc (mod 2**128), for every stream, in place."
         hi, lo = self._hi, self._lo
+        a0, a1, mid, t = self._scratch
         hi *= _MUL_LO
-        hi += lo * _MUL_HI
-        hi += _mulhi(lo, _MUL_LO0, _MUL_LO1)
+        np.multiply(lo, _MUL_HI, out=t)
+        hi += t
+        # plus the high word of lo * MUL_LO, by 32-bit limbs (lo = a1 * 2**32 + a0),
+        # as in Hacker's Delight's mulhu: no sum below can pass 2**64
+        np.bitwise_and(lo, _LOW32, out=a0)
+        np.right_shift(lo, _32, out=a1)
+        np.multiply(a0, _MUL_LO0, out=t)
+        t >>= _32
+        np.multiply(a1, _MUL_LO0, out=mid)
+        t += mid  # a1 * MUL_LO0 plus the carry word of a0 * MUL_LO0
+        np.bitwise_and(t, _LOW32, out=mid)
+        t >>= _32
+        a0 *= _MUL_LO1
+        mid += a0
+        mid >>= _32
+        a1 *= _MUL_LO1
+        hi += a1
+        hi += t
+        hi += mid
         lo *= _MUL_LO
         lo += self._inc_lo
         hi += self._inc_hi
-        hi += lo < self._inc_lo
+        np.less(lo, self._inc_lo, out=self._carry)
+        hi += self._carry
 
-    def next_uint64(self):
-        "Advance every stream once; the 64-bit outputs (XSL-RR of the new state)."
+    def next_uint64(self, out=None):
+        """Advance every stream once; the 64-bit outputs (XSL-RR of the new state),
+        written into out, a uint64 array of one element a stream, when given, else
+        into a new array; either is returned."""
         self._step()
-        x = self._hi ^ self._lo
-        rot = self._hi >> 58
-        return (x >> rot) | (x << ((64 - rot) & 63))
+        x, rot, t, _ = self._scratch
+        np.bitwise_xor(self._hi, self._lo, out=x)
+        np.right_shift(self._hi, _58, out=rot)
+        np.right_shift(x, rot, out=t)
+        np.subtract(_64, rot, out=rot)  # numpy shifts by 64 or more to 0, so rot = 0 works
+        out = np.left_shift(x, rot, out=out)
+        out |= t
+        return out
 
-    def random(self):
-        "Advance every stream once; the doubles in [0, 1) Generator.random() draws."
-        return (self.next_uint64() >> 11) * (1.0 / 9007199254740992.0)
+    def random(self, out=None):
+        """Advance every stream once; the doubles in [0, 1) Generator.random() draws,
+        written into out, a float64 array of one element a stream, when given, else
+        into a new array; either is returned."""
+        bits = self.next_uint64(self._scratch[3])
+        bits >>= _11
+        return np.multiply(bits, _TO_UNIT, out=out)

@@ -1,4 +1,12 @@
-"""Truncated uniform random walks over the bipartite graph."""
+"""Truncated uniform random walks over the bipartite graph, and their text form.
+
+generate_walks keeps both CPUs busy: the corpus is cut into one block per
+lane (_LANE_WALKS walks begun each, at most one per CPU, no block over
+_WALK_BLOCK walks), and each block advances all its walks' PCG64 streams
+together in buffers made once, so its steps make no new arrays.  Every
+walk draws from its own stream, so the corpus is the same bytes however
+it is blocked and on however many CPUs.
+"""
 
 from dataclasses import dataclass
 from pathlib import Path
@@ -7,14 +15,15 @@ import numpy as np
 
 from .graph import BipartiteGraph
 from .knobs import Knobs, knob
-from .parallel import map_blocks, spans, threads
+from .parallel import map_blocks, threads
 from .pcg64 import Pcg64Streams
 from .tables import format_header, parse_header
 
 __all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
 
 _TEXT_ROWS = 1024  # walks rendered or parsed per block; 8,192 faulted in fresh pages every block
-_WALK_BLOCK = 16384  # walks whose streams advance together; far fewer lose to the GIL
+_LANE_WALKS = 16384  # walks begun per CPU used: far fewer lose to the GIL
+_WALK_BLOCK = 65536  # most walks in a block: uncapped blocks were slower at 10x
 _SP, _NL, _U, _I = b" \nui"
 
 
@@ -116,33 +125,42 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
     Every walk consumes its own random stream, the one
     ``np.random.default_rng((seed, start code, walk index))`` draws, so its
     vertices do not depend on the other walks, nor on how they are blocked.
-    Rows are in (start code, walk index) order.  The rows are cut into
-    near-equal blocks of about _WALK_BLOCK walks, as many for each CPU
-    used, run in parallel.  A block computes its walks' streams as arrays (Pcg64Streams)
-    and advances them together, one array step per position, writing step t
-    straight into column t of its own rows of the int32 corpus.  Start codes
-    and walk indices must be below 2**32.
+    Rows are in (start code, walk index) order.  Start codes and walk indices
+    must be below 2**32.
+
+    The rows are cut into one block per lane, run in parallel: a lane for each
+    _LANE_WALKS walks begun, at most one per CPU, and no block longer than
+    _WALK_BLOCK walks.  A block computes its walks' streams as arrays
+    (Pcg64Streams) and advances them together, one array step per position.
+    Its draws, degrees, offsets and current vertices live in buffers made once,
+    updated in place, so a step makes no new arrays, and step t is copied
+    straight into column t of the block's own rows of the int32 corpus.
     """
     deg = np.diff(g.indptr)
     starts = np.flatnonzero(deg)
     walks = np.empty((len(starts) * cfg.beta, cfg.gamma), dtype=np.int32)
-    # one CPU per _WALK_BLOCK walks begun, each with as many blocks: an odd block out
-    # would run alone at the end
-    lanes = min(threads(), -(-len(walks) // _WALK_BLOCK) or 1)
-    blocks = spans(len(walks), lanes * max(1, round(len(walks) / lanes / _WALK_BLOCK)))
+    lanes = min(threads(), -(-len(walks) // _LANE_WALKS) or 1)
+    size = min(_WALK_BLOCK, -(-len(walks) // lanes)) or 1
 
-    def walk_block(bounds):
-        lo, hi = bounds
-        j = np.arange(lo, hi)
+    def walk_block(lo):
+        rows = walks[lo:lo + size]
+        j = np.arange(lo, lo + len(rows))
         cur = starts[j // cfg.beta]
         streams = Pcg64Streams(cfg.seed, cur, j % cfg.beta)
-        walks[lo:hi, 0] = cur
+        del j
+        r, d, at = np.empty(len(cur)), np.empty_like(cur), np.empty_like(cur)
+        rows[:, 0] = cur
         for t in range(1, cfg.gamma):
-            # float product then truncation, exactly as int(r * len(row)) per walk
-            cur = g.indices[g.indptr[cur] + (streams.random() * deg[cur]).astype(np.int64)]
-            walks[lo:hi, t] = cur
+            streams.random(out=r)
+            # float product then truncation, exactly as int(r * len(row)) per walk;
+            # every index is in range, and take's default mode="raise" would buffer out
+            r *= np.take(deg, cur, out=d, mode="clip")
+            np.copyto(d, r, casting="unsafe")
+            np.take(g.indptr, cur, out=at, mode="clip")
+            at += d
+            rows[:, t] = np.take(g.indices, at, out=cur, mode="clip")
 
-    map_blocks(walk_block, blocks)
+    map_blocks(walk_block, range(0, len(walks), size))
     return WalkCorpus(walks, g.n_users, g.n_items)
 
 

@@ -427,3 +427,29 @@ class TestFactorBuffers:
             tracemalloc.stop()
         s_bytes = s.data.nbytes + s.indices.nbytes + s.indptr.nbytes
         assert peak < model.X.nbytes + model.Y.nbytes + 3 * s_bytes + 2 * max(m, n) * k * 8
+
+
+class TestUnevenBlocks:
+    """Row blocks that do not divide the rows evenly, at cell-scaled's 7 a side."""
+
+    def test_seven_blocks_a_side_match_the_oracle_on_one_to_three_cpus(self, cpus, monkeypatch):
+        monkeypatch.setattr(factorization, "_BLOCK_ROWS", 16)  # 120 // 16 = 115 // 16 = 7
+        s = random_sparse(np.random.default_rng(62), 120, 115, 1_500)
+        assert len(_row_blocks(s)) == len(_row_blocks(s.T.tocsr())) == 7
+        cfg = AlsConfig(factors=6, lam=0.3, sweeps=4, seed=2)
+        want = fresh_array_fit(s, cfg)
+        for n in (1, 2, 3):
+            cpus(n)
+            got = als_fit(s, cfg)
+            assert got.X.tobytes() == want.X.tobytes() and got.Y.tobytes() == want.Y.tobytes()
+            assert got.loss_trace == want.loss_trace
+
+    def test_non_finite_factors_raise_from_a_solve_block(self, cpus, monkeypatch):
+        monkeypatch.setattr(factorization, "_BLOCK_ROWS", 16)
+        cpus(2)
+        s = random_sparse(np.random.default_rng(63), 120, 115, 1_500).tolil()
+        s[70, :] = 1e307  # a row in the fifth of seven user blocks overflows its solve
+        cfg = AlsConfig(factors=4, lam=1e-10, sweeps=2, init_scale=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):  # else numpy raises first
+            with pytest.raises(RuntimeError, match="non-finite user factors at sweep 0"):
+                als_fit(s.tocsr(), cfg)

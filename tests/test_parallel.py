@@ -8,10 +8,12 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from walkrec import blas, evaluation, factorization, pairs, parallel, recommend, walks
 from walkrec.confidence import sppmi_matrix
@@ -63,6 +65,56 @@ def test_stage_bytes_do_not_depend_on_thread_count(bundled, cpus, monkeypatch):
     again = run_stages(ds, g)
     for j in range(4):
         assert again[j].tobytes() == outputs[0][j].tobytes()
+
+
+def test_walk_bytes_do_not_depend_on_uneven_blocks(bundled, cpus, monkeypatch):
+    _, g = bundled
+    cfg = WalkConfig(3, 20, 5)
+    want = generate_walks(g, cfg).walks  # one block
+    monkeypatch.setattr(walks, "_LANE_WALKS", 1)  # a lane per CPU
+    cap = -(-len(want) // 10) + 1
+    monkeypatch.setattr(walks, "_WALK_BLOCK", cap)
+    assert len(want) // cap == 9 and len(want) % cap  # at 3 CPUs, three a lane and a short one
+    for n in (1, 2, 3):
+        cpus(n)
+        assert generate_walks(g, cfg).walks.tobytes() == want.tobytes()
+
+
+class CountingPool:
+    "Stands in for parallel's thread pool: runs each task at once and counts it."
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def test_one_block_work_stays_on_the_calling_thread(bundled, cpus, monkeypatch):
+    """A matrix under 2 * _BLOCK_ROWS rows a side and a corpus under _LANE_WALKS
+    walks are one block each, run with no task sent to the pool."""
+    _, g = bundled
+    cpus(2)
+    pool = CountingPool()
+    monkeypatch.setattr(parallel, "_pool", pool)
+    rng = np.random.default_rng(5)
+    small = sp.random(1_023, 1_000, density=0.002, format="csr", random_state=rng)
+    als_fit(small, AlsConfig(factors=4, sweeps=2))
+    starts = np.count_nonzero(np.diff(g.indptr))
+    beta = (walks._LANE_WALKS - 1) // starts
+    generate_walks(g, WalkConfig(beta, 3, 0))
+    assert pool.submitted == 0
+    als_fit(sp.vstack([small, small[:1]], format="csr"), AlsConfig(factors=4, sweeps=2))
+    assert pool.submitted > 0  # 1,024 users are two row blocks
+    pool.submitted = 0
+    generate_walks(g, WalkConfig(beta + 1, 3, 0))
+    assert pool.submitted > 0  # two lanes once _LANE_WALKS walks are begun
 
 
 @pytest.mark.skipif(not blas.libraries(), reason="no OpenBLAS loaded")

@@ -40,6 +40,24 @@ def test_raw_outputs_match_bit_generator():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, 70_000])
+def test_draws_into_one_reused_buffer_match_default_rng(n):
+    """100 draws of n streams, each written into the same output array, equal
+    default_rng((seed, a, b)).random() bit for bit; 70,000 streams are more than
+    one walk block holds."""
+    rng = np.random.default_rng(n)
+    a, b = rng.integers(0, MAX_WORD + 1, n), rng.integers(0, MAX_WORD + 1, n)
+    streams = Pcg64Streams(11, a, b)
+    out = np.full(n, np.nan)
+    got = np.empty((n, 100))
+    for t in range(100):
+        assert streams.random(out=out) is out
+        got[:, t] = out
+    for lo in range(0, n, 5_000):
+        want = expected(11, a[lo:lo + 5_000], b[lo:lo + 5_000], 100)
+        assert got[lo:lo + 5_000].tobytes() == want.tobytes()
+
+
 def test_no_streams():
     streams = Pcg64Streams(3, np.empty(0, np.int64), np.empty(0, np.int64))
     assert streams.random().shape == (0,)
