@@ -23,7 +23,7 @@ from .pairs import sample_pairs
 from .parallel import map_blocks
 from .recommend import Rankings, item_pop_scores, recommend_topk
 from .tables import write_table
-from .walks import WalkConfig, generate_walks
+from .walks import WalkConfig, draw_walks, generate_walks
 
 __all__ = ["MetricsReport", "PipelineSettings", "ExperimentGrid", "evaluate",
            "run_cell", "run_experiment", "write_report_tsv", "write_report_json"]
@@ -117,6 +117,9 @@ def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
 
     memo is shared by the cells of one (keep_fraction, seed, beta, gamma)
     group: it holds their training set, walk corpus and pair counts per sigma.
+    The corpus is left undrawn, so its pairs are counted as its walks are
+    drawn and no rows are kept, unless memo["draw"] is true (a group that
+    counts several windows): its rows are then drawn once and kept.
     """
     m, n = dataset.n_users, dataset.n_items
     if "train" not in memo:
@@ -131,7 +134,8 @@ def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
                                     shape=(m, n))
     if "corpus" not in memo:
         g = build_graph(train, m, n)
-        memo["corpus"] = generate_walks(g, _stage_config(WalkConfig, st))
+        with draw_walks(memo.get("draw", False)):
+            memo["corpus"] = generate_walks(g, _stage_config(WalkConfig, st))
     if ("pairs", st.sigma) not in memo:
         memo["pairs", st.sigma] = sample_pairs(memo["corpus"], st.sigma)
     stats = memo["pairs", st.sigma]
@@ -144,7 +148,9 @@ def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGri
     Every cell's inputs are built first on the calling thread, one
     (keep_fraction, seed, beta, gamma) group at a time, its cells in grid
     order sharing one memo: one walk corpus, so a window-size sweep
-    isolates the window effect, and one pair count per sigma.  Each memo
+    isolates the window effect, and one pair count per sigma.  A group of
+    one sigma counts its pairs as its walks are drawn; a group of several
+    draws its corpus once and counts each sigma from it.  Each memo
     is freed before the next group's walks, so one corpus is alive at a
     time.  The cells are then fitted, ranked and evaluated in parallel
     (map_blocks) on one BLAS thread, pinned once here.  A cell's nested
@@ -157,7 +163,9 @@ def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGri
     inputs = [None] * len(cells)
     key = lambda j: (cells[j].keep_fraction, cells[j].seed, cells[j].beta, cells[j].gamma)
     for _, group in groupby(sorted(range(len(cells)), key=key), key):  # grid order in a group
-        memo = {}
+        group = list(group)
+        windows = {cells[j].sigma for j in group if cells[j].measure in ("co", "pmi")}
+        memo = {"draw": len(windows) > 1}
         for j in group:
             inputs[j] = _cell_inputs(dataset, cells[j], memo)
         del memo  # the last reference to the group's corpus and pair counts

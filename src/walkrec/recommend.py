@@ -14,7 +14,8 @@ from .tables import check_rows, read_table, write_table
 __all__ = ["RankedList", "Rankings", "item_pop_scores", "recommend_topk", "save_recommendations",
            "load_recommendations"]
 
-_RANK_ROWS = 512  # users scored and ranked per block: smaller blocks move scores' last bits
+_RANK_ROWS = 512  # most users scored and ranked per block: smaller blocks move scores' last bits
+_RANK_BYTES = 4 << 20  # most bytes of scores per block, past 1,024 items
 
 
 @dataclass
@@ -140,10 +141,12 @@ def _rank_rows(first_user, scores, k_items, mask):
 def recommend_topk(model: FactorModel, k_items, mask=None):
     """Ranked lists for every user from a factor model.
 
-    Each block of _RANK_ROWS users is scored with one product and ranked in one
-    pass, blocks in parallel.  The whole call runs on one BLAS thread,
-    pinned once here (the count is process-wide), so the scores do not
-    depend on the caller's thread count.
+    Each block of users is scored with one product and ranked in one pass,
+    blocks in parallel.  A block is _RANK_ROWS users or, when their scores
+    would pass _RANK_BYTES (past 1,024 items), the most users whose scores
+    fit, rounded down to a multiple of 64 and at least 64.  The whole call
+    runs on one BLAS thread, pinned once here (the count is process-wide),
+    so the scores do not depend on the caller's thread count.
 
     Args:
         model: fitted factors.
@@ -160,13 +163,15 @@ def recommend_topk(model: FactorModel, k_items, mask=None):
     for u, i in mask[(mask[:, 0] < 0) | (mask[:, 0] >= len(X))][:1]:
         raise ValueError(f"mask pair ({u}, {i}): user {u} not in [0, {len(X)})")
 
+    rows = min(_RANK_ROWS, max(64, _RANK_BYTES // (8 * max(len(Y), 1)) // 64 * 64))
+
     def rank_block(lo):
-        hi = min(lo + _RANK_ROWS, len(X))
+        hi = min(lo + rows, len(X))
         return _rank_rows(lo, np.matmul(X[lo:hi], Y.T, out=np.empty((hi - lo, len(Y)))),
                           k_items, mask)
 
     with one_thread():
-        blocks = map_blocks(rank_block, range(0, max(len(X), 1), _RANK_ROWS))  # one if no users
+        blocks = map_blocks(rank_block, range(0, max(len(X), 1), rows))  # one if no users
     lengths, items, scores = map(np.concatenate, zip(*blocks))
     return Rankings(_offsets(lengths), items, scores)
 

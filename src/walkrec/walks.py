@@ -3,11 +3,16 @@
 generate_walks keeps both CPUs busy: the corpus is cut into one block per
 lane (_LANE_WALKS walks begun each, at most one per CPU, no block over
 _WALK_BLOCK walks), and each block advances all its walks' PCG64 streams
-together in buffers made once, so its steps make no new arrays.  Every
-walk draws from its own stream, so the corpus is the same bytes however
-it is blocked and on however many CPUs.
+together in buffers made once, so its steps make no new arrays, drawing
+them into time-major windows of _WINDOW positions.  Every walk draws from
+its own stream, so the corpus is the same bytes however it is blocked and
+on however many CPUs.  A corpus left undrawn (draw_walks(False)) keeps
+no rows until they are read: sample_pairs counts its windows as they are
+drawn.
 """
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,12 +24,15 @@ from .parallel import map_blocks, threads
 from .pcg64 import Pcg64Streams
 from .tables import format_header, parse_header
 
-__all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
+__all__ = ["WalkConfig", "WalkCorpus", "draw_walks", "generate_walks", "save_walks",
+           "load_walks"]
 
 _TEXT_ROWS = 1024  # walks rendered or parsed per block; 8,192 faulted in fresh pages every block
 _LANE_WALKS = 16384  # walks begun per CPU used: far fewer lose to the GIL
 _WALK_BLOCK = 65536  # most walks in a block: uncapped blocks were slower at 10x
+_WINDOW = 8  # positions drawn per time-major window, copied into the rows at once
 _SP, _NL, _U, _I = b" \nui"
+_DRAW = contextvars.ContextVar("walkrec_draw_walks", default=True)  # set by draw_walks
 
 
 @dataclass(frozen=True)
@@ -44,32 +52,39 @@ class WalkRowError(ValueError):
         self.row, self.problem = int(row), problem
 
 
-@dataclass
 class WalkCorpus:
     """Vertex sequences encoded globally: code < n_users is a user, else an item.
 
     ``walks`` is a (W, gamma) int32 array, one walk per row, kept as given if int32,
     else cast once every value fits (WalkRowError names a row that does not).  A list
     of equal-length walks is stacked into one, an empty list into (0, 0).
+
+    A corpus that generate_walks makes inside ``draw_walks(False)`` is undrawn: its
+    rows are drawn the first time ``walks`` is read, and until then ``walker`` is
+    the _Walker that draws them, so a reader such as sample_pairs can take them
+    window by window and keep none.  ``walker`` is None once the rows exist.
     """
 
-    walks: np.ndarray
-    n_users: int
-    n_items: int
-
-    def __post_init__(self):
-        if (v := self.n_users + self.n_items) > 2**31 - 1:
-            raise ValueError(f"{self.n_users} users + {self.n_items} items exceed int32 codes")
-        if isinstance(self.walks, list):
-            lengths = [len(w) for w in self.walks] or [0]
+    def __init__(self, walks, n_users, n_items):
+        self.n_users, self.n_items, self.walker = n_users, n_items, None
+        if (v := n_users + n_items) > 2**31 - 1:
+            raise ValueError(f"{n_users} users + {n_items} items exceed int32 codes")
+        if isinstance(walks, list):
+            lengths = [len(w) for w in walks] or [0]
             for r in np.flatnonzero(np.array(lengths) != lengths[0])[:1]:  # the first, if any
                 raise ValueError(f"walk {r} has {lengths[r]} vertices, walk 0 has {lengths[0]}")
-            self.walks = np.array(self.walks, dtype=np.int64).reshape(len(self.walks), lengths[0])
-        w = np.asarray(self.walks)
+            walks = np.array(walks, dtype=np.int64).reshape(len(walks), lengths[0])
+        w = self._walks = np.asarray(walks)
         if w.dtype != np.int32:
-            self.walks = w.astype(np.int32)  # wraps a value beyond int32, caught here
-            for f in np.flatnonzero(self.walks != w)[:1]:
+            self._walks = w.astype(np.int32)  # wraps a value beyond int32, caught here
+            for f in np.flatnonzero(self._walks != w)[:1]:
                 raise WalkRowError(f // w.shape[1], f"code {w.flat[f]} outside [0, {v})")
+
+    @property
+    def walks(self):
+        if self.walker is not None:
+            self._walks, self.walker = self.walker.draw(), None
+        return self._walks
 
     def validate(self, g: BipartiteGraph | None = None):
         """Check codes in [0, n_users + n_items), user/item alternation along every walk
@@ -79,43 +94,139 @@ class WalkCorpus:
         Each check runs over the walks in row blocks of _TEXT_ROWS, so no temporary
         grows with the corpus, and all of one check runs before the next: the error
         raised is the first fault of the first check that fails."""
-        w, m, v = self.walks, self.n_users, self.n_users + self.n_items
-        # a negative code viewed as uint32 is >= 2**31
-        for r, p in _first_fault(w, lambda b: b.view(np.uint32) >= v):
-            raise WalkRowError(r, f"code {w[r, p]} outside [0, {v})")
-        if w.size == 0 < len(w):
-            raise WalkRowError(0, "walk has no vertices")
-
-        def same_kind(b):
-            kind = b < m
-            return kind[:, 1:] == kind[:, :-1]
-
-        for r, p in _first_fault(w, same_kind):
-            raise WalkRowError(r, f"breaks user/item alternation: positions {p} and {p + 1} "
-                                  "do not alternate")
-        if g is not None:
-            base = max(v, len(g.indptr) - 1)
-            edges = np.repeat(np.arange(len(g.indptr) - 1), np.diff(g.indptr)) * base + g.indices
-            # sorted, then a sentinel above every step (a, b < base), so a lookup stays in range
-            edges = np.append(np.sort(edges), base * base)
-
-            def not_edge(b):
-                steps = b[:, :-1].astype(np.int64) * base + b[:, 1:]  # int32 would overflow
-                return edges[np.searchsorted(edges, steps)] != steps
-
-            for r, p in _first_fault(w, not_edge):
-                raise WalkRowError(r, f"walk step ({w[r, p]}, {w[r, p + 1]}) is not an edge")
+        _check(self.walks, self.n_users, self.n_items, g)
 
 
-def _first_fault(walks, fault):
+def _check(w, m, n, g=None, row=0, position=0, rows=None):
+    """WalkCorpus.validate over the (walks, positions) array w, whose row 0 is walk
+    row and whose column 0 is position position, in blocks of rows (else _TEXT_ROWS)
+    walks."""
+    v, rows = m + n, rows or _TEXT_ROWS
+    # a negative code viewed as uint32 is >= 2**31
+    for r, p in _first_fault(w, lambda b: b.view(np.uint32) >= v, rows):
+        raise WalkRowError(row + r, f"code {w[r, p]} outside [0, {v})")
+    if w.size == 0 < len(w):
+        raise WalkRowError(row, "walk has no vertices")
+
+    def same_kind(b):
+        kind = b < m
+        return kind[:, 1:] == kind[:, :-1]
+
+    for r, p in _first_fault(w, same_kind, rows):
+        p += position
+        raise WalkRowError(row + r, f"breaks user/item alternation: positions {p} and {p + 1} "
+                                    "do not alternate")
+    if g is not None:
+        base = max(v, len(g.indptr) - 1)
+        edges = np.repeat(np.arange(len(g.indptr) - 1), np.diff(g.indptr)) * base + g.indices
+        # sorted, then a sentinel above every step (a, b < base), so a lookup stays in range
+        edges = np.append(np.sort(edges), base * base)
+
+        def not_edge(b):
+            steps = b[:, :-1].astype(np.int64) * base + b[:, 1:]  # int32 would overflow
+            return edges[np.searchsorted(edges, steps)] != steps
+
+        for r, p in _first_fault(w, not_edge, rows):
+            raise WalkRowError(row + r, f"walk step ({w[r, p]}, {w[r, p + 1]}) is not an edge")
+
+
+def _first_fault(walks, fault, rows):
     """[(row, column)] of the first True of fault(block) over walks' row blocks of
-    _TEXT_ROWS, in order; [] when there is none."""
-    for lo in range(0, len(walks), _TEXT_ROWS):
-        hit = fault(walks[lo:lo + _TEXT_ROWS])
+    rows walks, in order; [] when there is none."""
+    for lo in range(0, len(walks), rows):
+        hit = fault(walks[lo:lo + rows])
         if hit.any():
             r, p = divmod(int(hit.argmax()), hit.shape[1])  # the first True
             return [(lo + r, p)]
     return []
+
+
+class _Walker:
+    """The walks generate_walks(g, cfg) draws, drawn whole or window by window.
+
+    Rows are in (start code, walk index) order, cut into ``blocks``, (lo, hi)
+    row bounds run in parallel: a lane for each _LANE_WALKS walks begun, at
+    most one per CPU, and no block longer than _WALK_BLOCK walks.
+    """
+
+    def __init__(self, g: BipartiteGraph, cfg: WalkConfig):
+        self.g, self.cfg = g, cfg
+        self.starts = np.flatnonzero(np.diff(g.indptr))
+        self.count = len(self.starts) * cfg.beta
+        self.lanes = min(threads(), -(-self.count // _LANE_WALKS) or 1)
+        size = min(_WALK_BLOCK, -(-self.count // self.lanes)) or 1
+        self.blocks = [(lo, min(lo + size, self.count)) for lo in range(0, self.count, size)]
+
+    def windows(self, lo, hi, keep, checked=False):
+        """Draw walks lo..hi, yielding time-major windows (window, first, new):
+        window[t] holds position first + t of every walk, the first new rows
+        repeat the previous window's last new rows (at most keep, none in the
+        first window) and the other rows, at most _WINDOW, are drawn.  The
+        window is one buffer, rewritten once the next is asked for.  When
+        checked, each window's rows are checked as WalkCorpus.validate checks
+        a corpus, naming the corpus row and position of a fault.
+
+        The walks advance together, one array step per position, from their
+        streams (Pcg64Streams): each walk's own, the one
+        ``np.random.default_rng((seed, start code, walk index))`` draws.
+        Draws, degrees, offsets and current vertices live in buffers made
+        once, updated in place, so a step makes no new arrays.
+        """
+        g, cfg, deg = self.g, self.cfg, np.diff(self.g.indptr)
+        j = np.arange(lo, hi)
+        cur = self.starts[j // cfg.beta]
+        streams = Pcg64Streams(cfg.seed, cur, j % cfg.beta)
+        del j
+        r, d, at = np.empty(len(cur)), np.empty_like(cur), np.empty_like(cur)
+        buf = np.empty((keep + _WINDOW, len(cur)), dtype=np.int32)
+        buf[0] = cur
+        first, filled, new = 0, 1, 0  # buf[:filled] holds positions first, first + 1, ...
+        for t in range(1, cfg.gamma + 1):
+            if filled == len(buf) or t == cfg.gamma:
+                window = buf[:filled]
+                if checked:
+                    skip = max(new - 1, 0)  # one repeated row, for the alternation across
+                    _check(window[skip:].T, g.n_users, g.n_items, row=lo,
+                           position=first + skip, rows=hi - lo)
+                yield window, first, new
+                if t == cfg.gamma:
+                    return
+                new = keep
+                buf[:keep] = buf[filled - keep:filled]
+                first, filled = first + filled - keep, keep
+            streams.random(out=r)
+            # float product then truncation, exactly as int(r * len(row)) per walk;
+            # every index is in range, and take's default mode="raise" would buffer out
+            r *= np.take(deg, cur, out=d, mode="clip")
+            np.copyto(d, r, casting="unsafe")
+            np.take(g.indptr, cur, out=at, mode="clip")
+            at += d
+            buf[filled] = np.take(g.indices, at, out=cur, mode="clip")
+            filled += 1
+
+    def draw(self):
+        "Every walk, as the (count, gamma) int32 corpus; blocks run in parallel."
+        walks = np.empty((self.count, self.cfg.gamma), dtype=np.int32)
+
+        def draw_block(bounds):
+            lo, hi = bounds
+            # a window's columns go to each row at once, not one strided column a step
+            for window, first, _ in self.windows(lo, hi, 0):
+                walks[lo:hi, first:first + len(window)] = window.T
+
+        map_blocks(draw_block, self.blocks)
+        return walks
+
+
+@contextlib.contextmanager
+def draw_walks(draw):
+    """generate_walks calls inside the block draw their corpora's rows if draw is
+    true, as outside every such block, else leave them undrawn."""
+    token = _DRAW.set(bool(draw))
+    try:
+        yield
+    finally:
+        _DRAW.reset(token)
 
 
 def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
@@ -128,40 +239,17 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
     Rows are in (start code, walk index) order.  Start codes and walk indices
     must be below 2**32.
 
-    The rows are cut into one block per lane, run in parallel: a lane for each
-    _LANE_WALKS walks begun, at most one per CPU, and no block longer than
-    _WALK_BLOCK walks.  A block computes its walks' streams as arrays
-    (Pcg64Streams) and advances them together, one array step per position.
-    Its draws, degrees, offsets and current vertices live in buffers made once,
-    updated in place, so a step makes no new arrays, and step t is copied
-    straight into column t of the block's own rows of the int32 corpus.
+    The rows are drawn in blocks run in parallel (_Walker), each block in
+    time-major windows of _WINDOW positions that are copied into its rows of
+    the int32 corpus.  Inside ``draw_walks(False)`` the corpus is returned
+    undrawn: its rows are drawn on the first read of ``walks``, and
+    sample_pairs counts an undrawn corpus window by window, keeping no rows.
     """
-    deg = np.diff(g.indptr)
-    starts = np.flatnonzero(deg)
-    walks = np.empty((len(starts) * cfg.beta, cfg.gamma), dtype=np.int32)
-    lanes = min(threads(), -(-len(walks) // _LANE_WALKS) or 1)
-    size = min(_WALK_BLOCK, -(-len(walks) // lanes)) or 1
-
-    def walk_block(lo):
-        rows = walks[lo:lo + size]
-        j = np.arange(lo, lo + len(rows))
-        cur = starts[j // cfg.beta]
-        streams = Pcg64Streams(cfg.seed, cur, j % cfg.beta)
-        del j
-        r, d, at = np.empty(len(cur)), np.empty_like(cur), np.empty_like(cur)
-        rows[:, 0] = cur
-        for t in range(1, cfg.gamma):
-            streams.random(out=r)
-            # float product then truncation, exactly as int(r * len(row)) per walk;
-            # every index is in range, and take's default mode="raise" would buffer out
-            r *= np.take(deg, cur, out=d, mode="clip")
-            np.copyto(d, r, casting="unsafe")
-            np.take(g.indptr, cur, out=at, mode="clip")
-            at += d
-            rows[:, t] = np.take(g.indices, at, out=cur, mode="clip")
-
-    map_blocks(walk_block, range(0, len(walks), size))
-    return WalkCorpus(walks, g.n_users, g.n_items)
+    corpus = WalkCorpus(np.empty((0, 0), dtype=np.int32), g.n_users, g.n_items)  # checks m + n
+    corpus.walker = _Walker(g, cfg)
+    if _DRAW.get():
+        _ = corpus.walks  # drawn on this first read
+    return corpus
 
 
 def save_walks(corpus: WalkCorpus, path):

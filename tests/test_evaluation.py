@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import walkrec.evaluation
+import walkrec.walks
 from walkrec.config import base_settings, parse_config
 from walkrec.datasets import sparsify, split
 from walkrec.evaluation import (ExperimentGrid, PipelineSettings, evaluate,
@@ -249,6 +250,34 @@ class TestRunExperiment:
                         assert rows[j].f1 == fresh.f1
                         assert rows[j].config == fresh.config
                         j += 1
+
+    @pytest.mark.parametrize("sigmas, draws", [((3,), 0), ((1, 3), 2)])
+    def test_a_group_draws_its_walks_once_or_not_at_all(self, monkeypatch, sigmas, draws):
+        """A (keep_fraction, seed) group that counts one window counts it as its
+        walks are drawn and keeps no rows; one that counts several draws its
+        corpus once and counts each window from it."""
+        ds = small_dataset()
+        walker = walkrec.walks._Walker
+        calls = {"draw": 0, "windows": 0}
+
+        def counted(name):
+            real = getattr(walker, name)
+
+            def call(self, *args, **kwargs):
+                calls[name] += 1
+                return real(self, *args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(walker, name, counted(name))
+        grid = ExperimentGrid(measures=("pmi", "co"), sigmas=sigmas, keep_fractions=(1.0,),
+                              seeds=(0, 1))
+        rows = run_experiment(ds, FAST, grid)
+        assert calls["draw"] == draws
+        assert calls["windows"] == (draws or len(grid.seeds))  # one block a corpus here
+        for row in rows:
+            st = replace(FAST, **{k: row.config[k] for k in ("measure", "sigma", "seed")})
+            assert row.precision == run_cell(ds, st).precision
 
 
 class TestReportWriters:

@@ -1,14 +1,16 @@
 """Windowed pair extraction vs. brute-force enumeration, merge algebra, stats."""
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import walkrec.pairs as pairs_module
+import walkrec.walks as walks_module
 from walkrec.graph import build_graph
 from walkrec.pairs import PairCorpusStats, load_stats, merge, sample_pairs, save_stats
-from walkrec.walks import WalkConfig, WalkCorpus, generate_walks
+from walkrec.walks import WalkConfig, WalkCorpus, WalkRowError, draw_walks, generate_walks
 
 from conftest import corpus_from_tokens, oracle_pair_multiset
 
@@ -334,3 +336,120 @@ def test_traced_peak_is_bounded_by_the_corpus_size():
     finally:
         tracemalloc.stop()
     assert peak < 12 * corpus.walks.size
+
+
+def undrawn(g, cfg):
+    with draw_walks(False):
+        return generate_walks(g, cfg)
+
+
+def assert_same_matrix(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStreamedCounts:
+    """sample_pairs of an undrawn corpus counts its pairs window by window as its
+    walks are drawn, and gives the same arrays as sample_pairs of the drawn corpus."""
+
+    @pytest.fixture(params=["isolated", "empty"])
+    def graph(self, request):
+        m, n = 12, 15
+        if request.param == "empty":
+            return build_graph(np.zeros((0, 2), dtype=np.int64), m, n)
+        rng = np.random.default_rng(3)
+        # users 10, 11 and items 13, 14 have no edges
+        edges = {(int(rng.integers(10)), int(rng.integers(13))) for _ in range(40)}
+        return build_graph(edges, m, n)
+
+    @pytest.mark.parametrize("window", [1, 3, None])  # None: _WINDOW as it is
+    @pytest.mark.parametrize("blocks", ["one", "many"])
+    def test_counts_match_the_drawn_corpus(self, graph, window, blocks, monkeypatch, cpus):
+        if window is not None:
+            monkeypatch.setattr(walks_module, "_WINDOW", window)
+        if blocks == "many":  # a lane per CPU, more blocks than lanes, pieces of a window
+            monkeypatch.setattr(walks_module, "_LANE_WALKS", 1)
+            monkeypatch.setattr(walks_module, "_WALK_BLOCK", 7)
+            monkeypatch.setattr(pairs_module, "_CHUNK_CODES", 60)
+        w = walks_module._WINDOW
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # blocks fold into the shared sum as often as they can
+        try:
+            for gamma in (1, 2, w + 1, 2 * w + 3):
+                for sigma in (1, 3, 5, gamma | 1, 2 * gamma + 1):  # the last two >= gamma
+                    cfg = WalkConfig(beta=3, gamma=gamma, seed=gamma + sigma)
+                    want = sample_pairs(generate_walks(graph, cfg), sigma).pair_count
+                    for n in (1, 2, 3):
+                        cpus(n)
+                        corpus = undrawn(graph, cfg)
+                        assert_same_matrix(sample_pairs(corpus, sigma).pair_count, want)
+                        assert corpus.walker is not None  # no rows were kept
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_codes_beyond_int32(self):
+        m = n = 50_000  # u * n + i reaches 2.5e9 > 2**31 - 1
+        g = build_graph([(0, n - 1), (m - 1, n - 1), (m - 1, 0), (7, 0), (7, 12_345)], m, n)
+        cfg = WalkConfig(beta=4, gamma=13, seed=1)
+        want = sample_pairs(generate_walks(g, cfg), 5).pair_count
+        assert_same_matrix(sample_pairs(undrawn(g, cfg), 5).pair_count, want)
+        assert want[m - 1, n - 1] > 0
+
+    def test_undrawn_corpus_draws_its_rows_on_first_read(self):
+        g = build_graph(np.random.default_rng(4).integers(0, 6, size=(24, 2)), 6, 7)
+        cfg = WalkConfig(beta=3, gamma=21, seed=9)
+        lazy = undrawn(g, cfg)
+        sample_pairs(lazy, 3)
+        assert lazy.walker is not None
+        assert lazy.walks.tobytes() == generate_walks(g, cfg).walks.tobytes()
+        assert lazy.walker is None
+
+    @pytest.mark.parametrize("window", [1, 3, None])
+    def test_each_window_is_checked(self, monkeypatch, window):
+        """A graph whose adjacency pairs users with users makes walks that break the
+        alternation: the streamed count raises a WalkRowError that names a real fault
+        of the drawn corpus, and counts nothing past it."""
+        if window is not None:
+            monkeypatch.setattr(walks_module, "_WINDOW", window)
+        m, n = 6, 7
+        g = build_graph({(u, i) for u in range(m) for i in range(n) if (u + i) % 3}, m, n)
+        indices = g.indices.copy()
+        indices[indices == m + 5] = 4  # a step to item 5 lands on user 4
+        g = type(g)(g.indptr, indices, m, n)
+        cfg = WalkConfig(beta=2, gamma=19, seed=0)
+        walks = generate_walks(g, cfg).walks
+        with pytest.raises(WalkRowError) as caught:
+            sample_pairs(undrawn(g, cfg), 5)
+        row, problem = caught.value.row, caught.value.problem
+        p = int(problem.split("positions ")[1].split(" and")[0])
+        assert (walks[row, p] < m) == (walks[row, p + 1] < m)
+        assert problem == (f"breaks user/item alternation: positions {p} and {p + 1} "
+                           "do not alternate")
+
+    def test_traced_peak_is_below_drawing_then_counting(self, cpus):
+        """On TestGeneratorMemory's graph (47,856 walks of 80 vertices, a 15.3 MB
+        corpus) counting as the walks are drawn traced 20.5 MB on one CPU and 28.2
+        on two, against 33.3 and 40.4 MB to draw the corpus and count it.  The
+        walker's streams and window take about 141 bytes a walk and each window's
+        pair runs about as many bytes as its codes on this graph (310,000 distinct
+        pairs), so the whole stays above half the corpus's bytes."""
+        rng = np.random.default_rng(0)
+        m = n = 3_000
+        edges = np.stack([np.repeat(np.arange(m), 5), rng.integers(0, n, 5 * m)], axis=1)
+        g = build_graph(edges, m, n)
+        cfg = WalkConfig(beta=8, gamma=80, seed=0)
+        for cpu_count in (1, 2):
+            cpus(cpu_count)
+            tracemalloc.start()
+            try:
+                sample_pairs(generate_walks(g, cfg), 3)
+                drawn = tracemalloc.get_traced_memory()[1]
+                corpus = undrawn(g, cfg)
+                tracemalloc.reset_peak()
+                sample_pairs(corpus, 3)
+                streamed = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert streamed < 0.8 * drawn

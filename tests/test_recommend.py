@@ -261,3 +261,46 @@ def test_mask_user_outside_users_is_rejected(bad):
     model = FactorModel(np.ones((2, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError, match=rf"^mask pair \({bad}, 1\): user {bad} not in \[0, 2\)$"):
         recommend_topk(model, 2, [(0, 0), (bad, 1)])
+
+
+class TestScoreBlockBytes:
+    """A score block holds _RANK_ROWS users, or fewer past 1,024 items: a multiple
+    of 64 users whose scores take at most 4 MiB."""
+
+    def blocks(self, monkeypatch, users, items, mask=None):
+        "The score-block shapes recommend_topk ranks, and its Rankings."
+        shapes, real = [], recommend._rank_rows
+
+        def recorded(first_user, scores, *args):
+            shapes.append((first_user, scores.shape))  # blocks may run in any order
+            return real(first_user, scores, *args)
+
+        monkeypatch.setattr(recommend, "_rank_rows", recorded)
+        rng = np.random.default_rng(items)
+        model = FactorModel(rng.normal(size=(users, 8)), rng.normal(size=(items, 8)))
+        recs = recommend_topk(model, 10, mask)
+        return [shape for _, shape in sorted(shapes)], recs
+
+    def test_cell_scaled_items_make_blocks_of_128_users(self, monkeypatch, cpus):
+        outputs = []
+        for n in (1, 2, 3):
+            cpus(n)
+            shapes, recs = self.blocks(monkeypatch, 300, 3_983, [(5, 0), (299, 3_982)])
+            assert shapes == [(128, 3_983), (128, 3_983), (44, 3_983)]
+            outputs.append(recs)
+        assert all(8 * rows * items <= 4 << 20 for rows, items in shapes)
+        for other in outputs[1:]:
+            for name in ("indptr", "items", "scores"):
+                a, b = getattr(other, name), getattr(outputs[0], name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert 0 not in outputs[0][5].item_indices()
+
+    @pytest.mark.parametrize("items", [1, 495, 1_024])
+    def test_up_to_1024_items_500_users_are_one_block(self, monkeypatch, items):
+        shapes, _ = self.blocks(monkeypatch, 500, items)
+        assert shapes == [(500, items)]
+
+    @pytest.mark.parametrize("items, rows", [(1_025, 448), (8_192, 64), (20_000, 64)])
+    def test_rows_are_a_multiple_of_64_and_at_least_64(self, monkeypatch, items, rows):
+        shapes, _ = self.blocks(monkeypatch, 520, items)
+        assert {r for r, _ in shapes[:-1]} == {rows} and sum(r for r, _ in shapes) == 520

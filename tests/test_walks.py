@@ -500,10 +500,12 @@ class TestBlockedValidate:
 
 class TestGeneratorMemory:
     def test_blocks_write_into_the_corpus(self):
-        """Blocks write their steps straight into the int32 corpus, so the traced
-        peak is the corpus plus each block's streams and indices: measured 4.0 MB
-        over the 15.3 MB corpus on one CPU and 7.6-11.5 MB on two, 80-240 bytes a
-        walk.  A time-major int32 block buffer alone would add 4 * 80 = 320."""
+        """Blocks copy each window of 8 drawn positions into the int32 corpus, so
+        the traced peak is the corpus plus each block's streams, indices and
+        window: measured 9.8 MB over the 15.3 MB corpus on one CPU and 10.5 MB on
+        two, 205-219 bytes a walk, set while a block's streams are made.  The
+        window takes 4 * 8 = 32 bytes a walk; a time-major int32 buffer of whole
+        walks would take 4 * 80 = 320."""
         rng = np.random.default_rng(0)
         m = n = 3_000
         edges = np.stack([np.repeat(np.arange(m), 5), rng.integers(0, n, 5 * m)], axis=1)
