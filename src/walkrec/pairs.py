@@ -17,10 +17,13 @@ threads of walkrec.parallel, which share one malloc arena, so what one
 chunk frees the next reuses.  The chunks' matrices are added in chunk
 order to a small recent sum, folded into the running sum once it outgrows
 both a chunk's codes and an eighth of the running sum: a chunk then
-copies the small sum, not the whole count table.  Memory is bounded by
-the running sum, the recent sum and one chunk's codes per CPU, or by a
-second running sum while a fold runs.  Counts are integers, so the sums
-do not depend on how the chunks are cut or grouped.
+copies the small sum, not the whole count table.  A recent sum and the
+chunks added to it count in int32 when what it gathers cannot reach 2**31
+pairs, else in int64; the running sum is int64.  scipy's sparse sum
+allocates both operands' entries, so each sum is cut to its own in place.
+Memory is bounded by the running sum, the recent sum and one chunk's
+codes per CPU, or by a second running sum while a fold runs.  Counts are
+integers, so the sums do not depend on how the chunks are cut or grouped.
 
 A corpus left undrawn is counted as it is drawn, window by window: each
 walk block folds its windows' pieces into a recent sum of its own, and
@@ -43,6 +46,7 @@ __all__ = ["PairCorpusStats", "sample_pairs", "merge", "save_stats", "load_stats
 # the codes each CPU holds at once (fixed, not a setting)
 _CHUNK_CODES = 1_280_000
 _FOLD = 8  # the recent sum is folded in once it has a 1/_FOLD share of the running sum
+_INT32_PAIRS = 2**31  # a recent sum of fewer pairs than this counts them in int32
 
 
 @dataclass
@@ -118,21 +122,22 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     gamma = corpus.walks.shape[1] if walker is None else walker.cfg.gamma
     distances = range(1, min(sigma, gamma - 1) + 1, 2)
 
-    def count(walks, new=0):
+    def count(walks, new, recent):
         # a piece's codes live only inside _count_chunk, in the thread that counts it
-        keys, counts = _count_chunk(walks, distances, m, n, dtype, new)
+        keys, counts = _count_chunk(walks, distances, m, n, dtype, new, recent.dtype)
         indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * n)
         return sp.csr_matrix((counts, np.remainder(keys, n, out=keys), indptr), shape=(m, n))
 
     def count_block(bounds):
-        recent = total.empty()
-        for window, _, new in walker.windows(*bounds, max(distances, default=0), checked=True):
+        lo, hi = bounds
+        recent = _Recent(total, (hi - lo) * _codes_per_walk(gamma, distances))
+        for window, _, new in walker.windows(lo, hi, max(distances, default=0), checked=True):
             walks = window.T  # (walks, positions) view of the time-major window
             per_walk = _codes_per_walk(len(window), distances, new)
-            for lo, hi in spans(len(walks), min(len(walks), -(-len(walks) * per_walk
-                                                               // _CHUNK_CODES))):
-                recent = total.add(recent, count(walks[lo:hi], new))
-        total.fold(recent)
+            for a, b in spans(len(walks), min(len(walks), -(-len(walks) * per_walk
+                                                            // _CHUNK_CODES))):
+                recent.add(count(walks[a:b], new, recent))
+        recent.fold()
 
     total = _Counts(m, n)
     if walker is not None:
@@ -141,43 +146,78 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
         return PairCorpusStats(total.pair)
     corpus.validate()
     walks = corpus.walks
-    parts = min(len(walks), -(-len(walks) * _codes_per_walk(gamma, distances) // _CHUNK_CODES))
+    pairs = len(walks) * _codes_per_walk(gamma, distances)
+    parts = min(len(walks), -(-pairs // _CHUNK_CODES))
     chunks = [walks[lo:hi] for lo, hi in spans(len(walks), parts)]  # near-equal
     # a CPU per two chunks: counting the two chunks of a small corpus at once held
     # both chunks' temporaries for a few milliseconds saved
     cpus = max(1, min(threads(), len(chunks) // 2))
-    recent = total.empty()
+    recent = _Recent(total, pairs)
     for lo in range(0, len(chunks), cpus):
-        for part in map_blocks(count, chunks[lo:lo + cpus]):  # in chunk order
-            recent = total.add(recent, part)
-    total.fold(recent)
+        for part in map_blocks(lambda chunk: count(chunk, 0, recent), chunks[lo:lo + cpus]):
+            recent.add(part)  # in chunk order
+    recent.fold()
     return PairCorpusStats(total.pair)
 
 
 class _Counts:
-    """The running count matrix, into which each thread folds its recent sum of
-    count matrices once that outgrows both _CHUNK_CODES pairs and a 1/_FOLD share
-    of it, so an add copies the small recent sum, not the whole count table.
-    Counts are integers, so the folds' order does not change the sum."""
+    """The running int64 count matrix, its arrays exactly nnz long, into which
+    each thread folds its recent sums (_Recent).  Counts are integers, so the
+    folds' order does not change the sum."""
 
     def __init__(self, m, n):
         import scipy.sparse as sp
 
-        self.empty = lambda: sp.csr_matrix((m, n), dtype=np.int64)
+        self.empty = lambda dtype=np.int64: sp.csr_matrix((m, n), dtype=dtype)
         self.pair, self._lock = self.empty(), threading.Lock()
-
-    def add(self, recent, part):
-        "recent + part, or an empty recent sum once that is folded in."
-        recent = recent + part
-        if recent.nnz < max(_CHUNK_CODES, self.pair.nnz // _FOLD):
-            return recent
-        self.fold(recent)
-        return self.empty()
 
     def fold(self, recent):
         if recent.nnz:
             with self._lock:
-                self.pair = self.pair + recent
+                self.pair = _exact(self.pair + recent)
+
+
+class _Recent:
+    """One thread's recent sum of count matrices, folded into the running sum
+    once it outgrows both _CHUNK_CODES pairs and a 1/_FOLD share of it, so an
+    add copies the small recent sum, not the whole count table.  Its counts are
+    int32 when the pairs it may gather are fewer than _INT32_PAIRS, else int64,
+    and its arrays are exactly nnz long."""
+
+    def __init__(self, total, pairs):
+        self.total, self.dtype = total, np.int32 if pairs < _INT32_PAIRS else np.int64
+        self.sum = total.empty(self.dtype)
+
+    def add(self, part):
+        self.sum = self.sum + part
+        del part  # not held through a fold
+        if self.sum.nnz < max(_CHUNK_CODES, self.total.pair.nnz // _FOLD):
+            _exact(self.sum)
+        else:
+            self.fold()
+
+    def fold(self):
+        self.total.fold(self.sum)
+        self.sum = self.total.empty(self.dtype)
+
+
+def _exact(mat):
+    """mat, its data and indices cut to nnz entries in place.  A sparse sum
+    allocates both operands' nnz and, when it fills at least half of that,
+    keeps a view of the first nnz: the view is dropped and its buffer shrunk
+    (a realloc, not a copy), or copied if anything else refers to it."""
+    for name in ("data", "indices"):
+        view = getattr(mat, name)
+        buf, size = view.base, view.size
+        if buf is not None and buf.size > size:
+            del view
+            setattr(mat, name, None)
+            try:
+                buf.resize(size)  # numpy refuses while another reference exists
+            except ValueError:
+                buf = buf[:size].copy()
+            setattr(mat, name, buf)
+    return mat
 
 
 def _codes_per_walk(positions, distances, new=0):
@@ -208,26 +248,28 @@ def _pair_codes(walks, distances, m, n, codes, new=0):
         code += b
 
 
-def _runs(codes):
-    "The distinct values of sorted codes and their multiplicities."
+def _runs(codes, dtype):
+    "The distinct values of sorted codes and their multiplicities, as dtype."
     first = np.empty(len(codes), dtype=bool)  # where a run of equal codes starts
     first[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    keys, counts = codes[first], np.flatnonzero(first)  # the runs' starts, for now
-    # each run's length overwrites its start: a second array of the chunk's
-    # distinct pairs would set the peak on wide windows
-    np.subtract(counts[1:], counts[:-1], out=counts[:-1])
-    counts[-1:] = len(codes) - counts[-1:]
+    keys, starts = codes[first], np.flatnonzero(first)
+    del first
+    # in int64 each run's length overwrites its start: a second array of the
+    # chunk's distinct pairs would set the peak on wide windows
+    counts = starts if starts.dtype == dtype else np.empty(len(starts), dtype)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = len(codes) - starts[-1:]
     return keys, counts
 
 
-def _count_chunk(walks, distances, m, n, dtype, new=0):
+def _count_chunk(walks, distances, m, n, dtype, new, counts):
     """The distinct pair codes of a chunk of walks whose later end is at or past
-    position new, sorted, and their multiplicities."""
+    position new, sorted, and their multiplicities as counts."""
     codes = np.empty(len(walks) * _codes_per_walk(walks.shape[1], distances, new), dtype=dtype)
     _pair_codes(walks, distances, m, n, codes, new)
     codes.sort()
-    return _runs(codes)
+    return _runs(codes, counts)
 
 
 def merge(a: PairCorpusStats, b: PairCorpusStats) -> PairCorpusStats:

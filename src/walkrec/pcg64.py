@@ -12,7 +12,10 @@ limbs, the XSL-RR output and the conversion to doubles run as ufuncs
 with ``out=`` and in-place operators on the state and four scratch
 arrays made with the streams, and write into a caller's output array.
 Their constants are numpy scalars, since a Python int operand is
-converted again on every call.
+converted again on every call.  The scratch (``scratch``) is free between
+draws, so a caller may keep its own per-stream values there.  Streams
+hold 65 bytes each, and seeding peaks at about the same: each pair of
+hashed words goes straight into its 64-bit state word.
 
 SeedSequence mixes 32-bit words with multiplier constants that do not
 depend on the data, so every constant is a Python int and only the mixed
@@ -34,7 +37,8 @@ _POOL = 4
 _U64 = np.uint64
 _MUL_HI, _MUL_LO = _U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645)
 _MUL_LO0, _MUL_LO1 = _U64(int(_MUL_LO) & _M32), _U64(int(_MUL_LO) >> 32)
-_LOW32, _11, _32, _58, _64 = _U64(_M32), _U64(11), _U64(32), _U64(58), _U64(64)
+_LOW32, _1, _11, _32, _58, _63, _64 = (_U64(_M32), _U64(1), _U64(11), _U64(32), _U64(58),
+                                      _U64(63), _U64(64))
 _TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 
 
@@ -108,20 +112,42 @@ class Pcg64Streams:
         if seed < 0:
             raise ValueError("seed must be >= 0")
         pool = _pool([*_words(seed), a.astype(np.uint32), b.astype(np.uint32)])
-        # generate_state(4, uint64): 8 hashed uint32 words, pairs little-endian
-        state = [_hashmix(pool[i % _POOL], *step).astype(np.uint64)
-                 for i, step in enumerate(_hash_steps(_INIT_B, _MULT_B, 8))]
-        initstate_hi, initstate_lo, initseq_hi, initseq_lo = (
-            state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
+        # generate_state(4, uint64): 8 hashed uint32 words, pairs little-endian, each
+        # pair hashed straight into its state word so no eight words are alive at once
+        steps = iter(_hash_steps(_INIT_B, _MULT_B, 8))
+        words = []
+        for j in range(4):
+            low = _hashmix(pool[2 * j % _POOL], *next(steps))
+            word = _hashmix(pool[(2 * j + 1) % _POOL], *next(steps)).astype(np.uint64)
+            word <<= _32
+            word |= low
+            words.append(word)
+        del pool, low
+        hi, lo, inc_hi, inc_lo = words  # initstate and initseq, high word first
         # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1; state = 0, step
-        # (state = inc), add initstate, step
-        self._inc_hi = (initseq_hi << 1) | (initseq_lo >> 63)
-        self._inc_lo = (initseq_lo << 1) | 1
-        self._lo = self._inc_lo + initstate_lo
-        self._hi = self._inc_hi + initstate_hi + (self._lo < initstate_lo)
+        # (state = inc), add initstate, step; all in place on the four words
+        inc_hi <<= _1
+        inc_hi |= inc_lo >> _63
+        inc_lo <<= _1
+        inc_lo |= _1
+        lo += inc_lo
+        hi += inc_hi
+        hi += lo < inc_lo  # the carry out of the low word
+        self._hi, self._lo, self._inc_hi, self._inc_lo = hi, lo, inc_hi, inc_lo
         self._scratch = tuple(np.empty(len(self._lo), dtype=np.uint64) for _ in range(4))
         self._carry = np.empty(len(self._lo), dtype=bool)
         self._step()
+
+    @property
+    def scratch(self):
+        """The four uint64 arrays, one word a stream, that every draw works in.
+
+        A draw writes each before it reads it, so between draws they are free
+        for any use, viewed as any 8-byte type, and the next draw overwrites
+        them.  random(out=...) may write into any of the first three: the last
+        holds the bits it converts, and an out that overlaps them is copied.
+        """
+        return self._scratch
 
     def _step(self):
         "state = state * MUL + inc (mod 2**128), for every stream, in place."

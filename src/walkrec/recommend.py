@@ -16,6 +16,7 @@ __all__ = ["RankedList", "Rankings", "item_pop_scores", "recommend_topk", "save_
 
 _RANK_ROWS = 512  # most users scored and ranked per block: smaller blocks move scores' last bits
 _RANK_BYTES = 4 << 20  # most bytes of scores per block, past 1,024 items
+_PARTITION_ROWS = 16  # rows per partitioned copy: a row's k-th score does not depend on it
 
 
 @dataclass
@@ -123,8 +124,9 @@ def _rank_rows(first_user, scores, k_items, mask):
         return np.zeros(len(neg), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     neg[rows, cols] = np.nan
     kth = np.empty((len(neg), 1))
-    for a in range(0, len(neg), 64):  # partitioned copies of 64 rows, not of the whole block
-        kth[a:a + 64] = np.partition(neg[a:a + 64], k - 1, axis=1)[:, k - 1:k]
+    step = _PARTITION_ROWS
+    for a in range(0, len(neg), step):  # partitioned copies of a few rows, not of the block
+        kth[a:a + step] = np.partition(neg[a:a + step], k - 1, axis=1)[:, k - 1:k]
     cand = neg <= kth
     cand[np.isnan(kth[:, 0])] = True
     cand[rows, cols] = False

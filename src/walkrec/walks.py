@@ -4,10 +4,13 @@ generate_walks keeps both CPUs busy: the corpus is cut into one block per
 lane (_LANE_WALKS walks begun each, at most one per CPU, no block over
 _WALK_BLOCK walks), and each block advances all its walks' PCG64 streams
 together in buffers made once, so its steps make no new arrays, drawing
-them into time-major windows of _WINDOW positions.  Every walk draws from
-its own stream, so the corpus is the same bytes however it is blocked and
-on however many CPUs.  A corpus left undrawn (draw_walks(False)) keeps
-no rows until they are read: sample_pairs counts its windows as they are
+them into time-major windows of _WINDOW positions.  A step's draws,
+degrees and offsets live in the streams' scratch, free between draws, so
+a walk in flight holds its stream (65 bytes with scratch), its current
+vertex (8) and its window's int32 rows.  Every walk draws from its own
+stream, so the corpus is the same bytes however it is blocked and on
+however many CPUs.  A corpus left undrawn (draw_walks(False)) keeps no
+rows until they are read: sample_pairs counts its windows as they are
 drawn.
 """
 
@@ -169,15 +172,17 @@ class _Walker:
         The walks advance together, one array step per position, from their
         streams (Pcg64Streams): each walk's own, the one
         ``np.random.default_rng((seed, start code, walk index))`` draws.
-        Draws, degrees, offsets and current vertices live in buffers made
-        once, updated in place, so a step makes no new arrays.
+        Draws, degrees and offsets live in the streams' scratch words, free
+        between draws, and the current vertices in a buffer made once; all are
+        updated in place, so a step makes no new arrays.
         """
         g, cfg, deg = self.g, self.cfg, np.diff(self.g.indptr)
         j = np.arange(lo, hi)
         cur = self.starts[j // cfg.beta]
         streams = Pcg64Streams(cfg.seed, cur, j % cfg.beta)
         del j
-        r, d, at = np.empty(len(cur)), np.empty_like(cur), np.empty_like(cur)
+        d, at, r, _ = streams.scratch
+        d, at, r = d.view(np.int64), at.view(np.int64), r.view(np.float64)
         buf = np.empty((keep + _WINDOW, len(cur)), dtype=np.int32)
         buf[0] = cur
         first, filled, new = 0, 1, 0  # buf[:filled] holds positions first, first + 1, ...

@@ -453,3 +453,89 @@ class TestStreamedCounts:
             finally:
                 tracemalloc.stop()
             assert streamed < 0.8 * drawn
+
+
+class TestLeanSums:
+    """Each block or corpus sums its pieces' counts in int32 when it cannot reach
+    _INT32_PAIRS pairs, else in int64, and every sum is cut to its nnz entries,
+    so the returned counts hold no spare capacity; the arrays stay those of the
+    drawn corpus, and its enumerated counts."""
+
+    @pytest.fixture
+    def graph(self):
+        rng = np.random.default_rng(8)
+        edges = {(int(rng.integers(10)), int(rng.integers(13))) for _ in range(40)}
+        return build_graph(edges, 12, 15)
+
+    @pytest.mark.parametrize("blocks", ["one", "many"])
+    @pytest.mark.parametrize("drawn", [False, True])
+    def test_returned_arrays_are_exactly_nnz_long(self, graph, blocks, drawn, monkeypatch,
+                                                  cpus):
+        if blocks == "many":  # many blocks and pieces: sums that fold into the running sum
+            monkeypatch.setattr(walks_module, "_LANE_WALKS", 1)
+            monkeypatch.setattr(walks_module, "_WALK_BLOCK", 7)
+            monkeypatch.setattr(pairs_module, "_CHUNK_CODES", 60)
+        cfg = WalkConfig(beta=3, gamma=2 * walks_module._WINDOW + 3, seed=4)
+        corpus = generate_walks(graph, cfg)
+        expected = dict(oracle_pair_multiset(corpus, 5))
+        want = sample_pairs(corpus, 5).pair_count
+        for n in (1, 2, 3):
+            cpus(n)
+            got = sample_pairs(generate_walks(graph, cfg) if drawn else undrawn(graph, cfg),
+                               5).pair_count
+            assert counts_dict(PairCorpusStats(got)) == expected
+            assert_same_matrix(got, want)
+            for a in (got.data, got.indices):
+                assert len(a) == got.nnz and (a.base is None or a.base.size <= got.nnz)
+
+    def test_a_block_past_the_int32_limit_counts_in_int64(self, graph, monkeypatch, cpus):
+        monkeypatch.setattr(walks_module, "_LANE_WALKS", 1)
+        monkeypatch.setattr(walks_module, "_WALK_BLOCK", 7)
+        cfg = WalkConfig(beta=3, gamma=13, seed=6)
+        corpus = generate_walks(graph, cfg)
+        assert len(corpus.walks) % 7  # the last block is shorter than the others
+        expected = dict(oracle_pair_multiset(corpus, 5))
+        want = sample_pairs(corpus, 5).pair_count
+        # a full block reaches the limit and counts in int64; the short one does not
+        per_walk = pairs_module._codes_per_walk(cfg.gamma, range(1, 6, 2))
+        monkeypatch.setattr(pairs_module, "_INT32_PAIRS", 7 * per_walk)
+        dtypes, real = [], pairs_module._Recent.__init__
+
+        def recorded(self, *args):
+            real(self, *args)
+            dtypes.append(self.dtype)
+
+        monkeypatch.setattr(pairs_module._Recent, "__init__", recorded)
+        for n in (1, 2, 3):
+            cpus(n)
+            dtypes.clear()
+            got = sample_pairs(undrawn(graph, cfg), 5).pair_count
+            assert counts_dict(PairCorpusStats(got)) == expected
+            assert_same_matrix(got, want)
+            blocks = -(-len(corpus.walks) // 7)
+            assert len(dtypes) == blocks and dtypes.count(np.int32) == 1
+        dtypes.clear()
+        assert_same_matrix(sample_pairs(corpus, 5).pair_count, want)  # the whole corpus
+        assert dtypes == [np.int64]
+
+    def test_traced_peak_of_streamed_counting(self, cpus):
+        """On TestGeneratorMemory's graph (47,856 walks of 80 vertices, a 15.3 MB
+        corpus, 310,000 distinct pairs at sigma 3) counting as the walks are drawn
+        traced 294 bytes a walk on one CPU and 391-422 on two, against 429 and
+        526-593 while block sums were int64 and kept a sum's spare capacity."""
+        rng = np.random.default_rng(0)
+        m = n = 3_000
+        edges = np.stack([np.repeat(np.arange(m), 5), rng.integers(0, n, 5 * m)], axis=1)
+        g = build_graph(edges, m, n)
+        cfg = WalkConfig(beta=8, gamma=80, seed=0)
+        sample_pairs(undrawn(g, WalkConfig(beta=1, gamma=3)), 3)  # scipy.sparse is imported
+        for cpu_count, bound in ((1, 340), (2, 480)):
+            cpus(cpu_count)
+            corpus = undrawn(g, cfg)
+            tracemalloc.start()
+            try:
+                sample_pairs(corpus, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 47_856

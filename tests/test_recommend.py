@@ -304,3 +304,31 @@ class TestScoreBlockBytes:
     def test_rows_are_a_multiple_of_64_and_at_least_64(self, monkeypatch, items, rows):
         shapes, _ = self.blocks(monkeypatch, 520, items)
         assert {r for r, _ in shapes[:-1]} == {rows} and sum(r for r, _ in shapes) == 520
+
+
+class TestPartitionRows:
+    """A block's k-th best scores come from partitioned copies of _PARTITION_ROWS
+    rows; a row's k-th score does not depend on the rows it shares a copy with,
+    so the lists equal those of one partition of the whole block."""
+
+    @pytest.mark.parametrize("users, items", [(300, 3_983), (500, 495)])
+    def test_lists_equal_one_partition_of_the_whole_block(self, monkeypatch, cpus, users,
+                                                          items):
+        rng = np.random.default_rng(users)
+        X = np.round(rng.normal(size=(users, 8)), 1)  # coarse factors: tied scores
+        Y = np.round(rng.normal(size=(items, 8)), 1)
+        Y[rng.random(items) < 0.01, 0] = np.nan  # NaN items in every row
+        X[[3, users - 1]] = np.nan  # rows of NaN: a NaN k-th score
+        model = FactorModel(X, Y)
+        mask = np.stack([rng.integers(0, users, 2_000), rng.integers(0, items, 2_000)], axis=1)
+        rows = recommend._PARTITION_ROWS
+        assert rows < 128  # a 128-user block of 3,983 items takes several copies
+        monkeypatch.setattr(recommend, "_PARTITION_ROWS", users)  # the whole block
+        want = recommend_topk(model, 10, mask)
+        monkeypatch.setattr(recommend, "_PARTITION_ROWS", rows)
+        for n in (1, 2, 3):
+            cpus(n)
+            got = recommend_topk(model, 10, mask)
+            for name in ("indptr", "items", "scores"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -501,11 +501,12 @@ class TestBlockedValidate:
 class TestGeneratorMemory:
     def test_blocks_write_into_the_corpus(self):
         """Blocks copy each window of 8 drawn positions into the int32 corpus, so
-        the traced peak is the corpus plus each block's streams, indices and
-        window: measured 9.8 MB over the 15.3 MB corpus on one CPU and 10.5 MB on
-        two, 205-219 bytes a walk, set while a block's streams are made.  The
-        window takes 4 * 8 = 32 bytes a walk; a time-major int32 buffer of whole
-        walks would take 4 * 80 = 320."""
+        the traced peak is the corpus plus each block's streams, current vertices
+        and window: measured 5.2 MB over the 15.3 MB corpus on one CPU and 5.4 MB
+        on two, 109-113 bytes a walk (205-219 while seeding held eight hashed
+        words at once and the draws, degrees and offsets had buffers of their
+        own).  The window takes 4 * 8 = 32 bytes a walk; a time-major int32
+        buffer of whole walks would take 4 * 80 = 320."""
         rng = np.random.default_rng(0)
         m = n = 3_000
         edges = np.stack([np.repeat(np.arange(m), 5), rng.integers(0, n, 5 * m)], axis=1)
