@@ -15,7 +15,9 @@ freed before ALS.
     python demos/cell_profile.py --sigma 79 --no-trace  # the process peak alone
 
 --hashes also prints the sha256 of the pair counts, the PMI matrix, the
-factors and the rankings, to compare two versions' bytes.  Each stage's
+factors, the ranked lists (offsets and items) and their scores, to
+compare two versions' bytes; a change to the scores' last bits that
+keeps every list shows as a changed "scores" hash alone.  Each stage's
 ru_maxrss is the process's peak so far, so run each setting in a fresh
 process.
 """
@@ -112,7 +114,7 @@ def main(argv=None):
         tracemalloc.stop()
     if args.hashes:
         hashes += [("factors", sha256(model.X, model.Y)),
-                   ("rankings", sha256(recs.indptr, recs.items, recs.scores))]
+                   ("lists", sha256(recs.indptr, recs.items)), ("scores", sha256(recs.scores))]
 
     print(f"cell: {ds.n_users} x {ds.n_items}, sigma {st.sigma}, "
           f"walks {'drawn' if args.draw else 'undrawn'}")

@@ -15,8 +15,7 @@ __all__ = ["RankedList", "Rankings", "item_pop_scores", "recommend_topk", "save_
            "load_recommendations"]
 
 _RANK_ROWS = 512  # most users scored and ranked per block: smaller blocks move scores' last bits
-_RANK_BYTES = 4 << 20  # most bytes of scores per block, past 1,024 items
-_PARTITION_ROWS = 16  # rows per partitioned copy: a row's k-th score does not depend on it
+_RANK_BYTES = 2 << 20  # most bytes of scores per block, past 512 items
 
 
 @dataclass
@@ -98,39 +97,56 @@ def item_pop_scores(train, n_items):
     return np.bincount(items, minlength=n_items).astype(np.float64)
 
 
+def _kth_bound(neg, k):
+    """(rows, 1) bounds at or above each row's k-th smallest value, NaN last.
+
+    A row's n values fall in g = min(n, 4k) interleaved groups (value j in
+    group j mod g), and its bound is the k-th smallest of the groups'
+    minima, NaN only when fewer than k groups hold a number.  At least k
+    groups, so at least k values, lie at or below it.  np.fmin skips NaNs
+    without the warning np.nanmin gives on an all-NaN group, and the groups
+    are strided views, so no copy of neg is made.  1 <= k <= n.
+    """
+    rows, n = neg.shape
+    g = min(n, 4 * k)  # more groups: a tighter bound, but a larger array of minima
+    w, tail = divmod(n, g)
+    bound = np.fmin.reduce(neg[:, :g * w].reshape(rows, w, g), axis=1)
+    np.fmin(bound[:, :tail], neg[:, g * w:], out=bound[:, :tail])
+    bound.partition(k - 1, axis=1)
+    return bound[:, k - 1:k]
+
+
 def _rank_rows(first_user, scores, k_items, mask):
     """(lengths, items, scores) of the top k_items of users first_user + r from
     their score rows scores[r], rows and then ranks in order.
 
     mask is a sorted (n, 2) pair array; a masked item of these users outside
     [0, n_items) raises ValueError naming both.  scores is overwritten.
-    Negated scores of masked items become NaN, so a row-wise partition puts
-    them last with the real NaNs.  A row's candidates are its items at or
-    above its k-th best score, or all its unmasked items when that k-th best
-    is NaN.  One lexsort orders every candidate by (row, -score with NaN
-    last, item), and each row keeps its first k.
+    Negated scores of masked items become NaN, so _kth_bound passes over
+    them as it does the real NaNs.  A row's candidates are its items whose
+    negated scores are at or below its bound, a superset of those at or
+    above its k-th best score, or all its unmasked items when the bound is
+    NaN.  One lexsort orders every candidate by (row, -score with NaN last,
+    item), and each row keeps its first k, which are its top k.
     """
     k_items = conform("k_items", k_items, int, min=1)
     neg = np.negative(scores, out=scores)
+    n = neg.shape[1]
     lo, hi = np.searchsorted(mask[:, 0], [first_user, first_user + len(neg)])
     rows, cols = (mask[lo:hi] - (first_user, 0)).T
-    bad = np.flatnonzero((cols < 0) | (cols >= neg.shape[1]))
+    bad = np.flatnonzero((cols < 0) | (cols >= n))
     if bad.size:
         j = bad[0]
-        raise ValueError(f"mask of user {first_user + rows[j]}: "
-                         f"item {cols[j]} not in [0, {neg.shape[1]})")
-    k = min(k_items, neg.shape[1])
+        raise ValueError(f"mask of user {first_user + rows[j]}: item {cols[j]} not in [0, {n})")
+    k = min(k_items, n)
     if k == 0:
         return np.zeros(len(neg), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     neg[rows, cols] = np.nan
-    kth = np.empty((len(neg), 1))
-    step = _PARTITION_ROWS
-    for a in range(0, len(neg), step):  # partitioned copies of a few rows, not of the block
-        kth[a:a + step] = np.partition(neg[a:a + step], k - 1, axis=1)[:, k - 1:k]
-    cand = neg <= kth
-    cand[np.isnan(kth[:, 0])] = True
+    bound = _kth_bound(neg, k)
+    cand = neg <= bound
+    cand[np.isnan(bound[:, 0])] = True
     cand[rows, cols] = False
-    r, c = np.divmod(np.flatnonzero(cand), neg.shape[1])
+    r, c = np.divmod(np.flatnonzero(cand), n)
     v = neg[r, c]
     order = np.lexsort((c, v, r))
     r, c, v = r[order], c[order], v[order]
@@ -145,7 +161,7 @@ def recommend_topk(model: FactorModel, k_items, mask=None):
 
     Each block of users is scored with one product and ranked in one pass,
     blocks in parallel.  A block is _RANK_ROWS users or, when their scores
-    would pass _RANK_BYTES (past 1,024 items), the most users whose scores
+    would pass _RANK_BYTES (past 512 items), the most users whose scores
     fit, rounded down to a multiple of 64 and at least 64.  The whole call
     runs on one BLAS thread, pinned once here (the count is process-wide),
     so the scores do not depend on the caller's thread count.

@@ -49,4 +49,6 @@ def test_cell_profile_reports_every_stage():
     for line in lines[2:10]:
         seconds, peak, after, maxrss = map(float, line.split()[1:])
         assert seconds >= 0 and peak >= 0 and after > 0 and maxrss > 0
-    assert [line.split()[1] for line in lines[11:]] == ["pairs", "pmi", "factors", "rankings"]
+    hashes = [line.split() for line in lines[11:]]
+    assert [name for _, name, _ in hashes] == ["pairs", "pmi", "factors", "lists", "scores"]
+    assert all(len(digest) == 16 for _, _, digest in hashes)

@@ -264,8 +264,8 @@ def test_mask_user_outside_users_is_rejected(bad):
 
 
 class TestScoreBlockBytes:
-    """A score block holds _RANK_ROWS users, or fewer past 1,024 items: a multiple
-    of 64 users whose scores take at most 4 MiB."""
+    """A score block holds _RANK_ROWS users, or fewer past 512 items: a multiple
+    of 64 users whose scores take at most 2 MiB."""
 
     def blocks(self, monkeypatch, users, items, mask=None):
         "The score-block shapes recommend_topk ranks, and its Rankings."
@@ -281,54 +281,92 @@ class TestScoreBlockBytes:
         recs = recommend_topk(model, 10, mask)
         return [shape for _, shape in sorted(shapes)], recs
 
-    def test_cell_scaled_items_make_blocks_of_128_users(self, monkeypatch, cpus):
+    def test_cell_scaled_items_make_blocks_of_64_users(self, monkeypatch, cpus):
         outputs = []
         for n in (1, 2, 3):
             cpus(n)
             shapes, recs = self.blocks(monkeypatch, 300, 3_983, [(5, 0), (299, 3_982)])
-            assert shapes == [(128, 3_983), (128, 3_983), (44, 3_983)]
+            assert shapes == [(64, 3_983)] * 4 + [(44, 3_983)]
             outputs.append(recs)
-        assert all(8 * rows * items <= 4 << 20 for rows, items in shapes)
+        assert all(8 * rows * items <= 2 << 20 for rows, items in shapes)
         for other in outputs[1:]:
             for name in ("indptr", "items", "scores"):
                 a, b = getattr(other, name), getattr(outputs[0], name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert 0 not in outputs[0][5].item_indices()
 
-    @pytest.mark.parametrize("items", [1, 495, 1_024])
-    def test_up_to_1024_items_500_users_are_one_block(self, monkeypatch, items):
+    @pytest.mark.parametrize("items", [1, 495, 512])
+    def test_up_to_512_items_500_users_are_one_block(self, monkeypatch, items):
         shapes, _ = self.blocks(monkeypatch, 500, items)
         assert shapes == [(500, items)]
 
-    @pytest.mark.parametrize("items, rows", [(1_025, 448), (8_192, 64), (20_000, 64)])
+    @pytest.mark.parametrize("items, rows", [(1_024, 256), (1_025, 192), (8_192, 64),
+                                             (20_000, 64)])
     def test_rows_are_a_multiple_of_64_and_at_least_64(self, monkeypatch, items, rows):
         shapes, _ = self.blocks(monkeypatch, 520, items)
         assert {r for r, _ in shapes[:-1]} == {rows} and sum(r for r, _ in shapes) == 520
+        assert 8 * rows * items <= 2 << 20 or rows == 64  # 64 users pass 2 MiB past 4,096 items
 
 
-class TestPartitionRows:
-    """A block's k-th best scores come from partitioned copies of _PARTITION_ROWS
-    rows; a row's k-th score does not depend on the rows it shares a copy with,
-    so the lists equal those of one partition of the whole block."""
+def reference_rank_rows(first_user, scores, k_items, mask):
+    """recommend._rank_rows with each row's k-th best score taken from one
+    np.partition of the whole block in place of the group-minimum bound."""
+    neg = np.negative(scores, out=scores)
+    n = neg.shape[1]
+    lo, hi = np.searchsorted(mask[:, 0], [first_user, first_user + len(neg)])
+    rows, cols = (mask[lo:hi] - (first_user, 0)).T
+    k = min(k_items, n)
+    if k == 0:
+        return np.zeros(len(neg), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    neg[rows, cols] = np.nan
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    cand = neg <= kth
+    cand[np.isnan(kth[:, 0])] = True
+    cand[rows, cols] = False
+    r, c = np.divmod(np.flatnonzero(cand), n)
+    v = neg[r, c]
+    order = np.lexsort((c, v, r))
+    r, c, v = r[order], c[order], v[order]
+    counts = np.bincount(r, minlength=len(neg))
+    keep = np.arange(len(r)) < (np.cumsum(counts) - counts + k)[r]
+    return np.minimum(counts, k), c[keep], np.negative(v[keep])
 
-    @pytest.mark.parametrize("users, items", [(300, 3_983), (500, 495)])
-    def test_lists_equal_one_partition_of_the_whole_block(self, monkeypatch, cpus, users,
-                                                          items):
-        rng = np.random.default_rng(users)
+
+class TestKthBound:
+    """Each row's candidates come from a group-minimum bound at or above its
+    k-th best score; the lists equal those of one full-row partition."""
+
+    @pytest.mark.parametrize("items", [1, 7, 39, 40, 41, 495, 3_983])
+    def test_lists_equal_one_partition_of_each_row(self, monkeypatch, cpus, items):
+        rng = np.random.default_rng(items)
+        users = 100  # two blocks at 3,983 items
         X = np.round(rng.normal(size=(users, 8)), 1)  # coarse factors: tied scores
         Y = np.round(rng.normal(size=(items, 8)), 1)
-        Y[rng.random(items) < 0.01, 0] = np.nan  # NaN items in every row
-        X[[3, users - 1]] = np.nan  # rows of NaN: a NaN k-th score
+        Y[rng.random(items) < 0.05, 0] = np.nan  # NaN items in every row
+        X[[0, users - 1]] = np.nan  # rows of NaN: a NaN k-th score
         model = FactorModel(X, Y)
-        mask = np.stack([rng.integers(0, users, 2_000), rng.integers(0, items, 2_000)], axis=1)
-        rows = recommend._PARTITION_ROWS
-        assert rows < 128  # a 128-user block of 3,983 items takes several copies
-        monkeypatch.setattr(recommend, "_PARTITION_ROWS", users)  # the whole block
-        want = recommend_topk(model, 10, mask)
-        monkeypatch.setattr(recommend, "_PARTITION_ROWS", rows)
-        for n in (1, 2, 3):
-            cpus(n)
-            got = recommend_topk(model, 10, mask)
-            for name in ("indptr", "items", "scores"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        size = users * items // 4  # a quarter of the pairs, repeats merged
+        mask = np.stack([rng.integers(0, users, size), rng.integers(0, items, size)], axis=1)
+        for k in sorted({1, 10, items - 1, items, items + 5} - {0}):
+            monkeypatch.setattr(recommend, "_rank_rows", reference_rank_rows)
+            want = recommend_topk(model, k, mask)
+            monkeypatch.undo()
+            for n in (1, 2, 3):
+                cpus(n)
+                got = recommend_topk(model, k, mask)
+                for name in ("indptr", "items", "scores"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, n, name)
+
+    @pytest.mark.parametrize("items", [1, 7, 39, 40, 41, 495, 3_983])
+    def test_bound_is_at_or_above_the_kth_best(self, items):
+        rng = np.random.default_rng(items)
+        neg = np.round(rng.normal(size=(40, items)), 1)
+        neg[rng.random(neg.shape) < 0.2] = np.nan
+        neg[3] = np.nan
+        for k in sorted({min(k, items) for k in (1, 10, items - 1, items)} - {0}):
+            bound = recommend._kth_bound(neg, k)[:, 0]
+            kth = np.partition(neg, k - 1, axis=1)[:, k - 1]
+            both = ~np.isnan(bound) & ~np.isnan(kth)
+            assert np.all(bound[both] >= kth[both]), k
+            assert np.all(np.isnan(bound[np.isnan(kth)])), k  # a NaN k-th: a NaN bound
