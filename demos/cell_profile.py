@@ -5,7 +5,8 @@ Runs the stages of ``walkrec.run_cell`` one by one on the cell-scaled
 interaction set (perfbench/scaled.py, loaded by path and never written)
 and prints, for each stage, its wall time, the peak of Python and numpy
 allocations it added over what was traced when it began (tracemalloc),
-what stays traced after it, and the process's ``ru_maxrss`` after it.
+what stays traced after it, the process's ``ru_maxrss`` after it and the
+minor page faults it took (``ru_minflt``: fresh pages, about 4 us each).
 scipy.sparse is imported first, so its 22 MiB import is in no stage.  As
 in run_cell the walks are left undrawn, so they are drawn while their
 pairs are counted, unless --draw is given; the corpus and pair counts are
@@ -35,7 +36,6 @@ import numpy as np
 from walkrec import (AlsConfig, PipelineSettings, WalkConfig, als_fit, build_graph, evaluate,
                      generate_walks, recommend_topk, sample_pairs, sparsify, split,
                      sppmi_matrix)
-from walkrec.walks import draw_walks
 
 _SCALED = Path(__file__).resolve().parents[1] / "perfbench" / "scaled.py"
 
@@ -74,12 +74,14 @@ def main(argv=None):
         if args.trace:
             tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t = time.perf_counter()
         out = fn()
         seconds = time.perf_counter() - t
         live, peak = tracemalloc.get_traced_memory()
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        rows.append((name, seconds, (peak - base) / 2**20, live / 2**20, rss))
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        rows.append((name, seconds, (peak - base) / 2**20, live / 2**20, usage.ru_maxrss / 1024,
+                     usage.ru_minflt - faults))
         return out
 
     import scipy.sparse  # noqa: F401  (imported here, so no stage pays for it)
@@ -90,12 +92,8 @@ def main(argv=None):
                                      (0.8, 0.1, 0.1), args.seed))
     train = sparsify(ds.train, st.keep_fraction, st.seed)
     g = stage("graph", lambda: build_graph(train, ds.n_users, ds.n_items))
-
-    def walks():
-        with draw_walks(args.draw):
-            return generate_walks(g, WalkConfig(st.beta, st.gamma, st.seed))
-
-    corpus = stage("walks", walks)
+    corpus = stage("walks", lambda: generate_walks(g, WalkConfig(st.beta, st.gamma, st.seed),
+                                                   draw=args.draw))
     stats = stage("pairs", lambda: sample_pairs(corpus, st.sigma))
     del corpus
     pmi = stage("sppmi", lambda: sppmi_matrix(stats, st.shift_k))
@@ -118,9 +116,10 @@ def main(argv=None):
 
     print(f"cell: {ds.n_users} x {ds.n_items}, sigma {st.sigma}, "
           f"walks {'drawn' if args.draw else 'undrawn'}")
-    print(f"{'stage':<9} {'s':>7} {'added peak':>11} {'traced after':>13} {'maxrss':>8}  (MiB)")
-    for name, seconds, peak, live, rss in rows:
-        print(f"{name:<9} {seconds:7.3f} {peak:11.1f} {live:13.1f} {rss:8.1f}")
+    print(f"{'stage':<9} {'s':>7} {'added peak':>11} {'traced after':>13} {'maxrss':>8} "
+          f"{'minflt':>8}  (MiB, faults)")
+    for name, seconds, peak, live, rss, faults in rows:
+        print(f"{name:<9} {seconds:7.3f} {peak:11.1f} {live:13.1f} {rss:8.1f} {faults:8d}")
     print(f"P@10 {report.precision[10]:.5f}  R@10 {report.recall[10]:.5f}")
     for name, digest in hashes:
         print(f"sha256 {name} {digest}")

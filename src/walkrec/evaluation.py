@@ -6,7 +6,7 @@ extreme sparsity.
 """
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from .pairs import sample_pairs
 from .parallel import map_blocks
 from .recommend import Rankings, item_pop_scores, recommend_topk
 from .tables import write_table
-from .walks import WalkConfig, draw_walks, generate_walks
+from .walks import WalkConfig, generate_walks
 
 __all__ = ["MetricsReport", "PipelineSettings", "ExperimentGrid", "evaluate",
            "run_cell", "run_experiment", "write_report_tsv", "write_report_json"]
@@ -115,8 +115,8 @@ def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
     rank-1 popularity model score(u, i) = 1 * pop_i (itempop), the binary
     matrix (mf) or the co/PMI confidence.
 
-    memo is shared by the cells of one (keep_fraction, seed, beta, gamma)
-    group: it holds their training set, walk corpus and pair counts per sigma.
+    memo is shared by the cells of one keep_fraction and WalkConfig: it
+    holds their training set, walk corpus and pair counts per sigma.
     The corpus is left undrawn, so its pairs are counted as its walks are
     drawn and no rows are kept, unless memo["draw"] is true (a group that
     counts several windows): its rows are then drawn once and kept.
@@ -133,9 +133,8 @@ def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
         return train, sp.csr_matrix((np.ones(len(train)), (train[:, 0], train[:, 1])),
                                     shape=(m, n))
     if "corpus" not in memo:
-        g = build_graph(train, m, n)
-        with draw_walks(memo.get("draw", False)):
-            memo["corpus"] = generate_walks(g, _stage_config(WalkConfig, st))
+        memo["corpus"] = generate_walks(build_graph(train, m, n), _stage_config(WalkConfig, st),
+                                        draw=memo.get("draw", False))
     if ("pairs", st.sigma) not in memo:
         memo["pairs", st.sigma] = sample_pairs(memo["corpus"], st.sigma)
     stats = memo["pairs", st.sigma]
@@ -145,8 +144,8 @@ def _cell_inputs(dataset: Dataset, st: PipelineSettings, memo):
 def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGrid):
     """Run every grid cell and return its MetricsReport rows in grid order.
 
-    Every cell's inputs are built first on the calling thread, one
-    (keep_fraction, seed, beta, gamma) group at a time, its cells in grid
+    Every cell's inputs are built first on the calling thread, one group
+    of one keep_fraction and WalkConfig at a time, its cells in grid
     order sharing one memo: one walk corpus, so a window-size sweep
     isolates the window effect, and one pair count per sigma.  A group of
     one sigma counts its pairs as its walks are drawn; a group of several
@@ -161,7 +160,7 @@ def run_experiment(dataset: Dataset, base: PipelineSettings, grid: ExperimentGri
              for measure in grid.measures for sigma in grid.sigmas
              for keep in grid.keep_fractions for seed in grid.seeds]
     inputs = [None] * len(cells)
-    key = lambda j: (cells[j].keep_fraction, cells[j].seed, cells[j].beta, cells[j].gamma)
+    key = lambda j: (cells[j].keep_fraction, *astuple(_stage_config(WalkConfig, cells[j])))
     for _, group in groupby(sorted(range(len(cells)), key=key), key):  # grid order in a group
         group = list(group)
         windows = {cells[j].sigma for j in group if cells[j].measure in ("co", "pmi")}

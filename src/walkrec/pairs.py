@@ -9,25 +9,24 @@ The pairs are counted per odd distance d rather than per offset: of the
 two vertices at positions p and p+d exactly one is a user, the smaller
 code, so (min, max - n_users) is the pair whichever end is the centre.
 Each pair is packed into one integer, u * n_items + i, so sorting the
-codes of a chunk of walks orders them as the rows of a CSR matrix; the
-chunk's runs of equal codes are its distinct pairs and their counts,
-which make one CSR matrix.  Chunks hold about the same number of codes
-whatever the window, and one chunk per CPU is counted at a time, in the
-threads of walkrec.parallel, which share one malloc arena, so what one
-chunk frees the next reuses.  The chunks' matrices are added in chunk
-order to a small recent sum, folded into the running sum once it outgrows
-both a chunk's codes and an eighth of the running sum: a chunk then
-copies the small sum, not the whole count table.  A recent sum and the
-chunks added to it count in int32 when what it gathers cannot reach 2**31
-pairs, else in int64; the running sum is int64.  scipy's sparse sum
-allocates both operands' entries, so each sum is cut to its own in place.
-Memory is bounded by the running sum, the recent sum and one chunk's
-codes per CPU, or by a second running sum while a fold runs.  Counts are
-integers, so the sums do not depend on how the chunks are cut or grouped.
-
-A corpus left undrawn is counted as it is drawn, window by window: each
-walk block folds its windows' pieces into a recent sum of its own, and
-the blocks fold those into one running sum, so no walk rows are kept.
+codes of a piece of walks orders them as the rows of a CSR matrix; the
+piece's runs of equal codes are its distinct pairs and their counts,
+which make one CSR matrix.  Pieces hold about the same number of codes
+whatever the window.  They are counted in blocks, one per CPU at a time,
+in the threads of walkrec.parallel, which share one malloc arena, so what
+one piece frees the next reuses: a drawn corpus's blocks are runs of its
+chunks of walks, an undrawn one's are its walker's blocks, counted window
+by window as they are drawn, so no walk rows are kept.  A block adds its
+pieces' matrices in order to a small recent sum of its own, folded into
+the one running sum once it outgrows both a piece's codes and an eighth
+of the running sum: a piece then copies the small sum, not the whole
+count table.  A recent sum and the pieces added to it count in int32 when
+what it gathers cannot reach 2**31 pairs, else in int64; the running sum
+is int64.  scipy's sparse sum allocates both operands' entries, so each
+sum is cut to its own in place.  Memory is bounded by the running sum,
+and a recent sum and one piece's codes per CPU, or by a second running
+sum while a fold runs.  Counts are integers, so the sums do not depend
+on how the pieces are cut or grouped.
 """
 
 import threading
@@ -99,15 +98,16 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     That is folded into a running count matrix once it holds at least
     _CHUNK_CODES pairs and a 1/_FOLD share of the running matrix's.
 
-    A drawn corpus is cut into the fewest near-equal chunks of walks, one
-    chunk per CPU at a time, with a CPU per two chunks.  An undrawn one
-    (made inside walks.draw_walks(False)) is drawn and counted in its
-    walker's blocks, one per CPU at a time, each in its time-major windows,
+    The pieces are counted in blocks, one per CPU at a time, and each block
+    keeps its own recent sum and folds it into the one running matrix
+    (_blocks).  A drawn corpus is cut into the fewest near-equal chunks of
+    walks, with a CPU per two chunks, each CPU counting a contiguous run of
+    whole chunks.  An undrawn one (generate_walks(..., draw=False)) is drawn
+    and counted in its walker's blocks, each in its time-major windows,
     checked as validate checks a corpus: a window's pieces are cut from its
     walks, and it counts the pairs whose later position it draws, its first
-    rows repeating the previous window's last sigma.  Each block keeps its
-    own recent sum and folds it into the one running matrix.  No walk rows
-    are kept, and the counts are the same arrays as the drawn corpus's.
+    rows repeating the previous window's last sigma.  No walk rows are kept,
+    and the counts are the same arrays as the drawn corpus's.
 
     Args:
         corpus: walk corpus; a drawn one is checked by corpus.validate() first.
@@ -117,47 +117,59 @@ def sample_pairs(corpus: WalkCorpus, sigma: int) -> PairCorpusStats:
     import scipy.sparse as sp
 
     sigma = conform("sigma", sigma, int, min=1, odd=True)
-    m, n, walker = corpus.n_users, corpus.n_items, corpus.walker
+    m, n = corpus.n_users, corpus.n_items
     dtype = np.int32 if m * n < 2**31 else np.int64
-    gamma = corpus.walks.shape[1] if walker is None else walker.cfg.gamma
+    gamma = corpus.walks.shape[1] if corpus.walker is None else corpus.walker.cfg.gamma
     distances = range(1, min(sigma, gamma - 1) + 1, 2)
 
-    def count(walks, new, recent):
-        # a piece's codes live only inside _count_chunk, in the thread that counts it
-        keys, counts = _count_chunk(walks, distances, m, n, dtype, new, recent.dtype)
+    def count(piece, new, recent):
+        # a piece's codes live only inside _count_chunk, in the thread that counts it,
+        # and its runs only in the matrix returned, which recent.add drops before a fold
+        keys, counts = _count_chunk(piece, distances, m, n, dtype, new, recent.dtype)
         indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int64) * n)
         return sp.csr_matrix((counts, np.remainder(keys, n, out=keys), indptr), shape=(m, n))
 
-    def count_block(bounds):
-        lo, hi = bounds
-        recent = _Recent(total, (hi - lo) * _codes_per_walk(gamma, distances))
-        for window, _, new in walker.windows(lo, hi, max(distances, default=0), checked=True):
-            walks = window.T  # (walks, positions) view of the time-major window
-            per_walk = _codes_per_walk(len(window), distances, new)
-            for a, b in spans(len(walks), min(len(walks), -(-len(walks) * per_walk
-                                                            // _CHUNK_CODES))):
-                recent.add(count(walks[a:b], new, recent))
+    def count_block(block):
+        walks, pieces = block
+        recent = _Recent(total, walks * _codes_per_walk(gamma, distances))
+        for piece, new in pieces:
+            recent.add(count(piece, new, recent))
         recent.fold()
 
     total = _Counts(m, n)
+    for blocks in _blocks(corpus, distances):
+        map_blocks(count_block, blocks)
+    return PairCorpusStats(total.pair)
+
+
+def _blocks(corpus, distances):
+    """The blocks sample_pairs counts, in lists of one block per CPU run at once.
+    A block is (walks, pieces): its walk count and an iterator of (piece, new),
+    a (walks, positions) piece whose pairs with a later end at or past
+    position new are counted."""
+    walker = corpus.walker
     if walker is not None:
-        for lo in range(0, len(walker.blocks), walker.lanes):  # a block per CPU at a time
-            map_blocks(count_block, walker.blocks[lo:lo + walker.lanes])
-        return PairCorpusStats(total.pair)
+        def pieces(lo, hi):
+            for window, _, new in walker.windows(lo, hi, max(distances, default=0), checked=True):
+                # (walks, positions) views of the time-major window
+                yield from ((piece, new) for piece in
+                            _cut(window.T, _codes_per_walk(len(window), distances, new)))
+
+        for lo in range(0, len(walker.blocks), walker.lanes):
+            yield [(hi - lo, pieces(lo, hi)) for lo, hi in walker.blocks[lo:lo + walker.lanes]]
+        return
     corpus.validate()
-    walks = corpus.walks
-    pairs = len(walks) * _codes_per_walk(gamma, distances)
-    parts = min(len(walks), -(-pairs // _CHUNK_CODES))
-    chunks = [walks[lo:hi] for lo, hi in spans(len(walks), parts)]  # near-equal
+    chunks = _cut(corpus.walks, _codes_per_walk(corpus.walks.shape[1], distances))
     # a CPU per two chunks: counting the two chunks of a small corpus at once held
     # both chunks' temporaries for a few milliseconds saved
-    cpus = max(1, min(threads(), len(chunks) // 2))
-    recent = _Recent(total, pairs)
-    for lo in range(0, len(chunks), cpus):
-        for part in map_blocks(lambda chunk: count(chunk, 0, recent), chunks[lo:lo + cpus]):
-            recent.add(part)  # in chunk order
-    recent.fold()
-    return PairCorpusStats(total.pair)
+    runs = spans(len(chunks), max(1, min(threads(), len(chunks) // 2)))
+    yield [(sum(map(len, chunks[a:b])), ((chunk, 0) for chunk in chunks[a:b])) for a, b in runs]
+
+
+def _cut(walks, per_walk):
+    "walks cut into the fewest near-equal pieces of about _CHUNK_CODES codes, a walk or more."
+    parts = min(len(walks), -(-len(walks) * per_walk // _CHUNK_CODES))
+    return [walks[lo:hi] for lo, hi in spans(len(walks), parts)]
 
 
 class _Counts:

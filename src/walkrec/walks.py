@@ -9,13 +9,11 @@ degrees and offsets live in the streams' scratch, free between draws, so
 a walk in flight holds its stream (65 bytes with scratch), its current
 vertex (8) and its window's int32 rows.  Every walk draws from its own
 stream, so the corpus is the same bytes however it is blocked and on
-however many CPUs.  A corpus left undrawn (draw_walks(False)) keeps no
-rows until they are read: sample_pairs counts its windows as they are
-drawn.
+however many CPUs.  A corpus left undrawn (generate_walks(..., draw=False))
+keeps no rows until they are read: sample_pairs counts its windows as they
+are drawn.
 """
 
-import contextlib
-import contextvars
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,15 +25,13 @@ from .parallel import map_blocks, threads
 from .pcg64 import Pcg64Streams
 from .tables import format_header, parse_header
 
-__all__ = ["WalkConfig", "WalkCorpus", "draw_walks", "generate_walks", "save_walks",
-           "load_walks"]
+__all__ = ["WalkConfig", "WalkCorpus", "generate_walks", "save_walks", "load_walks"]
 
 _TEXT_ROWS = 1024  # walks rendered or parsed per block; 8,192 faulted in fresh pages every block
 _LANE_WALKS = 16384  # walks begun per CPU used: far fewer lose to the GIL
 _WALK_BLOCK = 65536  # most walks in a block: uncapped blocks were slower at 10x
 _WINDOW = 8  # positions drawn per time-major window, copied into the rows at once
 _SP, _NL, _U, _I = b" \nui"
-_DRAW = contextvars.ContextVar("walkrec_draw_walks", default=True)  # set by draw_walks
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ class WalkCorpus:
     else cast once every value fits (WalkRowError names a row that does not).  A list
     of equal-length walks is stacked into one, an empty list into (0, 0).
 
-    A corpus that generate_walks makes inside ``draw_walks(False)`` is undrawn: its
+    A corpus that ``generate_walks(..., draw=False)`` makes is undrawn: its
     rows are drawn the first time ``walks`` is read, and until then ``walker`` is
     the _Walker that draws them, so a reader such as sample_pairs can take them
     window by window and keep none.  ``walker`` is None once the rows exist.
@@ -223,18 +219,7 @@ class _Walker:
         return walks
 
 
-@contextlib.contextmanager
-def draw_walks(draw):
-    """generate_walks calls inside the block draw their corpora's rows if draw is
-    true, as outside every such block, else leave them undrawn."""
-    token = _DRAW.set(bool(draw))
-    try:
-        yield
-    finally:
-        _DRAW.reset(token)
-
-
-def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
+def generate_walks(g: BipartiteGraph, cfg: WalkConfig, draw=True) -> WalkCorpus:
     """Launch cfg.beta walks of cfg.gamma vertices from every non-isolated vertex.
 
     Each successor is drawn uniformly from the current vertex's neighbors.
@@ -246,13 +231,13 @@ def generate_walks(g: BipartiteGraph, cfg: WalkConfig) -> WalkCorpus:
 
     The rows are drawn in blocks run in parallel (_Walker), each block in
     time-major windows of _WINDOW positions that are copied into its rows of
-    the int32 corpus.  Inside ``draw_walks(False)`` the corpus is returned
-    undrawn: its rows are drawn on the first read of ``walks``, and
-    sample_pairs counts an undrawn corpus window by window, keeping no rows.
+    the int32 corpus.  With draw false the corpus is returned undrawn: its
+    rows are drawn on the first read of ``walks``, and sample_pairs counts
+    an undrawn corpus window by window, keeping no rows.
     """
     corpus = WalkCorpus(np.empty((0, 0), dtype=np.int32), g.n_users, g.n_items)  # checks m + n
     corpus.walker = _Walker(g, cfg)
-    if _DRAW.get():
+    if draw:
         _ = corpus.walks  # drawn on this first read
     return corpus
 

@@ -46,9 +46,13 @@ def test_cell_profile_reports_every_stage():
     assert lines[0] == "cell: 200 x 199, sigma 3, walks undrawn", proc.stdout
     stages = [line.split()[0] for line in lines[2:10]]
     assert stages == ["data", "graph", "walks", "pairs", "sppmi", "ALS", "top-K", "evaluate"]
+    assert lines[1].split()[6:8] == ["maxrss", "minflt"]
+    faults = []
     for line in lines[2:10]:
-        seconds, peak, after, maxrss = map(float, line.split()[1:])
+        seconds, peak, after, maxrss = map(float, line.split()[1:5])
         assert seconds >= 0 and peak >= 0 and after > 0 and maxrss > 0
+        faults.append(int(line.split()[5]))  # minor page faults, a whole count
+    assert min(faults) >= 0 and sum(faults) > 0
     hashes = [line.split() for line in lines[11:]]
     assert [name for _, name, _ in hashes] == ["pairs", "pmi", "factors", "lists", "scores"]
     assert all(len(digest) == 16 for _, _, digest in hashes)

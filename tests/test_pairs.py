@@ -1,6 +1,7 @@
 """Windowed pair extraction vs. brute-force enumeration, merge algebra, stats."""
 
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import walkrec.pairs as pairs_module
 import walkrec.walks as walks_module
 from walkrec.graph import build_graph
 from walkrec.pairs import PairCorpusStats, load_stats, merge, sample_pairs, save_stats
-from walkrec.walks import WalkConfig, WalkCorpus, WalkRowError, draw_walks, generate_walks
+from walkrec.walks import WalkConfig, WalkCorpus, WalkRowError, generate_walks
 
 from conftest import corpus_from_tokens, oracle_pair_multiset
 
@@ -318,6 +319,25 @@ class TestCodeBudget:
             assert sorted(sizes) == sizes_seen
 
 
+def test_each_cpu_sums_its_own_run_of_chunks(monkeypatch, cpus):
+    """On two CPUs a stored corpus of four chunks is counted as two runs of two
+    chunks, each summed on the thread that counts it: no piece is added on the
+    calling thread while the other CPU waits."""
+    corpus, _ = random_corpus(np.random.default_rng(2), beta=3, gamma=81)
+    expected = dict(oracle_pair_multiset(corpus, 3))
+    adders, real = [], pairs_module._Recent.add
+
+    def recorded(self, part):
+        adders.append(threading.current_thread())
+        real(self, part)
+
+    monkeypatch.setattr(pairs_module._Recent, "add", recorded)
+    monkeypatch.setattr(pairs_module, "_CHUNK_CODES", 2_000)  # 4 chunks at sigma 3
+    cpus(2)
+    assert counts_dict(sample_pairs(corpus, 3)) == expected
+    assert len(adders) == 4 and threading.current_thread() not in adders
+
+
 def test_traced_peak_is_bounded_by_the_corpus_size():
     # Walks on a 3,000 x 3,000 graph of user degree 5: 47,856 walks of 80
     # codes, 3.83 M vertices.  Traced peaks measured on this corpus: 25.3 MB
@@ -339,8 +359,7 @@ def test_traced_peak_is_bounded_by_the_corpus_size():
 
 
 def undrawn(g, cfg):
-    with draw_walks(False):
-        return generate_walks(g, cfg)
+    return generate_walks(g, cfg, draw=False)
 
 
 def assert_same_matrix(got, want):

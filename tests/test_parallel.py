@@ -213,8 +213,8 @@ def test_corpora_are_freed_before_the_fit(bundled, cpus, monkeypatch):
     corpora, live_at_fit = [], []
     real_walks, real_fit = evaluation.generate_walks, evaluation.als_fit
 
-    def tracked_walks(g, cfg):
-        corpus = real_walks(g, cfg)
+    def tracked_walks(g, cfg, **kw):
+        corpus = real_walks(g, cfg, **kw)
         corpora.append(weakref.ref(corpus))
         return corpus
 
@@ -237,9 +237,9 @@ def test_grid_frees_each_corpus_before_the_next(bundled, monkeypatch):
     corpora, live_before = [], []
     real_walks = evaluation.generate_walks
 
-    def tracked_walks(g, cfg):
+    def tracked_walks(g, cfg, **kw):
         live_before.append(sum(ref() is not None for ref in corpora))
-        corpus = real_walks(g, cfg)
+        corpus = real_walks(g, cfg, **kw)
         corpora.append(weakref.ref(corpus))
         return corpus
 
